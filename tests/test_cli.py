@@ -57,11 +57,10 @@ def test_spectrum_is_byte_deterministic(tmp_path):
 def test_evolve_csv_is_byte_deterministic(tmp_path):
     T = math.sqrt(2.0) * math.pi
     cfg = evolve_config(tmp_path, dt=T / 200)
-    assert run("evolve", "--config", cfg, "--out", tmp_path / "a") == 0
-    assert run("evolve", "--config", cfg, "--out", tmp_path / "b") == 0
-    assert (tmp_path / "a" / "density.csv").read_bytes() == (
-        tmp_path / "b" / "density.csv"
-    ).read_bytes()
+    assert run("evolve", "--config", cfg, "--out", tmp_path / "a", "--pde") == 0
+    assert run("evolve", "--config", cfg, "--out", tmp_path / "b", "--pde") == 0
+    for name in ("density.csv", "density_pde.csv", "evolve_summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_spectrum_broken_susy_exits_3(tmp_path, capsys):

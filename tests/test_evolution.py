@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 import majorana1d as mj
 
@@ -272,3 +278,69 @@ def test_pde_error_shrinks_with_joint_refinement(params, linear_potential, model
     coarse = one_period_error(1001, 200)
     fine = one_period_error(2001, 400)
     assert coarse / fine >= 3.5
+
+
+def block_cayley_reference(initial, p, phi, t_final, dt, stride):
+    """The implicit-midpoint step solved on the full 2m x 2m block
+    generator G = [[0, Aᵀ], [-A, 0]] with SuperLU, sampling norms on the
+    same schedule as ``evolve_pde``. Returns (norms, psi1, psi2)."""
+    spec = initial.spec
+    w = np.asarray(mj.superpotential(p, phi, spec.points()), dtype=float)
+    n_steps = max(1, round(t_final / dt))
+    dt = t_final / n_steps
+    m = spec.n_points - 2
+    coef = p.c * p.hbar / (2.0 * spec.h)
+    ones = np.full(m - 1, coef)
+    a_mat = sparse.diags([-ones, w[1:-1], ones], offsets=[-1, 0, 1], format="csr")
+    gen = sparse.bmat([[None, a_mat.T], [-a_mat, None]], format="csr")
+    alpha = dt / (2.0 * p.hbar)
+    eye = sparse.identity(2 * m, format="csr")
+    stepper = splu((eye - alpha * gen).tocsc())
+    forward = (eye + alpha * gen).tocsr()
+
+    u = np.concatenate([initial.psi1.values[1:-1], initial.psi2.values[1:-1]])
+
+    def norm():
+        rho = np.zeros(spec.n_points)
+        rho[1:-1] = u[:m] ** 2 + u[m:] ** 2
+        return spec.h * (rho.sum() - 0.5 * (rho[0] + rho[-1]))
+
+    norms = [norm()]
+    for step in range(1, n_steps + 1):
+        u = stepper.solve(forward @ u)
+        if step % stride == 0 or step == n_steps:
+            norms.append(norm())
+    return np.array(norms), u[:m], u[m:]
+
+
+@pytest.mark.parametrize("n_points", [3, 4, 2001])
+def test_pde_matches_block_cayley_reference(params, linear_potential, model, n_points):
+    # n_points = 3 leaves one interior point with no interior neighbour
+    grid = mj.default_grid(model, n_points)
+    x = grid.points()
+    initial = mj.MajoranaSpinorState(
+        mj.GridFunction(grid, np.exp(-0.5 * (x + 2.0) ** 2)),
+        mj.GridFunction(grid, 0.5 * np.exp(-0.4 * (x - 1.0) ** 2)),
+    )
+    T = mj.density_period(model, 1)
+    trace, final = mj.evolve_pde(initial, params, linear_potential, T, dt=T / 2000, stride=50)
+    norms, psi1, psi2 = block_cayley_reference(
+        initial, params, linear_potential, T, T / 2000, stride=50
+    )
+    assert sup(final.psi1.values[1:-1], psi1) <= 1e-10
+    assert sup(final.psi2.values[1:-1], psi2) <= 1e-10
+    assert len(trace.norms) == len(norms)
+    assert sup(trace.norms, norms) <= 1e-10
+
+
+def test_import_does_not_load_scipy_sparse():
+    src = str(Path(mj.__file__).resolve().parent.parent)
+    code = "import sys, majorana1d; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
