@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ from .model import (
     ScalarPotential,
     ScarfPotential,
     majorana_compatible,
+    norm,
     superpotential,
     zero_potential,
 )
@@ -61,6 +63,19 @@ def _need(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing {key!r} in {where}")
     return section[key]
+
+
+def _convert(kind: type, value, key: str):
+    """``kind(value)`` for ``kind`` float or int; a malformed value, or a
+    float that is not finite, raises ConfigError naming ``key``."""
+    try:
+        result = kind(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {expected}, got {value!r}") from err
+    if kind is float and not math.isfinite(result):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return result
 
 
 def build_potential(section) -> ScalarPotential:
@@ -144,7 +159,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    tol = float(raw.get("tol", DEFAULT_TOL))
+    tol = _convert(float, raw.get("tol", DEFAULT_TOL), "tol")
     if tol <= 0:
         raise ConfigError("'tol' must be positive")
     return RunConfig(
@@ -169,12 +184,15 @@ def _jsonable(value):
     return value
 
 
-def write_text_atomic(path: Path, text: str):
+def write_text_atomic(path: Path, chunks):
+    """Write the strings of ``chunks`` to a temp file beside ``path``, then
+    rename it over ``path``; on any failure the temp file is removed and
+    ``path`` is left untouched."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -185,18 +203,32 @@ def write_text_atomic(path: Path, text: str):
 
 
 def write_json(path: Path, payload: dict):
-    write_text_atomic(path, json.dumps(_jsonable(payload), indent=2) + "\n")
+    write_text_atomic(path, (json.dumps(_jsonable(payload), indent=2) + "\n",))
+
+
+def _float_reprs(values) -> list[str]:
+    """Shortest round-trip repr of each value, as ``repr(float(v))`` gives it."""
+    return repr(np.asarray(values, dtype=float).tolist())[1:-1].split(", ")
 
 
 def write_density_csv(path: Path, grid: GridSpec, rows):
-    """rows: iterable of (t, density ndarray), already sorted by t."""
-    x = grid.points()
-    lines = ["t,x,rho"]
-    for t, rho in rows:
-        tf = repr(float(t))
-        for xi, ri in zip(x, rho):
-            lines.append(f"{tf},{float(xi)!r},{float(ri)!r}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """Write ``t,x,rho`` rows, one per grid point and frame.
+
+    rows: iterable of (t, density ndarray), already sorted by t. It is
+    consumed once, lazily and in order: each frame is formatted and
+    written before the next one is drawn, so memory does not grow with
+    the number of frames.
+    """
+    x_cells = [cell + "," for cell in _float_reprs(grid.points())]
+
+    def frames():
+        yield "t,x,rho\n"
+        for t, rho in rows:
+            t_cell = repr(float(t)) + ","
+            cells = zip(repeat(t_cell), x_cells, _float_reprs(rho), repeat("\n"))
+            yield "".join(map("".join, cells))
+
+    write_text_atomic(path, frames())
 
 
 def _describe_common(cfg: RunConfig) -> dict:
@@ -217,13 +249,6 @@ def _describe_common(cfg: RunConfig) -> dict:
 
 def _sup_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
-
-
-def _l2_norm(grid: GridSpec, values: np.ndarray) -> float:
-    squared = values**2
-    return math.sqrt(
-        max(grid.h * (squared.sum() - 0.5 * (squared[0] + squared[-1])), 0.0)
-    )
 
 
 # -------------------------------------------------------------- families
@@ -250,7 +275,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     section = cfg.raw.get("spectrum")
     if not isinstance(section, dict):
         raise ConfigError("config needs a 'spectrum' object with 'n_max'")
-    n_max = int(_need(section, "n_max", "spectrum"))
+    n_max = _convert(int, _need(section, "n_max", "spectrum"), "spectrum.n_max")
     if n_max < 0:
         raise ConfigError("spectrum.n_max must be non-negative")
     algebraic = bool(section.get("algebraic", True))
@@ -345,11 +370,11 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
             "evolve uses the closed-form linear-potential states; "
             "configure a linear potential with k != 0"
         )
-    n = int(_need(section, "n", "evolve"))
+    n = _convert(int, _need(section, "n", "evolve"), "evolve.n")
     if n < 0:
         raise ConfigError("evolve.n must be non-negative")
-    delta = float(section.get("delta", math.pi / 2.0))
-    stride = int(section.get("stride", evolution.DEFAULT_STRIDE))
+    delta = _convert(float, section.get("delta", math.pi / 2.0), "evolve.delta")
+    stride = _convert(int, section.get("stride", evolution.DEFAULT_STRIDE), "evolve.stride")
     if stride < 1:
         raise ConfigError("evolve.stride must be at least 1")
 
@@ -357,7 +382,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     period = evolution.density_period(model, n) if n >= 1 else None
     t_final = section.get("t_final")
     if t_final is None:
-        periods = float(section.get("periods", 1.0))
+        periods = _convert(float, section.get("periods", 1.0), "evolve.periods")
         if period is None:
             t_final = 5.0
             print(
@@ -367,7 +392,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
             )
         else:
             t_final = periods * period
-    t_final = float(t_final)
+    t_final = _convert(float, t_final, "evolve.t_final")
     if t_final <= 0:
         raise ConfigError("evolve horizon must be positive")
     dt = section.get("dt")
@@ -379,7 +404,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
                 np.max(np.abs(superpotential(cfg.params, cfg.potential, cfg.grid.points())))
             )
             dt = evolution.default_time_step(cfg.params, cfg.grid, w_max)
-    dt = float(dt)
+    dt = _convert(float, dt, "evolve.dt")
     if dt <= 0:
         raise ConfigError("evolve.dt must be positive")
     n_steps = max(1, round(t_final / dt))
@@ -390,12 +415,12 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     def analytic_components(t: float):
         return linear.spinor(model, n, t, y, delta)
 
-    frames = _frame_steps(n_steps, stride)
-    rows = []
-    for step in frames:
-        psi1, psi2 = analytic_components(step * dt)
-        rows.append((step * dt, psi1**2 + psi2**2))
-    write_density_csv(out_dir / "density.csv", cfg.grid, rows)
+    def analytic_rows():
+        for step in _frame_steps(n_steps, stride):
+            psi1, psi2 = analytic_components(step * dt)
+            yield step * dt, psi1**2 + psi2**2
+
+    write_density_csv(out_dir / "density.csv", cfg.grid, analytic_rows())
 
     summary = _describe_common(cfg)
     summary.update(
@@ -464,7 +489,7 @@ def cmd_audit(cfg: RunConfig, out_dir: Path, tol_override: float | None) -> int:
     audit_tol = (
         tol_override
         if tol_override is not None
-        else float(cfg.raw.get("audit_tol", 1e-9))
+        else _convert(float, cfg.raw.get("audit_tol", 1e-9), "audit_tol")
     )
     report = majorana_compatible(_audit_couplings(cfg), cfg.grid, audit_tol)
     payload = _describe_common(cfg)
@@ -510,8 +535,10 @@ def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     section = cfg.raw.get("verify") if isinstance(cfg.raw.get("verify"), dict) else {}
-    n_max = int(section.get("n_max", 8))
-    ladder_levels = int(section.get("ladder_levels", 5))
+    n_max = _convert(int, section.get("n_max", 8), "verify.n_max")
+    if n_max < 0:
+        raise ConfigError("verify.n_max must be non-negative")
+    ladder_levels = _convert(int, section.get("ladder_levels", 5), "verify.ladder_levels")
     run_pde = bool(section.get("pde", True))
     checks: list[dict] = []
 
@@ -534,9 +561,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
 
     if cls.unbroken:
         annihilate = susy.apply_a if cls.sector is Sector.MINUS else susy.apply_a_dagger
-        residual = _l2_norm(
-            cfg.grid, annihilate(cfg.params, cfg.potential, cls.zero_mode).values
-        )
+        residual = norm(annihilate(cfg.params, cfg.potential, cls.zero_mode))
         record("zero_mode_annihilation", residual, 1e-4)
 
     family = None
@@ -596,7 +621,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
                 image = susy.apply_a(cfg.params, cfg.potential, minus_n).values
                 if float(np.dot(image, target)) < 0:
                     target = -target
-                worst_ladder = max(worst_ladder, _l2_norm(cfg.grid, image - target))
+                worst_ladder = max(worst_ladder, norm(GridFunction(cfg.grid, image - target)))
             record("ladder_mapping_residual", worst_ladder, 1e-3)
 
         if run_pde:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from majorana1d.cli import main
+from majorana1d.cli import main, write_density_csv
+from majorana1d.model import GridSpec
 
 
 def write_config(path, **overrides):
@@ -157,6 +158,31 @@ def test_unknown_flag_exits_1(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+MALFORMED_VALUES = [
+    ("tol", "classify", {"tol": "abc"}),
+    ("evolve.n", "evolve", {"evolve": {"n": "one"}}),
+    ("evolve.stride", "evolve", {"evolve": {"n": 1, "stride": "abc"}}),
+    ("evolve.periods", "evolve", {"evolve": {"n": 1, "periods": "nan"}}),
+    ("evolve.t_final", "evolve", {"evolve": {"n": 1, "t_final": "abc"}}),
+    ("spectrum.n_max", "spectrum", {"spectrum": {"n_max": "x"}}),
+    ("verify.n_max", "verify", {"verify": {"n_max": -1}}),
+    ("audit_tol", "audit", {"audit_tol": "abc"}),
+]
+
+
+@pytest.mark.parametrize(
+    "key, command, overrides", MALFORMED_VALUES, ids=[case[0] for case in MALFORMED_VALUES]
+)
+def test_malformed_config_value_exits_1(tmp_path, capsys, key, command, overrides):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"x_min": -11.0, "x_max": 9.0, "n_points": 101},
+        **overrides,
+    )
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
+    assert key in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ evolve
 
 
@@ -170,6 +196,44 @@ def evolve_config(tmp_path, **evolve):
         grid={"x_min": -11.0, "x_max": 9.0, "n_points": 1001},
         evolve=section,
     )
+
+
+def reference_density_csv(grid, rows):
+    """The per-row formatter the streaming writer must match byte for byte."""
+    lines = ["t,x,rho\n"]
+    for t, rho in rows:
+        for x, r in zip(grid.points(), rho):
+            lines.append(f"{float(t)!r},{float(x)!r},{float(r)!r}\n")
+    return "".join(lines).encode("utf-8")
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-05, 1.2345e-17, 1e16, 123456789.125, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n_frames", [0, 1, 4])
+def test_density_csv_matches_per_row_reference(tmp_path, dtype, n_frames):
+    grid = GridSpec(-1.3, 1.1, len(EDGE_VALUES))
+    values = np.array(EDGE_VALUES, dtype=dtype)
+    rows = [(k / 3.0, np.roll(values, k)) for k in range(n_frames)]
+    path = tmp_path / "density.csv"
+    write_density_csv(path, grid, iter(rows))
+    assert path.read_bytes() == reference_density_csv(grid, rows)
+
+
+def test_density_csv_interrupted_write_keeps_target(tmp_path):
+    grid = GridSpec(-1.0, 1.0, 5)
+    target = tmp_path / "density.csv"
+    target.write_bytes(b"previous run\n")
+
+    def rows():
+        yield 0.0, np.ones(5)
+        raise RuntimeError("frame 1 failed")
+
+    with pytest.raises(RuntimeError, match="frame 1 failed"):
+        write_density_csv(target, grid, rows())
+    assert target.read_bytes() == b"previous run\n"
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def read_density(path):
