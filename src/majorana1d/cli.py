@@ -66,76 +66,72 @@ def _need(section: dict, key: str, where: str):
 
 
 def _convert(kind: type, value, key: str):
-    """``kind(value)`` for ``kind`` float or int; a malformed value, or a
-    float that is not finite, raises ConfigError naming ``key``."""
+    """``kind(value)`` for ``kind`` float or int; a malformed value, a
+    float that is not finite, or a non-integral number where an integer
+    is wanted raises ConfigError naming ``key``."""
+    expected = "an integer" if kind is int else "a number"
     try:
         result = kind(value)
     except (TypeError, ValueError, OverflowError) as err:
-        expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {expected}, got {value!r}") from err
     if kind is float and not math.isfinite(result):
         raise ConfigError(f"{key} must be finite, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
     return result
 
 
-def build_potential(section) -> ScalarPotential:
+def build_potential(section, where: str = "potential") -> ScalarPotential:
     if not isinstance(section, dict):
-        raise ConfigError("'potential' must be an object with a 'kind'")
-    kind = _need(section, "kind", "potential")
-    try:
-        if kind == "linear":
-            return LinearPotential(float(_need(section, "k", "potential")))
-        if kind == "poschl_teller":
-            return PoschlTellerPotential(
-                float(_need(section, "depth", "potential")),
-                float(section.get("width", 1.0)),
-            )
-        if kind == "rosen_morse":
-            return RosenMorsePotential(
-                float(_need(section, "a", "potential")),
-                float(_need(section, "b", "potential")),
-                float(section.get("alpha", 1.0)),
-            )
-        if kind == "scarf":
-            return ScarfPotential(
-                float(_need(section, "a", "potential")),
-                float(_need(section, "b", "potential")),
-                float(section.get("alpha", 1.0)),
-            )
-        if kind == "custom":
-            return CustomPotential(
-                str(_need(section, "expression", "potential")),
-                {k: float(v) for k, v in section.get("parameters", {}).items()},
-            )
-    except (TypeError, ValueError) as err:
-        if isinstance(err, PotentialSyntaxError):
-            raise
-        raise ConfigError(f"bad potential parameters: {err}") from err
+        raise ConfigError(f"{where!r} must be an object with a 'kind'")
+    kind = _need(section, "kind", where)
+
+    def number(key: str, default: float | None = None) -> float:
+        value = _need(section, key, where) if default is None else section.get(key, default)
+        return _convert(float, value, f"{where}.{key}")
+
+    if kind == "linear":
+        return LinearPotential(number("k"))
+    if kind == "poschl_teller":
+        return PoschlTellerPotential(number("depth"), number("width", 1.0))
+    if kind == "rosen_morse":
+        return RosenMorsePotential(number("a"), number("b"), number("alpha", 1.0))
+    if kind == "scarf":
+        return ScarfPotential(number("a"), number("b"), number("alpha", 1.0))
+    if kind == "custom":
+        parameters = section.get("parameters", {})
+        if not isinstance(parameters, dict):
+            raise ConfigError(f"{where}.parameters must be an object")
+        return CustomPotential(
+            str(_need(section, "expression", where)),
+            {k: _convert(float, v, f"{where}.parameters.{k}") for k, v in parameters.items()},
+        )
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
 def build_params(section) -> PhysicalParams:
-    section = section or {}
+    section = {} if section is None else section
+    if not isinstance(section, dict):
+        raise ConfigError("'physical' must be an object")
+    values = {
+        key: _convert(float, section.get(key, 1.0), f"physical.{key}")
+        for key in ("mass", "c", "hbar")
+    }
     try:
-        return PhysicalParams(
-            mass=float(section.get("mass", 1.0)),
-            c=float(section.get("c", 1.0)),
-            hbar=float(section.get("hbar", 1.0)),
-        )
-    except (TypeError, ValueError) as err:
+        return PhysicalParams(**values)
+    except ValueError as err:
         raise ConfigError(f"bad physical parameters: {err}") from err
 
 
 def build_grid(section) -> GridSpec:
     if not isinstance(section, dict):
         raise ConfigError("config needs a 'grid' object")
+    x_min = _convert(float, _need(section, "x_min", "grid"), "grid.x_min")
+    x_max = _convert(float, _need(section, "x_max", "grid"), "grid.x_max")
+    n_points = _convert(int, _need(section, "n_points", "grid"), "grid.n_points")
     try:
-        return GridSpec(
-            float(_need(section, "x_min", "grid")),
-            float(_need(section, "x_max", "grid")),
-            int(_need(section, "n_points", "grid")),
-        )
-    except (TypeError, ValueError) as err:
+        return GridSpec(x_min, x_max, n_points)
+    except ValueError as err:
         raise ConfigError(f"bad grid: {err}") from err
 
 
@@ -469,7 +465,7 @@ def _coupling_from(section: dict, key: str) -> ScalarPotential:
     entry = section.get(key)
     if entry is None:
         return zero_potential()
-    return build_potential(entry)
+    return build_potential(entry, f"audit.{key}")
 
 
 def _audit_couplings(cfg: RunConfig) -> CouplingSet:
@@ -478,7 +474,7 @@ def _audit_couplings(cfg: RunConfig) -> CouplingSet:
         f2 = section.get("f2")
         return CouplingSet(
             f1=_coupling_from(section, "f1"),
-            f2=build_potential(f2) if f2 is not None else cfg.potential,
+            f2=build_potential(f2, "audit.f2") if f2 is not None else cfg.potential,
             f3=_coupling_from(section, "f3"),
             f4=_coupling_from(section, "f4"),
         )

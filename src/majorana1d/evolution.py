@@ -5,9 +5,13 @@ psi2 = phi^+ cos(Et/ħ + δ) carry a density rho = psi1² + psi2² that
 oscillates for every excited level — only an unbroken ground state is
 stationary. The coupled first-order system ħ ∂t psi1 = A† psi2,
 ħ ∂t psi2 = -A psi1 is also integrated directly with an implicit
-midpoint step as an independent dynamical check; the step is a Cayley
-transform of a skew-symmetric matrix, so the discrete L2 norm is
-conserved to roundoff.
+midpoint step as an independent dynamical check. It runs on a staggered
+grid, psi1 on the nodes and psi2 on the midpoints, where the two-point
+ladder A has no fermion doublers; states are averaged between nodes and
+midpoints on the way in and out. The step is a Cayley transform of a
+skew-symmetric matrix, so the discrete L2 norm is conserved to roundoff,
+and its Schur complement I + α²AᵀA is tridiagonal, solved with LAPACK
+pttrf/pttrs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     DivergenceError,
@@ -27,9 +31,11 @@ from .errors import (
 from .linear import LinearModel
 from .model import (
     GridFunction,
+    GridSpec,
     PhysicalParams,
     ScalarPotential,
     superpotential,
+    trapezoid,
 )
 
 NORM_DRIFT_TOL = 1e-6
@@ -103,14 +109,8 @@ def probability_density(state: MajoranaSpinorState) -> GridFunction:
     return GridFunction(state.spec, state.psi1.values**2 + state.psi2.values**2)
 
 
-def _trapezoid(values: np.ndarray, h: float) -> float:
-    return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))
-
-
 def state_norm(state: MajoranaSpinorState) -> float:
-    return _trapezoid(
-        state.psi1.values**2 + state.psi2.values**2, state.spec.h
-    )
+    return trapezoid(state.psi1.values**2 + state.psi2.values**2, state.spec.h)
 
 
 def density_period(model: LinearModel, n: int) -> float:
@@ -170,7 +170,7 @@ def analytic_trace(
         state = assemble_state(phi_minus, phi_plus, energy, delta, float(t), hbar)
         rho = probability_density(state)
         densities.append(rho)
-        norms.append(_trapezoid(rho.values, rho.spec.h))
+        norms.append(trapezoid(rho.values, rho.spec.h))
     return EvolutionTrace(np.asarray(times, dtype=float), densities, np.array(norms))
 
 
@@ -178,6 +178,27 @@ def default_time_step(p: PhysicalParams, grid, w_max: float) -> float:
     """Fallback step when no period is known: resolve both the grid
     crossing time and the fastest local phase."""
     return 0.1 * grid.h / (p.c * p.hbar) * min(1.0, 1.0 / max(w_max, 1e-30))
+
+
+def staggered_ladder(
+    p: PhysicalParams, phi: ScalarPotential, spec: GridSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two bands of the doubler-free staggered ladder operator A.
+
+    A maps psi1 on the m = n_points - 2 interior nodes (psi1 is zero on
+    the two boundary nodes) to the m + 1 midpoints j+½:
+
+        (A psi1)_{j+½} = cħ (psi1_{j+1} - psi1_j) / h + ½ (W_j psi1_j + W_{j+1} psi1_{j+1}).
+
+    The (m+1)×m matrix is bidiagonal: the column of interior node j
+    holds ``left = cħ/h + W_j/2`` at midpoint j-½ and
+    ``right = -cħ/h + W_j/2`` at midpoint j+½. Unlike the central
+    difference, AᵀA has no doubled levels (Susskind, Phys. Rev. D 16,
+    3031 (1977)). Returns (left, right), each of length m.
+    """
+    half_w = 0.5 * np.asarray(superpotential(p, phi, spec.points()), dtype=float)[1:-1]
+    coef = p.c * p.hbar / spec.h
+    return coef + half_w, half_w - coef
 
 
 def evolve_pde(
@@ -191,28 +212,35 @@ def evolve_pde(
 ) -> tuple[EvolutionTrace, MajoranaSpinorState]:
     """Integrate the coupled first-order system with implicit midpoint.
 
-    On the interior points, with the central-difference ladder
-    A = tridiag(-coef, w_i, coef), coef = cħ/2h, the system is
-    ħ ∂t u = G u with the skew-symmetric G = [[0, Aᵀ], [-A, 0]]. Each
-    step is the Cayley transform u ← (I - αG)⁻¹(I + αG) u, α = dt/2ħ,
-    applied as 2(I - αG)⁻¹u - u. The solve eliminates psi2, which leaves
-    the symmetric positive definite pentadiagonal Schur complement
+    The ladder is the staggered A of ``staggered_ladder``: psi1 lives on
+    the m interior nodes and psi2 on the m + 1 midpoints, where it
+    starts as the average of the two adjacent nodes of
+    ``initial.psi2``. With u = (psi1, psi2) the system is ħ ∂t u = G u
+    with the skew-symmetric G = [[0, Aᵀ], [-A, 0]]. Each step is the
+    Cayley transform u ← (I - αG)⁻¹(I + αG) u, α = dt/2ħ, applied as
+    2(I - αG)⁻¹u - u. The solve eliminates psi2, which leaves the
+    symmetric positive definite tridiagonal Schur complement
     S = I + α²AᵀA for psi1:
 
         S v1 = u1 + αAᵀu2,   v2 = u2 - αA v1.
 
-    S has diagonal 1 + α²(w_i² + coef²·nb_i), where nb_i counts the
-    interior neighbours of point i (2 inside, 1 at either end, 0 when
-    there is a single interior point), first off-diagonal
-    α²·coef·(w_i - w_{i+1}) and second off-diagonal -(α·coef)². It is
-    factored once by banded Cholesky and the factor is reused for every
-    step. Dirichlet-zero boundaries. Returns the sampled trace (every
-    ``stride`` steps plus the final one) and the final state.
+    S has diagonal 1 + α²(left_j² + right_j²) and off-diagonal
+    α²·right_j·left_{j+1}; it is factored once with LAPACK ``pttrf``
+    (LDLᵀ) and solved each step with ``pttrs``.
+
+    The sampled density is rho_j = psi1_j² + ½(psi2_{j-½}² + psi2_{j+½}²)
+    at interior nodes and psi2² of the adjacent midpoint at the two
+    boundary nodes, so its trapezoid sum is h(Σpsi1² + Σpsi2²), the
+    quantity the Cayley step conserves. The returned state is back on
+    the nodes: interior psi2 averages its two adjacent midpoints, and
+    both components are zero on the boundary nodes. Returns the sampled
+    trace (every ``stride`` steps plus the final one) and the final
+    state.
     """
     spec = initial.spec
-    x = spec.points()
-    w = np.asarray(superpotential(p, phi, x), dtype=float)
+    left, right = staggered_ladder(p, phi, spec)
     if dt is None:
+        w = superpotential(p, phi, spec.points())
         dt = default_time_step(p, spec, float(np.max(np.abs(w))))
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -221,24 +249,31 @@ def evolve_pde(
 
     m = spec.n_points - 2
     alpha = dt / (2.0 * p.hbar)
-    aw = alpha * w[1:-1]
-    ac = alpha * p.c * p.hbar / (2.0 * spec.h)
-    neighbours = np.zeros(m)
-    neighbours[1:] += 1.0
-    neighbours[:-1] += 1.0
-    bands = np.zeros((3, m))
-    bands[0, 2:] = -ac * ac
-    bands[1, 1:] = ac * (aw[:-1] - aw[1:])
-    bands[2] = 1.0 + aw * aw + ac * ac * neighbours
-    factor = (cholesky_banded(bands), False)
+    a_left = alpha * left
+    a_right = alpha * right
+    # the LAPACK wrapper wants an off-diagonal of length >= 1, also for m = 1
+    off = np.zeros(max(m - 1, 1))
+    off[: m - 1] = a_right[:-1] * a_left[1:]
+    diag, off, info = dpttrf(1.0 + a_left * a_left + a_right * a_right, off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"pttrf failed on the Schur complement (info={info})")
+    a2_left = 2.0 * a_left
+    a2_right = 2.0 * a_right
 
-    u1 = initial.psi1.values[1:-1]
-    u2 = initial.psi2.values[1:-1]
+    u1 = initial.psi1.values[1:-1].copy()
+    psi2_nodes = initial.psi2.values
+    u2 = 0.5 * (psi2_nodes[:-1] + psi2_nodes[1:])
+    rhs = np.empty(m)
+    tmp = np.empty(m)
+    a_v1 = np.empty(m + 1)
 
     def snapshot(step: int):
-        rho = np.zeros(spec.n_points)
-        rho[1:-1] = u1**2 + u2**2
-        return step * dt, GridFunction(spec, rho), _trapezoid(rho, spec.h)
+        sq2 = u2**2
+        rho = np.empty(spec.n_points)
+        rho[1:-1] = u1**2 + 0.5 * (sq2[:-1] + sq2[1:])
+        rho[0] = sq2[0]
+        rho[-1] = sq2[-1]
+        return step * dt, GridFunction(spec, rho), trapezoid(rho, spec.h)
 
     times, densities, norms = [], [], []
     t0, d0, n0 = snapshot(0)
@@ -247,16 +282,19 @@ def evolve_pde(
     norms.append(n0)
 
     for step in range(1, n_steps + 1):
-        # v = (I - αG)⁻¹u through S, then u ← 2v - u
-        rhs = u1 + aw * u2
-        rhs[:-1] -= ac * u2[1:]
-        rhs[1:] += ac * u2[:-1]
-        v1 = cho_solve_banded(factor, rhs, overwrite_b=True, check_finite=False)
-        a_v1 = aw * v1
-        a_v1[:-1] += ac * v1[1:]
-        a_v1[1:] -= ac * v1[:-1]
-        u1 = 2.0 * v1 - u1
-        u2 = u2 - 2.0 * a_v1
+        # S v1 = u1 + αAᵀu2; then u1 ← 2v1 - u1 and u2 ← 2v2 - u2 = u2 - 2αA v1
+        np.multiply(a_left, u2[:-1], out=rhs)
+        np.multiply(a_right, u2[1:], out=tmp)
+        rhs += tmp
+        rhs += u1
+        v1, _ = dpttrs(diag, off, rhs, overwrite_b=True)
+        np.multiply(a2_left, v1, out=a_v1[:-1])
+        a_v1[-1] = 0.0
+        np.multiply(a2_right, v1, out=tmp)
+        a_v1[1:] += tmp
+        u2 -= a_v1
+        np.multiply(v1, 2.0, out=tmp)
+        np.subtract(tmp, u1, out=u1)
         if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
             raise InstabilityError(step)
         if step % stride == 0 or step == n_steps:
@@ -273,7 +311,7 @@ def evolve_pde(
     psi1 = np.zeros(spec.n_points)
     psi2 = np.zeros(spec.n_points)
     psi1[1:-1] = u1
-    psi2[1:-1] = u2
+    psi2[1:-1] = 0.5 * (u2[:-1] + u2[1:])
     final = MajoranaSpinorState(
         GridFunction(spec, psi1), GridFunction(spec, psi2), t=n_steps * dt
     )

@@ -251,12 +251,16 @@ def superpotential(p: PhysicalParams, phi: ScalarPotential, x):
     return p.rest_energy + phi.evaluate(x)
 
 
+def trapezoid(values: np.ndarray, h: float) -> float:
+    """Trapezoidal integral of uniform samples with spacing h."""
+    return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))
+
+
 def inner_product(f: GridFunction, g: GridFunction) -> float:
     """Trapezoidal approximation of the L2 pairing on the shared grid."""
     if f.spec != g.spec:
         raise GridMismatchError(f"grids differ: {f.spec} vs {g.spec}")
-    prod = f.values * g.values
-    return float(f.spec.h * (prod.sum() - 0.5 * (prod[0] + prod[-1])))
+    return trapezoid(f.values * g.values, f.spec.h)
 
 
 def norm(f: GridFunction) -> float:

@@ -167,6 +167,16 @@ MALFORMED_VALUES = [
     ("spectrum.n_max", "spectrum", {"spectrum": {"n_max": "x"}}),
     ("verify.n_max", "verify", {"verify": {"n_max": -1}}),
     ("audit_tol", "audit", {"audit_tol": "abc"}),
+    ("potential.k", "spectrum", {"potential": {"kind": "linear", "k": "nan"}}),
+    # json.dumps writes inf as Infinity, which parses like the literal 1e400
+    ("potential.depth", "spectrum", {"potential": {"kind": "poschl_teller", "depth": math.inf}}),
+    (
+        "potential.parameters.a",
+        "classify",
+        {"potential": {"kind": "custom", "expression": "a*x", "parameters": {"a": "nan"}}},
+    ),
+    ("physical.mass", "spectrum", {"physical": {"mass": "nan"}}),
+    ("physical", "classify", {"physical": [1.0]}),
 ]
 
 
@@ -181,6 +191,38 @@ def test_malformed_config_value_exits_1(tmp_path, capsys, key, command, override
     )
     assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
     assert key in capsys.readouterr().err
+
+
+NON_INTEGRAL_VALUES = [
+    ("grid.n_points", "classify", {"grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 101.9}}),
+    (
+        "evolve.n",
+        "evolve",
+        {"grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 101}, "evolve": {"n": 1.5}},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "key, command, overrides",
+    NON_INTEGRAL_VALUES,
+    ids=[case[0] for case in NON_INTEGRAL_VALUES],
+)
+def test_non_integral_integer_exits_1(tmp_path, capsys, key, command, overrides):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "integer" in err
+
+
+def test_integral_float_is_accepted_as_integer(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json", grid={"x_min": -11.0, "x_max": 9.0, "n_points": 101.0}
+    )
+    assert run("classify", "--config", cfg, "--out", tmp_path / "out") == 0
+    n_points = json.loads((tmp_path / "out" / "classify.json").read_text())["grid"]["n_points"]
+    assert n_points == 101 and isinstance(n_points, int)
 
 
 # ------------------------------------------------------------------ evolve

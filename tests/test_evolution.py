@@ -9,9 +9,11 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 import majorana1d as mj
+from majorana1d.evolution import staggered_ladder
 
 from .conftest import sup
 
@@ -281,41 +283,45 @@ def test_pde_error_shrinks_with_joint_refinement(params, linear_potential, model
 
 
 def block_cayley_reference(initial, p, phi, t_final, dt, stride):
-    """The implicit-midpoint step solved on the full 2m x 2m block
-    generator G = [[0, Aᵀ], [-A, 0]] with SuperLU, sampling norms on the
-    same schedule as ``evolve_pde``. Returns (norms, psi1, psi2)."""
+    """The implicit-midpoint step solved on the full (2m+1)-unknown
+    generator G = [[0, Aᵀ], [-A, 0]] with SuperLU, where A is the
+    (m+1)×m bidiagonal staggered ladder from interior nodes to
+    midpoints. psi2 enters as the midpoint average of the nodes and
+    leaves as the node average of the midpoints; norms are sampled on
+    the same schedule as ``evolve_pde``. Returns (norms, psi1, psi2)
+    with psi1, psi2 on the interior nodes."""
     spec = initial.spec
-    w = np.asarray(mj.superpotential(p, phi, spec.points()), dtype=float)
+    w = np.asarray(mj.superpotential(p, phi, spec.points()), dtype=float)[1:-1]
     n_steps = max(1, round(t_final / dt))
     dt = t_final / n_steps
     m = spec.n_points - 2
-    coef = p.c * p.hbar / (2.0 * spec.h)
-    ones = np.full(m - 1, coef)
-    a_mat = sparse.diags([-ones, w[1:-1], ones], offsets=[-1, 0, 1], format="csr")
+    coef = p.c * p.hbar / spec.h
+    a_mat = sparse.diags(
+        [coef + 0.5 * w, -coef + 0.5 * w], offsets=[0, -1], shape=(m + 1, m), format="csr"
+    )
     gen = sparse.bmat([[None, a_mat.T], [-a_mat, None]], format="csr")
     alpha = dt / (2.0 * p.hbar)
-    eye = sparse.identity(2 * m, format="csr")
+    eye = sparse.identity(2 * m + 1, format="csr")
     stepper = splu((eye - alpha * gen).tocsc())
     forward = (eye + alpha * gen).tocsr()
 
-    u = np.concatenate([initial.psi1.values[1:-1], initial.psi2.values[1:-1]])
+    psi2 = initial.psi2.values
+    u = np.concatenate([initial.psi1.values[1:-1], 0.5 * (psi2[:-1] + psi2[1:])])
 
     def norm():
-        rho = np.zeros(spec.n_points)
-        rho[1:-1] = u[:m] ** 2 + u[m:] ** 2
-        return spec.h * (rho.sum() - 0.5 * (rho[0] + rho[-1]))
+        return spec.h * float(np.sum(u**2))
 
     norms = [norm()]
     for step in range(1, n_steps + 1):
         u = stepper.solve(forward @ u)
         if step % stride == 0 or step == n_steps:
             norms.append(norm())
-    return np.array(norms), u[:m], u[m:]
+    return np.array(norms), u[:m], 0.5 * (u[m:-1] + u[m + 1 :])
 
 
 @pytest.mark.parametrize("n_points", [3, 4, 2001])
 def test_pde_matches_block_cayley_reference(params, linear_potential, model, n_points):
-    # n_points = 3 leaves one interior point with no interior neighbour
+    # n_points = 3 leaves one interior node between two midpoints
     grid = mj.default_grid(model, n_points)
     x = grid.points()
     initial = mj.MajoranaSpinorState(
@@ -331,6 +337,21 @@ def test_pde_matches_block_cayley_reference(params, linear_potential, model, n_p
     assert sup(final.psi2.values[1:-1], psi2) <= 1e-10
     assert len(trace.norms) == len(norms)
     assert sup(trace.norms, norms) <= 1e-10
+
+
+def test_staggered_ladder_has_no_doublers(params, linear_potential, grid12):
+    # the central-difference ladder gives AᵀA levels 0, 2, 2, 4, 4, ...:
+    # every level but the zero mode appears twice (fermion doubling)
+    left, right = staggered_ladder(params, linear_potential, grid12)
+    levels = eigh_tridiagonal(
+        left**2 + right**2,
+        right[:-1] * left[1:],
+        eigvals_only=True,
+        select="i",
+        select_range=(0, 3),
+    )
+    assert sup(levels, np.array([0.0, 2.0, 4.0, 6.0])) <= 1e-3
+    assert levels[2] - levels[1] > 1.0
 
 
 def test_import_does_not_load_scipy_sparse():
