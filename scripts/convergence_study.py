@@ -30,10 +30,8 @@ def eigenvalue_table(params, potential, model, grids, levels):
     for n_points in grids:
         grid = mj.default_grid(model, n_points, 12.0)
         pair = mj.partner_potentials(params, potential, grid)
-        solved = mj.eigensolve(mj.discretize(params, pair.v_minus), levels)
-        errors = np.abs(
-            np.array([e.energy_squared for e in solved]) - 2.0 * np.arange(levels)
-        )
+        solved = mj.eigenvalues(mj.discretize(params, pair.v_minus), levels)
+        errors = np.abs(solved - 2.0 * np.arange(levels))
         print(f"{n_points:<8}" + "".join(f" {e:<11.3e}" for e in errors))
         if previous is not None:
             ratios = previous / errors

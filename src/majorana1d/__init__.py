@@ -74,6 +74,7 @@ from .oracle import (
     TridiagonalOperator,
     discretize,
     eigensolve,
+    eigenvalues,
     energy_from_lambda,
     verify_isospectral,
 )

@@ -81,6 +81,15 @@ def _convert(kind: type, value, key: str):
     return result
 
 
+def _flag(section: dict, key: str, where: str) -> bool:
+    """An optional boolean config flag, true when absent; anything but
+    a JSON ``true``/``false`` raises ConfigError naming the key."""
+    value = section.get(key, True)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def build_potential(section, where: str = "potential") -> ScalarPotential:
     if not isinstance(section, dict):
         raise ConfigError(f"{where!r} must be an object with a 'kind'")
@@ -274,7 +283,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     n_max = _convert(int, _need(section, "n_max", "spectrum"), "spectrum.n_max")
     if n_max < 0:
         raise ConfigError("spectrum.n_max must be non-negative")
-    algebraic = bool(section.get("algebraic", True))
+    algebraic = _flag(section, "algebraic", "spectrum")
 
     classification = susy.zero_mode(cfg.params, cfg.potential, cfg.grid)
     invariance = None
@@ -309,9 +318,9 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     sector = classification.sector or Sector.MINUS
     v = pair.v_minus if sector is Sector.MINUS else pair.v_plus
     op = oracle_mod.discretize(cfg.params, v, sector)
-    pairs = oracle_mod.eigensolve(op, n_max + 1)
     energies_oracle = [
-        oracle_mod.energy_from_lambda(ep.energy_squared, cfg.tol) for ep in pairs
+        oracle_mod.energy_from_lambda(lam, cfg.tol)
+        for lam in oracle_mod.eigenvalues(op, n_max + 1)
     ]
 
     levels = []
@@ -535,7 +544,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     if n_max < 0:
         raise ConfigError("verify.n_max must be non-negative")
     ladder_levels = _convert(int, section.get("ladder_levels", 5), "verify.ladder_levels")
-    run_pde = bool(section.get("pde", True))
+    run_pde = _flag(section, "pde", "verify")
     checks: list[dict] = []
 
     def record(name: str, residual: float, tol: float, passed=None):
@@ -583,15 +592,13 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
             else (pair.v_plus, pair.v_minus)
         )
         partner_sector = Sector.PLUS if sector is Sector.MINUS else Sector.MINUS
-        host = oracle_mod.eigensolve(
+        host = oracle_mod.eigenvalues(
             oracle_mod.discretize(cfg.params, host_v, sector), n_max + 1
         )
-        worst_energy = max(
-            abs(energies[n] ** 2 - host[n].energy_squared) for n in range(n_max + 1)
-        )
+        worst_energy = max(abs(energies[n] ** 2 - host[n]) for n in range(n_max + 1))
         record("algebraic_vs_oracle_energy_sq", worst_energy, cfg.tol)
 
-        partner = oracle_mod.eigensolve(
+        partner = oracle_mod.eigenvalues(
             oracle_mod.discretize(cfg.params, partner_v, partner_sector), max(n_max, 1)
         )
         # interlacing: partner level n pairs with host level n+1

@@ -5,16 +5,24 @@ with the 3-point Laplacian on the interior points of a uniform grid
 (Dirichlet-zero truncation) and diagonalized with a symmetric
 tridiagonal eigensolver. Everything the algebraic machinery produces is
 checked against these numbers.
+
+``eigensolve`` bisects for the lowest energies² and leaves the
+eigenfunctions to inverse iteration on their first read, so a caller
+that reads only energies pays for bisection alone; ``eigenvalues``
+returns those energies² as an array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DiscretizationError
 from .model import GridFunction, GridSpec, PhysicalParams, normalize
@@ -81,32 +89,85 @@ def discretize(
     return TridiagonalOperator(diagonal, off_diagonal, spec, sector)
 
 
+def _bands(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of ``op`` as the LAPACK wrappers take them: their
+    f2py signature refuses the empty off-diagonal of a 1×1 matrix, which
+    LAPACK never reads, so that one gets a placeholder entry."""
+    if op.dim == 1:
+        return op.diagonal, np.zeros(1)
+    return op.diagonal, op.off_diagonal
+
+
+def _bisect(op: TridiagonalOperator, k: int):
+    """The k smallest eigenvalues of ``op`` by LAPACK bisection (?stebz)
+    with the block indices ?stein needs, in the block order it takes:
+    the calls and arguments of ``eigh_tridiagonal(..., select="i")``, so
+    values and vectors keep its bits."""
+    if not 1 <= k <= op.dim:
+        raise ValueError(f"k must be in [1, {op.dim}], got {k}")
+    d, e = _bands(op)
+    stebz = get_lapack_funcs(("stebz",), (d, e))[0]
+    # range 2 = by index; vl, vu unused; il..iu 1-based; abstol 0 = default
+    m, values, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    if info != 0:
+        raise LinAlgError(f"?stebz failed with info={info}")
+    return values[:m], iblock, isplit
+
+
+def _inverse_iteration(op: TridiagonalOperator, bisection) -> list[GridFunction]:
+    """Eigenfunctions of a ``_bisect`` result by LAPACK inverse iteration
+    (?stein), in ascending order, zero-padded onto the full grid,
+    normalized and sign-fixed."""
+    d, e = _bands(op)
+    stein = get_lapack_funcs(("stein",), (d, e))[0]
+    values, iblock, isplit = bisection
+    vectors, info = stein(d, e, values, iblock, isplit)
+    if info != 0:
+        raise LinAlgError(f"?stein: {info} eigenvectors failed to converge")
+    functions = []
+    for i in np.argsort(values):
+        padded = np.zeros(op.spec.n_points)
+        padded[1:-1] = vectors[:, i]
+        functions.append(normalize(GridFunction(op.spec, padded)))
+    return functions
+
+
+class _Level(Eigenpair):
+    """An ``eigensolve`` level: the eigenvalue is known, the eigenfunction
+    is computed with those of its siblings when the first is read."""
+
+    def __init__(self, energy_squared: float, n: int, sector: Sector, eigenfunctions):
+        object.__setattr__(self, "energy_squared", energy_squared)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sector", sector)
+        object.__setattr__(self, "_eigenfunctions", eigenfunctions)
+
+    @functools.cached_property
+    def eigenfunction(self) -> GridFunction:
+        return self._eigenfunctions()[self.n]
+
+
 def eigensolve(op: TridiagonalOperator, k: int) -> list[Eigenpair]:
     """The k smallest eigenpairs, by bisection + inverse iteration.
 
     Deterministic; eigenfunctions are zero-padded onto the full grid,
-    normalized, and sign-fixed.
+    normalized, and sign-fixed. The eigenvalues are bisected here; the
+    inverse iteration runs once, for all k levels, when an eigenfunction
+    is first read, so a caller that reads only energies never pays it.
     """
-    if not 1 <= k <= op.dim:
-        raise ValueError(f"k must be in [1, {op.dim}], got {k}")
-    values, vectors = eigh_tridiagonal(
-        op.diagonal, op.off_diagonal, select="i", select_range=(0, k - 1)
-    )
+    bisection = _bisect(op, k)
+    values = np.sort(bisection[0])
     if np.any(np.diff(values) <= 0):
         raise DiscretizationError("eigenvalues not strictly increasing")
-    pairs = []
-    for i in range(k):
-        padded = np.zeros(op.spec.n_points)
-        padded[1:-1] = vectors[:, i]
-        pairs.append(
-            Eigenpair(
-                energy_squared=float(values[i]),
-                eigenfunction=normalize(GridFunction(op.spec, padded)),
-                n=i,
-                sector=op.sector,
-            )
-        )
-    return pairs
+    eigenfunctions = functools.cache(lambda: _inverse_iteration(op, bisection))
+    return [_Level(float(values[i]), i, op.sector, eigenfunctions) for i in range(k)]
+
+
+def eigenvalues(op: TridiagonalOperator, k: int) -> np.ndarray:
+    """The k smallest eigenvalues (energy², ascending): the
+    ``energy_squared`` of ``eigensolve(op, k)``, as an array, without
+    ever computing the eigenfunctions."""
+    return np.array([level.energy_squared for level in eigensolve(op, k)])
 
 
 def energy_from_lambda(lam: float, tol: float = 1e-9) -> float:
@@ -142,17 +203,19 @@ class IsospectralReport:
 
 
 def verify_isospectral(
-    minus: list[Eigenpair],
-    plus: list[Eigenpair],
+    minus: Sequence[float],
+    plus: Sequence[float],
     tol: float,
     clamp_tol: float = 1e-3,
 ) -> IsospectralReport:
     """Check the partner-spectrum interlacing E+_n = E-_{n+1} for all
-    comparable levels of two sorted eigenpair lists."""
+    comparable levels of two ascending energy² sequences (the output of
+    ``eigenvalues``, or the ``energy_squared`` of ``eigensolve`` pairs);
+    energies are taken with ``energy_from_lambda`` at ``clamp_tol``."""
     entries = []
     for n in range(min(len(plus), len(minus) - 1)):
-        e_plus = energy_from_lambda(plus[n].energy_squared, clamp_tol)
-        e_minus = energy_from_lambda(minus[n + 1].energy_squared, clamp_tol)
+        e_plus = energy_from_lambda(plus[n], clamp_tol)
+        e_minus = energy_from_lambda(minus[n + 1], clamp_tol)
         entries.append(LevelMatch(n, e_plus, e_minus, abs(e_plus - e_minus)))
     passed = all(e.abs_diff <= tol for e in entries)
     return IsospectralReport(tuple(entries), tol, passed)

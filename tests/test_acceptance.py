@@ -99,7 +99,9 @@ def test_criterion_4_isospectrality(setup):
     pair = mj.partner_potentials(params, potential, grid)
     minus = mj.eigensolve(mj.discretize(params, pair.v_minus, mj.Sector.MINUS), 10)
     plus = mj.eigensolve(mj.discretize(params, pair.v_plus, mj.Sector.PLUS), 9)
-    result = mj.verify_isospectral(minus, plus, tol=5e-3)
+    result = mj.verify_isospectral(
+        [e.energy_squared for e in minus], [e.energy_squared for e in plus], tol=5e-3
+    )
     elapsed = time.perf_counter() - start
     report(
         4,

@@ -216,6 +216,36 @@ def test_non_integral_integer_exits_1(tmp_path, capsys, key, command, overrides)
     assert "integer" in err
 
 
+NON_BOOLEAN_FLAGS = [
+    (
+        "spectrum.algebraic",
+        "spectrum",
+        {
+            "potential": {"kind": "rosen_morse", "a": 2.0, "b": 0.3},
+            "physical": {"mass": 0.0},
+            "spectrum": {"n_max": 1, "algebraic": "false"},
+        },
+    ),
+    ("spectrum.algebraic", "spectrum", {"spectrum": {"n_max": 1, "algebraic": 0}}),
+    ("verify.pde", "verify", {"verify": {"n_max": 1, "pde": "no"}}),
+]
+
+
+@pytest.mark.parametrize(
+    "key, command, overrides",
+    NON_BOOLEAN_FLAGS,
+    ids=["spectrum.algebraic-string", "spectrum.algebraic-int", "verify.pde-string"],
+)
+def test_non_boolean_flag_exits_1(tmp_path, capsys, key, command, overrides):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"x_min": -11.0, "x_max": 9.0, "n_points": 401},
+        **overrides,
+    )
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
+    assert f"{key} must be true or false" in capsys.readouterr().err
+
+
 def test_integral_float_is_accepted_as_integer(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json", grid={"x_min": -11.0, "x_max": 9.0, "n_points": 101.0}
@@ -426,6 +456,25 @@ def test_verify_default_linear_passes(tmp_path):
             "partner_isospectrality", "ladder_mapping_residual",
             "pde_one_period_return", "pde_norm_drift"} <= names
     assert all(c["passed"] for c in data["checks"])
+
+
+def test_spectrum_and_verify_need_no_eigenfunctions(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI reads no oracle eigenfunction")
+
+    monkeypatch.setattr("majorana1d.oracle._inverse_iteration", refuse)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"x_min": -11.0, "x_max": 9.0, "n_points": 2001},
+        spectrum={"n_max": 3},
+        verify={"n_max": 3, "pde": False},
+    )
+    assert run("spectrum", "--config", cfg, "--out", tmp_path / "out") == 0
+    assert run("verify", "--config", cfg, "--out", tmp_path / "out") == 0
+    checks = json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]
+    assert {"algebraic_vs_oracle_energy_sq", "partner_isospectrality"} <= {
+        c["name"] for c in checks
+    }
 
 
 def test_verify_coarse_grid_flags_residuals(tmp_path, capsys):

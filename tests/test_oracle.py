@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import majorana1d as mj
+from majorana1d import oracle
 
 from .conftest import sign_align, sup
 
@@ -58,6 +60,52 @@ def test_k_out_of_range():
         mj.eigensolve(op, 2)
     with pytest.raises(ValueError):
         mj.eigensolve(op, 0)
+
+
+@pytest.mark.parametrize("sector", [mj.Sector.MINUS, mj.Sector.PLUS])
+def test_eigenvalues_bit_equal_to_eigensolve(params, partner12, sector):
+    # partner12 is the README config: x in [-13, 11], 4001 points
+    v = partner12.v_minus if sector is mj.Sector.MINUS else partner12.v_plus
+    op = mj.discretize(params, v, sector)
+    values = mj.eigenvalues(op, 11)
+    assert values.tolist() == [e.energy_squared for e in mj.eigensolve(op, 11)]
+    for k in (0, op.dim + 1):
+        with pytest.raises(ValueError):
+            mj.eigenvalues(op, k)
+
+
+@pytest.mark.parametrize("sector", [mj.Sector.MINUS, mj.Sector.PLUS])
+def test_eigensolve_keeps_eigh_tridiagonal_bits(params, partner12, sector):
+    v = partner12.v_minus if sector is mj.Sector.MINUS else partner12.v_plus
+    op = mj.discretize(params, v, sector)
+    values, vectors = eigh_tridiagonal(
+        op.diagonal, op.off_diagonal, select="i", select_range=(0, 10)
+    )
+    pairs = mj.eigensolve(op, 11)
+    assert [e.energy_squared for e in pairs] == values.tolist()
+    for pair, vector in zip(pairs, vectors.T):
+        padded = np.zeros(op.spec.n_points)
+        padded[1:-1] = vector
+        expected = mj.normalize(mj.GridFunction(op.spec, padded))
+        assert np.array_equal(pair.eigenfunction.values, expected.values)
+
+
+def test_inverse_iteration_runs_once_on_first_eigenfunction_read(
+    params, partner12, monkeypatch
+):
+    calls = []
+    inverse_iteration = oracle._inverse_iteration
+
+    def counted(*args):
+        calls.append(args)
+        return inverse_iteration(*args)
+
+    monkeypatch.setattr(oracle, "_inverse_iteration", counted)
+    pairs = mj.eigensolve(mj.discretize(params, partner12.v_minus), 6)
+    assert [e.energy for e in pairs] and calls == []
+    assert pairs[3].eigenfunction is pairs[3].eigenfunction
+    assert [e.eigenfunction.spec for e in pairs] == [partner12.v_minus.spec] * 6
+    assert len(calls) == 1
 
 
 def test_dirichlet_box_spectrum():
@@ -138,7 +186,11 @@ def test_energy_from_lambda_clamp_window(lam):
 
 
 def test_isospectral_linear_pass(minus_levels12, plus_levels12):
-    report = mj.verify_isospectral(minus_levels12, plus_levels12, tol=5e-3)
+    report = mj.verify_isospectral(
+        [e.energy_squared for e in minus_levels12],
+        [e.energy_squared for e in plus_levels12],
+        tol=5e-3,
+    )
     assert report.passed
     assert len(report.entries) == 10
     assert report.max_diff <= 5e-3
@@ -159,7 +211,11 @@ def test_isospectral_negative_control(minus_levels12, plus_levels12):
         mj.Eigenpair(e.energy_squared + 0.1, e.eigenfunction, e.n, e.sector)
         for e in plus_levels12
     ]
-    report = mj.verify_isospectral(minus_levels12, shifted, tol=5e-3)
+    report = mj.verify_isospectral(
+        [e.energy_squared for e in minus_levels12],
+        [e.energy_squared for e in shifted],
+        tol=5e-3,
+    )
     assert not report.passed
     assert all(not entry.abs_diff <= 5e-3 for entry in report.entries)
 

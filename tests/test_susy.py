@@ -211,7 +211,11 @@ def test_ladder_mapping_residuals(params, linear_potential, model, grid10):
 
 
 def test_isospectral_partner_levels(minus_levels12, plus_levels12):
-    report = mj.verify_isospectral(minus_levels12, plus_levels12, tol=5e-3)
+    report = mj.verify_isospectral(
+        [e.energy_squared for e in minus_levels12],
+        [e.energy_squared for e in plus_levels12],
+        tol=5e-3,
+    )
     assert report.passed
 
 
