@@ -4,6 +4,12 @@ One JSON config document drives every subcommand; artifacts are written
 atomically with deterministic field order and shortest round-trip float
 formatting, so identical configs give byte-identical outputs.
 
+``evolve --pde`` writes the closed-form ``density.csv`` in one worker
+process, forked on Linux while no other thread runs, while this process
+integrates the first-order system and writes ``density_pde.csv``; the
+two routes share only the config. Elsewhere, and without ``--pde``,
+``density.csv`` is written in-process first.
+
 Exit codes: 0 success, 1 config/parse error, 2 tolerance failure,
 3 physics precondition violation.
 """
@@ -11,11 +17,13 @@ Exit codes: 0 success, 1 config/parse error, 2 tolerance failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -366,6 +374,45 @@ def _frame_steps(n_steps: int, stride: int) -> list[int]:
     return steps
 
 
+def write_analytic_density_csv(
+    path: Path,
+    grid: GridSpec,
+    model: linear.LinearModel,
+    n: int,
+    delta: float,
+    dt: float,
+    steps: list[int],
+):
+    """Write the closed-form level-``n`` density at times ``step * dt``
+    with ``write_density_csv``. Module level, so a worker process can
+    run it."""
+    y = model.y_of_x(grid.points())
+
+    def rows():
+        for step in steps:
+            psi1, psi2 = linear.spinor(model, n, step * dt, y, delta)
+            yield step * dt, psi1**2 + psi2**2
+
+    write_density_csv(path, grid, rows())
+
+
+def _density_worker(stack: contextlib.ExitStack):
+    """A one-process pool, closed by ``stack``, forked from this process.
+
+    fork copies only the calling thread, so a lock another thread holds
+    would stay held in the child: the pool is made only on Linux and
+    while no other thread runs. Fork is unsafe with the macOS system
+    frameworks and absent on Windows. Returns None where it is not made.
+    """
+    if sys.platform != "linux" or threading.active_count() != 1:
+        return None
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    return stack.enter_context(ProcessPoolExecutor(1, mp_context=context))
+
+
 def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     section = cfg.raw.get("evolve")
     if not isinstance(section, dict):
@@ -415,18 +462,9 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     n_steps = max(1, round(t_final / dt))
     dt = t_final / n_steps
 
-    y = model.y_of_x(cfg.grid.points())
-
-    def analytic_components(t: float):
-        return linear.spinor(model, n, t, y, delta)
-
-    def analytic_rows():
-        for step in _frame_steps(n_steps, stride):
-            psi1, psi2 = analytic_components(step * dt)
-            yield step * dt, psi1**2 + psi2**2
-
-    write_density_csv(out_dir / "density.csv", cfg.grid, analytic_rows())
-
+    density_job = (
+        out_dir / "density.csv", cfg.grid, model, n, delta, dt, _frame_steps(n_steps, stride)
+    )
     summary = _describe_common(cfg)
     summary.update(
         {
@@ -442,30 +480,41 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     )
 
     status = EXIT_OK
-    if use_pde:
-        psi1_0, psi2_0 = analytic_components(0.0)
-        initial = evolution.MajoranaSpinorState(
-            GridFunction(cfg.grid, psi1_0), GridFunction(cfg.grid, psi2_0)
-        )
-        trace, final = evolution.evolve_pde(
-            initial, cfg.params, cfg.potential, t_final, dt=dt, stride=stride
-        )
-        write_density_csv(
-            out_dir / "density_pde.csv",
-            cfg.grid,
-            [(t, d.values) for t, d in zip(trace.times, trace.densities)],
-        )
-        ref1, ref2 = analytic_components(final.t)
-        max_err = max(_sup_norm(final.psi1.values, ref1), _sup_norm(final.psi2.values, ref2))
-        summary.update(
-            {"max_component_error": max_err, "norm_drift": trace.norm_drift}
-        )
-        if max_err > cfg.tol:
-            status = EXIT_TOLERANCE
-            print(
-                f"evolve: PDE/analytic mismatch {max_err:.3e} exceeds tol {cfg.tol:.1e}",
-                file=sys.stderr,
+    with contextlib.ExitStack() as stack:
+        pool = _density_worker(stack) if use_pde else None
+        if pool is None:
+            write_analytic_density_csv(*density_job)
+        else:
+            # waits before the pool closes; a density.csv error raised here
+            # replaces a PDE error, as when that file is written first
+            stack.callback(pool.submit(write_analytic_density_csv, *density_job).result)
+        if use_pde:
+            y = model.y_of_x(cfg.grid.points())
+            psi1_0, psi2_0 = linear.spinor(model, n, 0.0, y, delta)
+            initial = evolution.MajoranaSpinorState(
+                GridFunction(cfg.grid, psi1_0), GridFunction(cfg.grid, psi2_0)
             )
+            trace, final = evolution.evolve_pde(
+                initial, cfg.params, cfg.potential, t_final, dt=dt, stride=stride
+            )
+            write_density_csv(
+                out_dir / "density_pde.csv",
+                cfg.grid,
+                [(t, d.values) for t, d in zip(trace.times, trace.densities)],
+            )
+            ref1, ref2 = linear.spinor(model, n, final.t, y, delta)
+            max_err = max(
+                _sup_norm(final.psi1.values, ref1), _sup_norm(final.psi2.values, ref2)
+            )
+            summary.update(
+                {"max_component_error": max_err, "norm_drift": trace.norm_drift}
+            )
+            if max_err > cfg.tol:
+                status = EXIT_TOLERANCE
+                print(
+                    f"evolve: PDE/analytic mismatch {max_err:.3e} exceeds tol {cfg.tol:.1e}",
+                    file=sys.stderr,
+                )
     write_json(out_dir / "evolve_summary.json", summary)
     return status
 
@@ -539,7 +588,10 @@ def cmd_classify(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
-    section = cfg.raw.get("verify") if isinstance(cfg.raw.get("verify"), dict) else {}
+    section = cfg.raw.get("verify")
+    section = {} if section is None else section
+    if not isinstance(section, dict):
+        raise ConfigError("'verify' must be an object")
     n_max = _convert(int, section.get("n_max", 8), "verify.n_max")
     if n_max < 0:
         raise ConfigError("verify.n_max must be non-negative")
@@ -681,7 +733,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", default=None, help="tolerance override")
         if name == "evolve":
             p.add_argument(
                 "--pde",
@@ -695,11 +747,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
+        tol = None if args.tol is None else _convert(float, args.tol, "--tol")
+        if tol is not None and tol <= 0:
+            raise ConfigError("--tol must be positive")
         cfg = load_config(args.config)
-        if args.tol is not None:
-            if args.tol <= 0:
-                raise ConfigError("--tol must be positive")
-            cfg.tol = args.tol
+        if tol is not None:
+            cfg.tol = tol
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out_dir)
         if args.command == "evolve":
@@ -708,7 +761,7 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, out_dir)
         if args.command == "classify":
             return cmd_classify(cfg, out_dir)
-        return cmd_audit(cfg, out_dir, args.tol)
+        return cmd_audit(cfg, out_dir, tol)
     except (ConfigError, PotentialSyntaxError) as err:
         print(f"majorana1d: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

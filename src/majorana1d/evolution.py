@@ -11,7 +11,7 @@ ladder A has no fermion doublers; states are averaged between nodes and
 midpoints on the way in and out. The step is a Cayley transform of a
 skew-symmetric matrix, so the discrete L2 norm is conserved to roundoff,
 and its Schur complement I + α²AᵀA is tridiagonal, solved with LAPACK
-pttrf/pttrs.
+pttrf/pttrs, which ``evolve_pde`` imports from SciPy when it runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     DivergenceError,
@@ -237,6 +236,8 @@ def evolve_pde(
     trace (every ``stride`` steps plus the final one) and the final
     state.
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
     spec = initial.spec
     left, right = staggered_ladder(p, phi, spec)
     if dt is None:

@@ -217,17 +217,6 @@ def evaluate(node: Node, x, params: dict[str, float] | None = None):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def free_parameters(node: Node) -> set[str]:
-    """Names of all Parameter nodes in the tree."""
-    if isinstance(node, Parameter):
-        return {node.name}
-    if isinstance(node, Unary):
-        return free_parameters(node.arg)
-    if isinstance(node, Binary):
-        return free_parameters(node.left) | free_parameters(node.right)
-    return set()
-
-
 # Precedence levels used when re-printing trees with minimal parentheses.
 _LEVEL_SUM, _LEVEL_PRODUCT, _LEVEL_UNARY, _LEVEL_POWER, _LEVEL_ATOM = 1, 2, 3, 4, 5
 

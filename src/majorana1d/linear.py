@@ -99,11 +99,6 @@ def energy(model: LinearModel, n: int) -> float:
     return math.sqrt(2.0 * p.c * p.hbar * abs(model.k) * n)
 
 
-def phase_rate(model: LinearModel, n: int) -> float:
-    """Angular frequency of the level-n phase, c sqrt(2 w n) = E_n/ħ."""
-    return model.params.c * math.sqrt(2.0 * model.w * n)
-
-
 def spinor(model: LinearModel, n: int, t: float, y, delta: float):
     """Component pair (psi1, psi2) of the level-n solution at time t.
 
@@ -121,7 +116,8 @@ def spinor(model: LinearModel, n: int, t: float, y, delta: float):
     y = np.asarray(y, dtype=float)
     if n == 0:
         return _minus_values(0, model.w, y), np.zeros_like(y)
-    theta = phase_rate(model, n) * t + delta
+    # angular frequency c sqrt(2 w n) = E_n/ħ
+    theta = model.params.c * math.sqrt(2.0 * model.w * n) * t + delta
     psi1 = _minus_values(n, model.w, y) * math.sin(theta)
     psi2 = _minus_values(n - 1, model.w, y) * math.cos(theta)
     return psi1, psi2

@@ -9,7 +9,9 @@ checked against these numbers.
 ``eigensolve`` bisects for the lowest energies² and leaves the
 eigenfunctions to inverse iteration on their first read, so a caller
 that reads only energies pays for bisection alone; ``eigenvalues``
-returns those energies² as an array.
+returns those energies² as an array. SciPy's LAPACK wrappers are
+imported inside the functions that call them, so importing this module,
+and every command that never solves, does without SciPy.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DiscretizationError
 from .model import GridFunction, GridSpec, PhysicalParams, normalize
@@ -103,6 +103,8 @@ def _bisect(op: TridiagonalOperator, k: int):
     with the block indices ?stein needs, in the block order it takes:
     the calls and arguments of ``eigh_tridiagonal(..., select="i")``, so
     values and vectors keep its bits."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
     if not 1 <= k <= op.dim:
         raise ValueError(f"k must be in [1, {op.dim}], got {k}")
     d, e = _bands(op)
@@ -110,7 +112,7 @@ def _bisect(op: TridiagonalOperator, k: int):
     # range 2 = by index; vl, vu unused; il..iu 1-based; abstol 0 = default
     m, values, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
     if info != 0:
-        raise LinAlgError(f"?stebz failed with info={info}")
+        raise np.linalg.LinAlgError(f"?stebz failed with info={info}")
     return values[:m], iblock, isplit
 
 
@@ -118,12 +120,14 @@ def _inverse_iteration(op: TridiagonalOperator, bisection) -> list[GridFunction]
     """Eigenfunctions of a ``_bisect`` result by LAPACK inverse iteration
     (?stein), in ascending order, zero-padded onto the full grid,
     normalized and sign-fixed."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
     d, e = _bands(op)
     stein = get_lapack_funcs(("stein",), (d, e))[0]
     values, iblock, isplit = bisection
     vectors, info = stein(d, e, values, iblock, isplit)
     if info != 0:
-        raise LinAlgError(f"?stein: {info} eigenvectors failed to converge")
+        raise np.linalg.LinAlgError(f"?stein: {info} eigenvectors failed to converge")
     functions = []
     for i in np.argsort(values):
         padded = np.zeros(op.spec.n_points)

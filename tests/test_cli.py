@@ -1,10 +1,14 @@
+import errno
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from majorana1d import cli, evolution
 from majorana1d.cli import main, write_density_csv
+from majorana1d.errors import DivergenceError
 from majorana1d.model import GridSpec
 
 
@@ -177,6 +181,7 @@ MALFORMED_VALUES = [
     ),
     ("physical.mass", "spectrum", {"physical": {"mass": "nan"}}),
     ("physical", "classify", {"physical": [1.0]}),
+    ("verify", "verify", {"verify": ["n_max", 3]}),
 ]
 
 
@@ -191,6 +196,19 @@ def test_malformed_config_value_exits_1(tmp_path, capsys, key, command, override
     )
     assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "abc", "0"])
+@pytest.mark.parametrize("command", ["spectrum", "audit"])
+def test_bad_tol_flag_exits_1(tmp_path, capsys, command, value):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"x_min": -11.0, "x_max": 9.0, "n_points": 101},
+        spectrum={"n_max": 1},
+    )
+    assert run(command, "--config", cfg, "--out", tmp_path / "out", "--tol", value) == 1
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 NON_INTEGRAL_VALUES = [
@@ -369,6 +387,61 @@ def test_evolve_with_pde_comparison(tmp_path):
     assert summary["norm_drift"] <= 1e-6
     pde_rows = read_density(tmp_path / "out" / "density_pde.csv")
     assert len(pde_rows) == len(read_density(tmp_path / "out" / "density.csv"))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the worker process is forked on Linux only")
+def test_evolve_pde_worker_matches_in_process(tmp_path, monkeypatch):
+    written = []
+
+    def recording(path, grid, rows):
+        written.append(path.name)
+        write_density_csv(path, grid, rows)
+
+    monkeypatch.setattr(cli, "write_density_csv", recording)
+    cfg = evolve_config(tmp_path, dt=math.sqrt(2.0) * math.pi / 200)
+    assert run("evolve", "--config", cfg, "--out", tmp_path / "worker", "--pde") == 0
+    assert written == ["density_pde.csv"]  # density.csv came from the worker
+
+    written.clear()
+    monkeypatch.setattr(sys, "platform", "win32")
+    assert run("evolve", "--config", cfg, "--out", tmp_path / "in_process", "--pde") == 0
+    assert written == ["density.csv", "density_pde.csv"]
+    for name in ("density.csv", "density_pde.csv", "evolve_summary.json"):
+        assert (tmp_path / "worker" / name).read_bytes() == (
+            tmp_path / "in_process" / name
+        ).read_bytes()
+
+
+@pytest.mark.parametrize("platform", [sys.platform, "win32"], ids=["native", "in_process"])
+def test_evolve_density_csv_error_wins_and_keeps_target(tmp_path, monkeypatch, platform):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "density.csv"
+    target.write_bytes(b"previous run\n")
+
+    def failing(path, grid, rows):
+        if path.name == "density.csv":
+            first = next(rows)
+
+            def broken():
+                yield first
+                raise OSError(errno.ENOSPC, "disk full")
+
+            rows = broken()
+        write_density_csv(path, grid, rows)
+
+    def diverging(*args, **kwargs):
+        raise DivergenceError("PDE failed too")
+
+    monkeypatch.setattr(cli, "write_density_csv", failing)
+    monkeypatch.setattr(evolution, "evolve_pde", diverging)
+    monkeypatch.setattr(sys, "platform", platform)
+    cfg = evolve_config(tmp_path, dt=math.sqrt(2.0) * math.pi / 200)
+    with pytest.raises(OSError, match="disk full"):
+        run("evolve", "--config", cfg, "--out", out, "--pde")
+    assert target.read_bytes() == b"previous run\n"
+    assert list(out.glob("*.tmp")) == []
+    assert not (out / "evolve_summary.json").exists()
 
 
 def test_evolve_requires_linear_potential(tmp_path):
