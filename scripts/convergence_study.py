@@ -30,7 +30,7 @@ def eigenvalue_table(params, potential, model, grids, levels):
     for n_points in grids:
         grid = mj.default_grid(model, n_points, 12.0)
         pair = mj.partner_potentials(params, potential, grid)
-        solved = mj.eigenvalues(mj.discretize(params, pair.v_minus), levels)
+        solved = mj.oracle_eigenvalues(pair, mj.Sector.MINUS, levels)
         errors = np.abs(solved - 2.0 * np.arange(levels))
         print(f"{n_points:<8}" + "".join(f" {e:<11.3e}" for e in errors))
         if previous is not None:
@@ -40,7 +40,7 @@ def eigenvalue_table(params, potential, model, grids, levels):
     print()
 
 
-def pde_table(params, potential, model, grids):
+def pde_table(model, grids):
     period = mj.density_period(model, 1)
     print("one-period integration error (n = 1, dt = T/steps)")
     print("points   steps   error        ratio")
@@ -48,17 +48,7 @@ def pde_table(params, potential, model, grids):
     steps = 100
     for n_points in grids:
         grid = mj.default_grid(model, n_points)
-        y = model.y_of_x(grid.points())
-        psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
-        initial = mj.MajoranaSpinorState(
-            mj.GridFunction(grid, psi1), mj.GridFunction(grid, psi2)
-        )
-        _, final = mj.evolve_pde(initial, params, potential, period, dt=period / steps)
-        r1, r2 = mj.spinor(model, 1, final.t, y, math.pi / 2)
-        error = max(
-            float(np.max(np.abs(final.psi1.values - r1))),
-            float(np.max(np.abs(final.psi2.values - r2))),
-        )
+        _, error = mj.pde_vs_closed_form(model, grid, 1, math.pi / 2, period, period / steps)
         ratio = "" if previous is None else f"{previous / error:.2f}"
         print(f"{n_points:<8} {steps:<7} {error:<12.3e} {ratio}")
         previous = error
@@ -71,7 +61,7 @@ def run():
     potential = mj.LinearPotential(1.0)
     model = mj.LinearModel(1.0, params)
     eigenvalue_table(params, potential, model, args.grids, args.levels)
-    pde_table(params, potential, model, args.grids)
+    pde_table(model, args.grids)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from .evolution import (
     density_period,
     evolve_pde,
     measure_period,
+    pde_vs_closed_form,
     probability_density,
     state_norm,
     stationarity_metric,
@@ -88,6 +89,7 @@ from .susy import (
     check_shape_invariance,
     gram_matrix,
     linear_family,
+    oracle_eigenvalues,
     partner_potentials,
     poschl_teller_family,
     state_hierarchy,

@@ -4,6 +4,11 @@ One JSON config document drives every subcommand; artifacts are written
 atomically with deterministic field order and shortest round-trip float
 formatting, so identical configs give byte-identical outputs.
 
+A command reads each config number and holds it to its lower bound in
+one ``_convert`` call, calls the library (``susy.oracle_eigenvalues``
+for the finite-difference spectra, ``evolution.pde_vs_closed_form`` for
+the PDE check against the closed form) and serializes what it returns.
+
 ``evolve --pde`` writes the closed-form ``density.csv`` in one worker
 process, forked on Linux while no other thread runs, while this process
 integrates the first-order system and writes ``density_pde.csv``; the
@@ -20,18 +25,18 @@ import argparse
 import contextlib
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import evolution, linear, susy
-from . import oracle as oracle_mod
 from .errors import (
     BrokenSusyError,
     ConfigError,
@@ -54,7 +59,7 @@ from .model import (
     superpotential,
     zero_potential,
 )
-from .oracle import Sector
+from .oracle import Sector, energy_from_lambda, verify_isospectral
 
 DEFAULT_TOL = 1e-3
 
@@ -73,10 +78,15 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
-def _convert(kind: type, value, key: str):
+# lower bounds a config number can be held to; a positive integer is at least 1
+_BOUNDS = {"positive": operator.gt, "non-negative": operator.ge}
+
+
+def _convert(kind: type, value, key: str, bound: str | None = None):
     """``kind(value)`` for ``kind`` float or int; a malformed value, a
-    float that is not finite, or a non-integral number where an integer
-    is wanted raises ConfigError naming ``key``."""
+    float that is not finite, a non-integral number where an integer
+    is wanted, or a value that is not ``bound`` ("positive" or
+    "non-negative") raises ConfigError naming ``key``."""
     expected = "an integer" if kind is int else "a number"
     try:
         result = kind(value)
@@ -86,6 +96,8 @@ def _convert(kind: type, value, key: str):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    if bound is not None and not _BOUNDS[bound](result, 0):
+        raise ConfigError(f"{key} must be {bound}, got {value!r}")
     return result
 
 
@@ -172,9 +184,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    tol = _convert(float, raw.get("tol", DEFAULT_TOL), "tol")
-    if tol <= 0:
-        raise ConfigError("'tol' must be positive")
+    tol = _convert(float, raw.get("tol", DEFAULT_TOL), "tol", "positive")
     return RunConfig(
         potential=build_potential(_need(raw, "potential", "config")),
         params=build_params(raw.get("physical")),
@@ -247,21 +257,9 @@ def write_density_csv(path: Path, grid: GridSpec, rows):
 def _describe_common(cfg: RunConfig) -> dict:
     return {
         "potential": cfg.potential.describe(),
-        "params": {
-            "mass": cfg.params.mass,
-            "c": cfg.params.c,
-            "hbar": cfg.params.hbar,
-        },
-        "grid": {
-            "x_min": cfg.grid.x_min,
-            "x_max": cfg.grid.x_max,
-            "n_points": cfg.grid.n_points,
-        },
+        "params": asdict(cfg.params),
+        "grid": asdict(cfg.grid),
     }
-
-
-def _sup_norm(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
 
 
 # -------------------------------------------------------------- families
@@ -288,9 +286,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     section = cfg.raw.get("spectrum")
     if not isinstance(section, dict):
         raise ConfigError("config needs a 'spectrum' object with 'n_max'")
-    n_max = _convert(int, _need(section, "n_max", "spectrum"), "spectrum.n_max")
-    if n_max < 0:
-        raise ConfigError("spectrum.n_max must be non-negative")
+    n_max = _convert(int, _need(section, "n_max", "spectrum"), "spectrum.n_max", "non-negative")
     algebraic = _flag(section, "algebraic", "spectrum")
 
     classification = susy.zero_mode(cfg.params, cfg.potential, cfg.grid)
@@ -324,11 +320,9 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
 
     pair = susy.partner_potentials(cfg.params, cfg.potential, cfg.grid)
     sector = classification.sector or Sector.MINUS
-    v = pair.v_minus if sector is Sector.MINUS else pair.v_plus
-    op = oracle_mod.discretize(cfg.params, v, sector)
     energies_oracle = [
-        oracle_mod.energy_from_lambda(lam, cfg.tol)
-        for lam in oracle_mod.eigenvalues(op, n_max + 1)
+        energy_from_lambda(lam, cfg.tol)
+        for lam in susy.oracle_eigenvalues(pair, sector, n_max + 1)
     ]
 
     levels = []
@@ -422,19 +416,17 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
             "evolve uses the closed-form linear-potential states; "
             "configure a linear potential with k != 0"
         )
-    n = _convert(int, _need(section, "n", "evolve"), "evolve.n")
-    if n < 0:
-        raise ConfigError("evolve.n must be non-negative")
+    n = _convert(int, _need(section, "n", "evolve"), "evolve.n", "non-negative")
     delta = _convert(float, section.get("delta", math.pi / 2.0), "evolve.delta")
-    stride = _convert(int, section.get("stride", evolution.DEFAULT_STRIDE), "evolve.stride")
-    if stride < 1:
-        raise ConfigError("evolve.stride must be at least 1")
+    stride = _convert(
+        int, section.get("stride", evolution.DEFAULT_STRIDE), "evolve.stride", "positive"
+    )
 
     model = linear.LinearModel(cfg.potential.k, cfg.params)
     period = evolution.density_period(model, n) if n >= 1 else None
     t_final = section.get("t_final")
     if t_final is None:
-        periods = _convert(float, section.get("periods", 1.0), "evolve.periods")
+        periods = _convert(float, section.get("periods", 1.0), "evolve.periods", "positive")
         if period is None:
             t_final = 5.0
             print(
@@ -444,9 +436,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
             )
         else:
             t_final = periods * period
-    t_final = _convert(float, t_final, "evolve.t_final")
-    if t_final <= 0:
-        raise ConfigError("evolve horizon must be positive")
+    t_final = _convert(float, t_final, "evolve.t_final", "positive")
     dt = section.get("dt")
     if dt is None:
         if period is not None:
@@ -456,9 +446,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
                 np.max(np.abs(superpotential(cfg.params, cfg.potential, cfg.grid.points())))
             )
             dt = evolution.default_time_step(cfg.params, cfg.grid, w_max)
-    dt = _convert(float, dt, "evolve.dt")
-    if dt <= 0:
-        raise ConfigError("evolve.dt must be positive")
+    dt = _convert(float, dt, "evolve.dt", "positive")
     n_steps = max(1, round(t_final / dt))
     dt = t_final / n_steps
 
@@ -489,22 +477,13 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
             # replaces a PDE error, as when that file is written first
             stack.callback(pool.submit(write_analytic_density_csv, *density_job).result)
         if use_pde:
-            y = model.y_of_x(cfg.grid.points())
-            psi1_0, psi2_0 = linear.spinor(model, n, 0.0, y, delta)
-            initial = evolution.MajoranaSpinorState(
-                GridFunction(cfg.grid, psi1_0), GridFunction(cfg.grid, psi2_0)
-            )
-            trace, final = evolution.evolve_pde(
-                initial, cfg.params, cfg.potential, t_final, dt=dt, stride=stride
+            trace, max_err = evolution.pde_vs_closed_form(
+                model, cfg.grid, n, delta, t_final, dt, stride
             )
             write_density_csv(
                 out_dir / "density_pde.csv",
                 cfg.grid,
                 [(t, d.values) for t, d in zip(trace.times, trace.densities)],
-            )
-            ref1, ref2 = linear.spinor(model, n, final.t, y, delta)
-            max_err = max(
-                _sup_norm(final.psi1.values, ref1), _sup_norm(final.psi2.values, ref2)
             )
             summary.update(
                 {"max_component_error": max_err, "norm_drift": trace.norm_drift}
@@ -519,31 +498,28 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     return status
 
 
-def _coupling_from(section: dict, key: str) -> ScalarPotential:
-    entry = section.get(key)
-    if entry is None:
-        return zero_potential()
-    return build_potential(entry, f"audit.{key}")
-
-
 def _audit_couplings(cfg: RunConfig) -> CouplingSet:
+    """The configured couplings; a key the ``audit`` section leaves out
+    is the run's potential for ``f2`` and zero otherwise."""
     section = cfg.raw.get("audit")
-    if isinstance(section, dict):
-        f2 = section.get("f2")
-        return CouplingSet(
-            f1=_coupling_from(section, "f1"),
-            f2=build_potential(f2, "audit.f2") if f2 is not None else cfg.potential,
-            f3=_coupling_from(section, "f3"),
-            f4=_coupling_from(section, "f4"),
-        )
-    return CouplingSet(zero_potential(), cfg.potential, zero_potential(), zero_potential())
+    section = {} if section is None else section
+    if not isinstance(section, dict):
+        raise ConfigError("'audit' must be an object")
+
+    def coupling(key: str) -> ScalarPotential:
+        entry = section.get(key)
+        if entry is not None:
+            return build_potential(entry, f"audit.{key}")
+        return cfg.potential if key == "f2" else zero_potential()
+
+    return CouplingSet(*map(coupling, ("f1", "f2", "f3", "f4")))
 
 
 def cmd_audit(cfg: RunConfig, out_dir: Path, tol_override: float | None) -> int:
     audit_tol = (
         tol_override
         if tol_override is not None
-        else _convert(float, cfg.raw.get("audit_tol", 1e-9), "audit_tol")
+        else _convert(float, cfg.raw.get("audit_tol", 1e-9), "audit_tol", "non-negative")
     )
     report = majorana_compatible(_audit_couplings(cfg), cfg.grid, audit_tol)
     payload = _describe_common(cfg)
@@ -592,10 +568,10 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     section = {} if section is None else section
     if not isinstance(section, dict):
         raise ConfigError("'verify' must be an object")
-    n_max = _convert(int, section.get("n_max", 8), "verify.n_max")
-    if n_max < 0:
-        raise ConfigError("verify.n_max must be non-negative")
-    ladder_levels = _convert(int, section.get("ladder_levels", 5), "verify.ladder_levels")
+    n_max = _convert(int, section.get("n_max", 8), "verify.n_max", "non-negative")
+    ladder_levels = _convert(
+        int, section.get("ladder_levels", 5), "verify.ladder_levels", "positive"
+    )
     run_pde = _flag(section, "pde", "verify")
     checks: list[dict] = []
 
@@ -622,10 +598,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         record("zero_mode_annihilation", residual, 1e-4)
 
     family = None
-    try:
+    with contextlib.suppress(ConfigError):
         family = derive_family(cfg)
-    except ConfigError:
-        pass
 
     if family is not None and cls.unbroken:
         inv = susy.check_shape_invariance(family, cfg.params, cfg.grid)
@@ -637,24 +611,13 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         )
         energies = susy.algebraic_spectrum(family, n_max)
         pair = susy.partner_potentials(cfg.params, cfg.potential, cfg.grid)
-        sector = cls.sector or Sector.MINUS
-        host_v, partner_v = (
-            (pair.v_minus, pair.v_plus)
-            if sector is Sector.MINUS
-            else (pair.v_plus, pair.v_minus)
-        )
-        partner_sector = Sector.PLUS if sector is Sector.MINUS else Sector.MINUS
-        host = oracle_mod.eigenvalues(
-            oracle_mod.discretize(cfg.params, host_v, sector), n_max + 1
-        )
+        host = susy.oracle_eigenvalues(pair, cls.sector, n_max + 1)
         worst_energy = max(abs(energies[n] ** 2 - host[n]) for n in range(n_max + 1))
         record("algebraic_vs_oracle_energy_sq", worst_energy, cfg.tol)
 
-        partner = oracle_mod.eigenvalues(
-            oracle_mod.discretize(cfg.params, partner_v, partner_sector), max(n_max, 1)
-        )
+        partner = susy.oracle_eigenvalues(pair, cls.sector.partner, max(n_max, 1))
         # interlacing: partner level n pairs with host level n+1
-        iso = oracle_mod.verify_isospectral(host, partner, 5e-3, cfg.tol)
+        iso = verify_isospectral(host, partner, 5e-3, cfg.tol)
         record("partner_isospectrality", iso.max_diff, iso.tol, passed=iso.passed)
 
     is_linear = isinstance(cfg.potential, LinearPotential) and cfg.potential.k != 0
@@ -662,9 +625,10 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         model = linear.LinearModel(cfg.potential.k, cfg.params)
         y = model.y_of_x(cfg.grid.points())
         if model.k > 0:
+            gaussian = linear.eigenstate_minus(model, 0, y)
             record(
                 "zero_mode_matches_gaussian",
-                _sup_norm(cls.zero_mode.values, linear.eigenstate_minus(model, 0, y)),
+                float(np.max(np.abs(cls.zero_mode.values - gaussian))),
                 1e-6,
             )
             worst_ladder = 0.0
@@ -681,16 +645,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
 
         if run_pde:
             period = evolution.density_period(model, 1)
-            psi1, psi2 = linear.spinor(model, 1, 0.0, y, math.pi / 2.0)
-            initial = evolution.MajoranaSpinorState(
-                GridFunction(cfg.grid, psi1), GridFunction(cfg.grid, psi2)
-            )
-            trace, final = evolution.evolve_pde(
-                initial, cfg.params, cfg.potential, period, dt=period / 2000.0
-            )
-            ref1, ref2 = linear.spinor(model, 1, final.t, y, math.pi / 2.0)
-            err = max(
-                _sup_norm(final.psi1.values, ref1), _sup_norm(final.psi2.values, ref2)
+            trace, err = evolution.pde_vs_closed_form(
+                model, cfg.grid, 1, math.pi / 2.0, period, period / 2000.0
             )
             record("pde_one_period_return", err, 1e-3)
             record("pde_norm_drift", trace.norm_drift, 1e-6)
@@ -747,9 +703,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
-        tol = None if args.tol is None else _convert(float, args.tol, "--tol")
-        if tol is not None and tol <= 0:
-            raise ConfigError("--tol must be positive")
+        tol = None if args.tol is None else _convert(float, args.tol, "--tol", "positive")
         cfg = load_config(args.config)
         if tol is not None:
             cfg.tol = tol

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linear
 from .errors import (
     DivergenceError,
     GridMismatchError,
@@ -31,6 +32,7 @@ from .linear import LinearModel
 from .model import (
     GridFunction,
     GridSpec,
+    LinearPotential,
     PhysicalParams,
     ScalarPotential,
     superpotential,
@@ -317,3 +319,30 @@ def evolve_pde(
         GridFunction(spec, psi1), GridFunction(spec, psi2), t=n_steps * dt
     )
     return EvolutionTrace(np.array(times), densities, np.array(norms)), final
+
+
+def pde_vs_closed_form(
+    model: LinearModel,
+    grid: GridSpec,
+    n: int,
+    delta: float,
+    t_final: float,
+    dt: float,
+    stride: int = DEFAULT_STRIDE,
+) -> tuple[EvolutionTrace, float]:
+    """Integrate the closed-form level-``n`` spinor of ``model`` from
+    t = 0 to ``t_final`` with ``evolve_pde`` and compare the final state
+    with the closed form at the same time. Returns the sampled trace and
+    the larger sup-norm distance of the two components."""
+    y = model.y_of_x(grid.points())
+    psi1, psi2 = linear.spinor(model, n, 0.0, y, delta)
+    initial = MajoranaSpinorState(GridFunction(grid, psi1), GridFunction(grid, psi2))
+    trace, final = evolve_pde(
+        initial, model.params, LinearPotential(model.k), t_final, dt=dt, stride=stride
+    )
+    ref1, ref2 = linear.spinor(model, n, final.t, y, delta)
+    error = max(
+        float(np.max(np.abs(final.psi1.values - ref1))),
+        float(np.max(np.abs(final.psi2.values - ref2))),
+    )
+    return trace, error

@@ -32,6 +32,11 @@ class Sector(str, Enum):
     MINUS = "minus"
     PLUS = "plus"
 
+    @property
+    def partner(self) -> Sector:
+        """The other sector: H_+ partners H_- and vice versa."""
+        return Sector.PLUS if self is Sector.MINUS else Sector.MINUS
+
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import oracle
 from .errors import BrokenSusyError, InvalidFamilyError, SusyConsistencyError
 from .model import (
     GridFunction,
@@ -55,6 +56,14 @@ def partner_potentials(
         params=p,
         potential=phi,
     )
+
+
+def oracle_eigenvalues(pair: PartnerPotentials, sector: Sector, k: int) -> np.ndarray:
+    """The k smallest finite-difference energies² of H_∓ for ``sector``:
+    ``oracle.eigenvalues`` of the discretized V_- (MINUS) or V_+ (PLUS)
+    of ``pair``."""
+    v = pair.v_minus if sector is Sector.MINUS else pair.v_plus
+    return oracle.eigenvalues(oracle.discretize(pair.params, v, sector), k)
 
 
 def _gradient(values: np.ndarray, h: float) -> np.ndarray:

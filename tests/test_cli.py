@@ -182,6 +182,15 @@ MALFORMED_VALUES = [
     ("physical.mass", "spectrum", {"physical": {"mass": "nan"}}),
     ("physical", "classify", {"physical": [1.0]}),
     ("verify", "verify", {"verify": ["n_max", 3]}),
+    ("audit", "audit", {"audit": ["f3", {"kind": "custom", "expression": "0.1*sin(x)"}]}),
+    # a bound check's message names the key and the bound
+    ("audit_tol must be non-negative", "audit", {"audit_tol": -1}),
+    (
+        "verify.ladder_levels must be positive",
+        "verify",
+        {"verify": {"n_max": 1, "ladder_levels": -3}},
+    ),
+    ("evolve.periods must be positive", "evolve", {"evolve": {"n": 1, "periods": 0}}),
 ]
 
 

@@ -210,6 +210,15 @@ def test_ladder_mapping_residuals(params, linear_potential, model, grid10):
         assert l2(grid10, image - target) <= 1e-3
 
 
+def test_oracle_eigenvalues_solves_the_sector_potential(params, linear_potential, grid10):
+    pair = mj.partner_potentials(params, linear_potential, grid10)
+    for sector, v in ((mj.Sector.MINUS, pair.v_minus), (mj.Sector.PLUS, pair.v_plus)):
+        expected = mj.eigenvalues(mj.discretize(params, v, sector), 4)
+        assert np.array_equal(mj.oracle_eigenvalues(pair, sector, 4), expected)
+    assert mj.Sector.MINUS.partner is mj.Sector.PLUS
+    assert mj.Sector.PLUS.partner is mj.Sector.MINUS
+
+
 def test_isospectral_partner_levels(minus_levels12, plus_levels12):
     report = mj.verify_isospectral(
         [e.energy_squared for e in minus_levels12],
