@@ -57,6 +57,7 @@ from .model import (
     majorana_compatible,
     norm,
     superpotential,
+    trapezoid,
     zero_potential,
 )
 from .oracle import Sector, energy_from_lambda, verify_isospectral
@@ -99,6 +100,22 @@ def _convert(kind: type, value, key: str, bound: str | None = None):
     if bound is not None and not _BOUNDS[bound](result, 0):
         raise ConfigError(f"{key} must be {bound}, got {value!r}")
     return result
+
+
+def _check_levels(grid: GridSpec, n_max: int, key: str):
+    """ConfigError naming ``key`` or ``grid.n_points`` unless the
+    finite-difference oracle can solve for levels 0..``n_max`` on
+    ``grid``: it needs at least 5 points, and one of its n_points - 2
+    interior points per level."""
+    if grid.n_points < 5:
+        raise ConfigError(
+            f"grid.n_points must be at least 5 for the finite-difference spectrum, "
+            f"got {grid.n_points}"
+        )
+    if n_max > grid.n_points - 3:
+        raise ConfigError(
+            f"{key} must be at most grid.n_points - 3 = {grid.n_points - 3}, got {n_max}"
+        )
 
 
 def _flag(section: dict, key: str, where: str) -> bool:
@@ -287,6 +304,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     if not isinstance(section, dict):
         raise ConfigError("config needs a 'spectrum' object with 'n_max'")
     n_max = _convert(int, _need(section, "n_max", "spectrum"), "spectrum.n_max", "non-negative")
+    _check_levels(cfg.grid, n_max, "spectrum.n_max")
     algebraic = _flag(section, "algebraic", "spectrum")
 
     classification = susy.zero_mode(cfg.params, cfg.potential, cfg.grid)
@@ -423,6 +441,13 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     )
 
     model = linear.LinearModel(cfg.potential.k, cfg.params)
+    psi1, psi2 = linear.spinor(model, n, 0.0, model.y_of_x(cfg.grid.points()), delta)
+    if trapezoid(psi1**2 + psi2**2, cfg.grid.h) == 0:
+        raise ConfigError(
+            f"grid: the level-{n} state lies outside [x_min, x_max] = "
+            f"[{cfg.grid.x_min!r}, {cfg.grid.x_max!r}], where it has zero norm; "
+            f"put the grid around x = {-model.y_shift!r}"
+        )
     period = evolution.density_period(model, n) if n >= 1 else None
     t_final = section.get("t_final")
     if t_final is None:
@@ -609,6 +634,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
             abs(inv.r_measured - family.remainder(family.a1)),
             1e-10,
         )
+        _check_levels(cfg.grid, n_max, "verify.n_max")
         energies = susy.algebraic_spectrum(family, n_max)
         pair = susy.partner_potentials(cfg.params, cfg.potential, cfg.grid)
         host = susy.oracle_eigenvalues(pair, cls.sector, n_max + 1)

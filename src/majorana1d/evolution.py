@@ -11,7 +11,8 @@ ladder A has no fermion doublers; states are averaged between nodes and
 midpoints on the way in and out. The step is a Cayley transform of a
 skew-symmetric matrix, so the discrete L2 norm is conserved to roundoff,
 and its Schur complement I + α²AᵀA is tridiagonal, solved with LAPACK
-pttrf/pttrs, which ``evolve_pde`` imports from SciPy when it runs.
+pttrf/pttrs, which ``evolve_pde`` takes from ``_lapack.flapack()`` when
+it runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linear
+from ._lapack import flapack
 from .errors import (
+    DegenerateFunctionError,
     DivergenceError,
     GridMismatchError,
     InstabilityError,
@@ -236,10 +239,10 @@ def evolve_pde(
     the nodes: interior psi2 averages its two adjacent midpoints, and
     both components are zero on the boundary nodes. Returns the sampled
     trace (every ``stride`` steps plus the final one) and the final
-    state.
+    state. An initial state of zero norm, one the grid does not hold,
+    raises DegenerateFunctionError.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs
-
+    lapack = flapack()
     spec = initial.spec
     left, right = staggered_ladder(p, phi, spec)
     if dt is None:
@@ -257,7 +260,7 @@ def evolve_pde(
     # the LAPACK wrapper wants an off-diagonal of length >= 1, also for m = 1
     off = np.zeros(max(m - 1, 1))
     off[: m - 1] = a_right[:-1] * a_left[1:]
-    diag, off, info = dpttrf(1.0 + a_left * a_left + a_right * a_right, off)
+    diag, off, info = lapack.dpttrf(1.0 + a_left * a_left + a_right * a_right, off)
     if info != 0:
         raise np.linalg.LinAlgError(f"pttrf failed on the Schur complement (info={info})")
     a2_left = 2.0 * a_left
@@ -280,6 +283,8 @@ def evolve_pde(
 
     times, densities, norms = [], [], []
     t0, d0, n0 = snapshot(0)
+    if n0 == 0:
+        raise DegenerateFunctionError("the initial state has zero norm on the grid")
     times.append(t0)
     densities.append(d0)
     norms.append(n0)
@@ -290,7 +295,7 @@ def evolve_pde(
         np.multiply(a_right, u2[1:], out=tmp)
         rhs += tmp
         rhs += u1
-        v1, _ = dpttrs(diag, off, rhs, overwrite_b=True)
+        v1, _ = lapack.dpttrs(diag, off, rhs, overwrite_b=True)
         np.multiply(a2_left, v1, out=a_v1[:-1])
         a_v1[-1] = 0.0
         np.multiply(a2_right, v1, out=tmp)

@@ -9,9 +9,9 @@ checked against these numbers.
 ``eigensolve`` bisects for the lowest energies² and leaves the
 eigenfunctions to inverse iteration on their first read, so a caller
 that reads only energies pays for bisection alone; ``eigenvalues``
-returns those energies² as an array. SciPy's LAPACK wrappers are
-imported inside the functions that call them, so importing this module,
-and every command that never solves, does without SciPy.
+returns those energies² as an array. The LAPACK routines come from
+``_lapack.flapack()`` when they are first called, so importing this
+module, and every command that never solves, does without SciPy.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._lapack import flapack
 from .errors import DiscretizationError
 from .model import GridFunction, GridSpec, PhysicalParams, normalize
 
@@ -95,9 +96,9 @@ def discretize(
 
 
 def _bands(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonals of ``op`` as the LAPACK wrappers take them: their
-    f2py signature refuses the empty off-diagonal of a 1×1 matrix, which
-    LAPACK never reads, so that one gets a placeholder entry."""
+    """The diagonals of ``op`` as the float64 LAPACK wrappers take them:
+    their f2py signature refuses the empty off-diagonal of a 1×1 matrix,
+    which LAPACK never reads, so that one gets a placeholder entry."""
     if op.dim == 1:
         return op.diagonal, np.zeros(1)
     return op.diagonal, op.off_diagonal
@@ -108,14 +109,11 @@ def _bisect(op: TridiagonalOperator, k: int):
     with the block indices ?stein needs, in the block order it takes:
     the calls and arguments of ``eigh_tridiagonal(..., select="i")``, so
     values and vectors keep its bits."""
-    from scipy.linalg.lapack import get_lapack_funcs
-
     if not 1 <= k <= op.dim:
         raise ValueError(f"k must be in [1, {op.dim}], got {k}")
     d, e = _bands(op)
-    stebz = get_lapack_funcs(("stebz",), (d, e))[0]
     # range 2 = by index; vl, vu unused; il..iu 1-based; abstol 0 = default
-    m, values, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    m, values, iblock, isplit, info = flapack().dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
     if info != 0:
         raise np.linalg.LinAlgError(f"?stebz failed with info={info}")
     return values[:m], iblock, isplit
@@ -125,12 +123,9 @@ def _inverse_iteration(op: TridiagonalOperator, bisection) -> list[GridFunction]
     """Eigenfunctions of a ``_bisect`` result by LAPACK inverse iteration
     (?stein), in ascending order, zero-padded onto the full grid,
     normalized and sign-fixed."""
-    from scipy.linalg.lapack import get_lapack_funcs
-
     d, e = _bands(op)
-    stein = get_lapack_funcs(("stein",), (d, e))[0]
     values, iblock, isplit = bisection
-    vectors, info = stein(d, e, values, iblock, isplit)
+    vectors, info = flapack().dstein(d, e, values, iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"?stein: {info} eigenvectors failed to converge")
     functions = []

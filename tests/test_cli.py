@@ -191,6 +191,34 @@ MALFORMED_VALUES = [
         {"verify": {"n_max": 1, "ladder_levels": -3}},
     ),
     ("evolve.periods must be positive", "evolve", {"evolve": {"n": 1, "periods": 0}}),
+    # a solve for more levels than the grid has interior points, or on a
+    # grid too small to discretize, is a config error
+    (
+        "spectrum.n_max must be at most",
+        "spectrum",
+        {"grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 11}, "spectrum": {"n_max": 20}},
+    ),
+    (
+        "verify.n_max must be at most",
+        "verify",
+        {
+            "grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 11},
+            "verify": {"n_max": 20, "pde": False},
+        },
+    ),
+    (
+        "grid.n_points must be at least 5",
+        "spectrum",
+        {"grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 4}, "spectrum": {"n_max": 0}},
+    ),
+    (
+        "grid.n_points",
+        "verify",
+        {
+            "grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 4},
+            "verify": {"n_max": 0, "pde": False},
+        },
+    ),
 ]
 
 
@@ -200,8 +228,7 @@ MALFORMED_VALUES = [
 def test_malformed_config_value_exits_1(tmp_path, capsys, key, command, overrides):
     cfg = write_config(
         tmp_path / "cfg.json",
-        grid={"x_min": -11.0, "x_max": 9.0, "n_points": 101},
-        **overrides,
+        **{"grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 101}, **overrides},
     )
     assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
     assert key in capsys.readouterr().err
@@ -461,6 +488,22 @@ def test_evolve_requires_linear_potential(tmp_path):
         evolve={"n": 1},
     )
     assert run("evolve", "--config", cfg, "--out", tmp_path / "out") == 1
+
+
+@pytest.mark.parametrize("pde", [False, True], ids=["closed_form", "pde"])
+def test_evolve_state_outside_grid_exits_1(tmp_path, capsys, pde):
+    # the level-1 state sits at x = -1 and has zero norm on [100, 110]
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"x_min": 100.0, "x_max": 110.0, "n_points": 201},
+        evolve={"n": 1},
+    )
+    argv = ["evolve", "--config", cfg, "--out", tmp_path / "out"]
+    assert run(*argv, *(["--pde"] if pde else [])) == 1
+    err = capsys.readouterr().err
+    assert "grid" in err
+    assert "outside [x_min, x_max]" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------------- audit

@@ -237,6 +237,18 @@ def test_pde_rejects_bad_time_step(params, linear_potential, model, grid10):
         mj.evolve_pde(initial, params, linear_potential, 1.0, dt=-0.1)
 
 
+def test_pde_rejects_state_outside_grid(params, linear_potential, model):
+    # the level-1 state sits at x = -1; on [100, 110] it underflows to zero
+    grid = mj.GridSpec(100.0, 110.0, 201)
+    y = model.y_of_x(grid.points())
+    psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
+    initial = mj.MajoranaSpinorState(
+        mj.GridFunction(grid, psi1), mj.GridFunction(grid, psi2)
+    )
+    with pytest.raises(mj.DegenerateFunctionError):
+        mj.evolve_pde(initial, params, linear_potential, 1.0, dt=0.01)
+
+
 def test_pde_default_time_step_runs(params, linear_potential, model):
     grid = mj.default_grid(model, 301)
     y = model.y_of_x(grid.points())
@@ -366,3 +378,41 @@ def test_import_does_not_load_scipy_sparse():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_solvers_load_only_the_lapack_extension():
+    # the solvers take their routines from scipy.linalg._flapack without
+    # running the scipy.linalg package; a later import of the package must
+    # hand out the very same routines
+    src = str(Path(mj.__file__).resolve().parent.parent)
+    code = """
+import math, sys
+import numpy as np
+import majorana1d as mj
+from majorana1d import _lapack
+
+model = mj.LinearModel(1.0)
+grid = mj.GridSpec(-11.0, 9.0, 201)
+op = mj.discretize(model.params, mj.GridFunction(grid, grid.points() + 1.0))
+mj.eigenvalues(op, 3)
+mj.eigensolve(op, 2)[1].eigenfunction
+y = model.y_of_x(grid.points())
+psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
+initial = mj.MajoranaSpinorState(mj.GridFunction(grid, psi1), mj.GridFunction(grid, psi2))
+mj.evolve_pde(initial, model.params, mj.LinearPotential(1.0), 0.03, dt=0.01)
+print("scipy.linalg" in sys.modules)
+
+from scipy.linalg.lapack import get_lapack_funcs
+
+names = ("stebz", "stein", "pttrf", "pttrs")
+funcs = get_lapack_funcs(names, (np.zeros(1),))
+print(all(f is getattr(_lapack.flapack(), "d" + n) for f, n in zip(funcs, names)))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.split() == ["False", "True"]
