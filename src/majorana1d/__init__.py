@@ -32,6 +32,7 @@ from .evolution import (
     assemble_state,
     density_period,
     evolve_pde,
+    frame_steps,
     measure_period,
     pde_vs_closed_form,
     probability_density,
@@ -86,6 +87,7 @@ from .susy import (
     algebraic_spectrum,
     apply_a,
     apply_a_dagger,
+    builtin_family,
     check_shape_invariance,
     gram_matrix,
     linear_family,

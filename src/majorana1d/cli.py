@@ -56,7 +56,6 @@ from .model import (
     ScarfPotential,
     majorana_compatible,
     norm,
-    superpotential,
     trapezoid,
     zero_potential,
 )
@@ -279,23 +278,6 @@ def _describe_common(cfg: RunConfig) -> dict:
     }
 
 
-# -------------------------------------------------------------- families
-
-
-def derive_family(cfg: RunConfig) -> susy.ShapeInvariantFamily:
-    """Built-in shape-invariant family matching the configured potential,
-    mirrored onto the zero-mode-hosting sector when needed."""
-    pot = cfg.potential
-    if isinstance(pot, LinearPotential) and pot.k != 0:
-        return susy.linear_family(abs(pot.k), cfg.params)
-    if isinstance(pot, PoschlTellerPotential) and cfg.params.mass == 0 and pot.depth != 0:
-        return susy.poschl_teller_family(abs(pot.depth), pot.width, cfg.params)
-    raise ConfigError(
-        f"no built-in shape-invariant family for potential kind {pot.kind!r} "
-        "with these physical parameters; set spectrum.algebraic to false"
-    )
-
-
 # -------------------------------------------------------------- commands
 
 
@@ -319,7 +301,13 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
                 file=sys.stderr,
             )
             return EXIT_PHYSICS
-        family = derive_family(cfg)
+        family = susy.builtin_family(cfg.params, cfg.potential)
+        if family is None:
+            raise ConfigError(
+                "no built-in shape-invariant family for potential kind "
+                f"{cfg.potential.kind!r} with these physical parameters; "
+                "set spectrum.algebraic to false"
+            )
         result = susy.check_shape_invariance(family, cfg.params, cfg.grid)
         invariance = {
             "family": family.label,
@@ -379,13 +367,6 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _frame_steps(n_steps: int, stride: int) -> list[int]:
-    steps = list(range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return steps
-
-
 def write_analytic_density_csv(
     path: Path,
     grid: GridSpec,
@@ -442,10 +423,12 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
 
     model = linear.LinearModel(cfg.potential.k, cfg.params)
     psi1, psi2 = linear.spinor(model, n, 0.0, model.y_of_x(cfg.grid.points()), delta)
-    if trapezoid(psi1**2 + psi2**2, cfg.grid.h) == 0:
+    state_norm = trapezoid(psi1**2 + psi2**2, cfg.grid.h)
+    if state_norm == 0 or abs(1.0 - state_norm) > cfg.tol:
         raise ConfigError(
-            f"grid: the level-{n} state lies outside [x_min, x_max] = "
-            f"[{cfg.grid.x_min!r}, {cfg.grid.x_max!r}], where it has zero norm; "
+            f"grid: the level-{n} state has norm {state_norm:.3e} on the grid, not 1 "
+            f"within tol {cfg.tol:.1e}; it lies outside [x_min, x_max] = "
+            f"[{cfg.grid.x_min!r}, {cfg.grid.x_max!r}] or the grid is too coarse; "
             f"put the grid around x = {-model.y_shift!r}"
         )
     period = evolution.density_period(model, n) if n >= 1 else None
@@ -463,21 +446,16 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
             t_final = periods * period
     t_final = _convert(float, t_final, "evolve.t_final", "positive")
     dt = section.get("dt")
-    if dt is None:
-        if period is not None:
-            dt = period / 2000.0
-        else:
-            w_max = float(
-                np.max(np.abs(superpotential(cfg.params, cfg.potential, cfg.grid.points())))
-            )
-            dt = evolution.default_time_step(cfg.params, cfg.grid, w_max)
+    if dt is None and period is not None:
+        dt = period / evolution.STEPS_PER_PERIOD
+    elif dt is None:
+        dt = evolution.default_time_step(cfg.params, cfg.potential, cfg.grid)
     dt = _convert(float, dt, "evolve.dt", "positive")
     n_steps = max(1, round(t_final / dt))
     dt = t_final / n_steps
 
-    density_job = (
-        out_dir / "density.csv", cfg.grid, model, n, delta, dt, _frame_steps(n_steps, stride)
-    )
+    steps = evolution.frame_steps(n_steps, stride)
+    density_job = (out_dir / "density.csv", cfg.grid, model, n, delta, dt, steps)
     summary = _describe_common(cfg)
     summary.update(
         {
@@ -618,17 +596,13 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     record("unbroken_susy", 0.0 if cls.unbroken else 1.0, 0.5, passed=cls.unbroken)
 
     if cls.unbroken:
-        annihilate = susy.apply_a if cls.sector is Sector.MINUS else susy.apply_a_dagger
-        residual = norm(annihilate(cfg.params, cfg.potential, cls.zero_mode))
+        residual = cls.annihilation_residual(cfg.params, cfg.potential)
         record("zero_mode_annihilation", residual, 1e-4)
 
-    family = None
-    with contextlib.suppress(ConfigError):
-        family = derive_family(cfg)
-
+    family = susy.builtin_family(cfg.params, cfg.potential)
     if family is not None and cls.unbroken:
         inv = susy.check_shape_invariance(family, cfg.params, cfg.grid)
-        record("shape_invariance_spread", inv.spread, 1e-8)
+        record("shape_invariance_spread", inv.spread, susy.SHAPE_INVARIANCE_TOL)
         record(
             "shape_invariance_remainder",
             abs(inv.r_measured - family.remainder(family.a1)),
@@ -637,7 +611,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         _check_levels(cfg.grid, n_max, "verify.n_max")
         energies = susy.algebraic_spectrum(family, n_max)
         pair = susy.partner_potentials(cfg.params, cfg.potential, cfg.grid)
-        host = susy.oracle_eigenvalues(pair, cls.sector, n_max + 1)
+        # one host level above the partner's, so n_max = 0 still compares a level
+        host = susy.oracle_eigenvalues(pair, cls.sector, max(n_max, 1) + 1)
         worst_energy = max(abs(energies[n] ** 2 - host[n]) for n in range(n_max + 1))
         record("algebraic_vs_oracle_energy_sq", worst_energy, cfg.tol)
 
@@ -672,10 +647,10 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         if run_pde:
             period = evolution.density_period(model, 1)
             trace, err = evolution.pde_vs_closed_form(
-                model, cfg.grid, 1, math.pi / 2.0, period, period / 2000.0
+                model, cfg.grid, 1, math.pi / 2.0, period, period / evolution.STEPS_PER_PERIOD
             )
             record("pde_one_period_return", err, 1e-3)
-            record("pde_norm_drift", trace.norm_drift, 1e-6)
+            record("pde_norm_drift", trace.norm_drift, evolution.NORM_DRIFT_TOL)
 
     payload = _describe_common(cfg)
     passed = all(entry["passed"] for entry in checks)

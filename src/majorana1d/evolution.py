@@ -44,6 +44,8 @@ from .model import (
 
 NORM_DRIFT_TOL = 1e-6
 DEFAULT_STRIDE = 50
+# time steps per density period when no step is given
+STEPS_PER_PERIOD = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,9 +55,6 @@ class MajoranaSpinorState:
     psi1: GridFunction
     psi2: GridFunction
     t: float = 0.0
-    n: int | None = None
-    delta: float | None = None
-    energy: float | None = None
 
     def __post_init__(self):
         if self.psi1.spec != self.psi2.spec:
@@ -92,7 +91,6 @@ def assemble_state(
     delta: float,
     t: float,
     hbar: float = 1.0,
-    n: int | None = None,
 ) -> MajoranaSpinorState:
     """Separation-ansatz state at time t. For energy = 0 pass a zero
     function as the plus component (that sector has no partner state)."""
@@ -103,9 +101,6 @@ def assemble_state(
         psi1=GridFunction(phi_minus.spec, phi_minus.values * math.sin(theta)),
         psi2=GridFunction(phi_plus.spec, phi_plus.values * math.cos(theta)),
         t=t,
-        n=n,
-        delta=delta,
-        energy=energy,
     )
 
 
@@ -178,10 +173,20 @@ def analytic_trace(
     return EvolutionTrace(np.asarray(times, dtype=float), densities, np.array(norms))
 
 
-def default_time_step(p: PhysicalParams, grid, w_max: float) -> float:
+def default_time_step(p: PhysicalParams, phi: ScalarPotential, grid: GridSpec) -> float:
     """Fallback step when no period is known: resolve both the grid
-    crossing time and the fastest local phase."""
+    crossing time and the fastest local phase, set by max|W| on ``grid``."""
+    w_max = float(np.max(np.abs(superpotential(p, phi, grid.points()))))
     return 0.1 * grid.h / (p.c * p.hbar) * min(1.0, 1.0 / max(w_max, 1e-30))
+
+
+def frame_steps(n_steps: int, stride: int) -> list[int]:
+    """The steps at which a run of ``n_steps`` is sampled: every
+    ``stride``-th one from 0, and the last."""
+    steps = list(range(0, n_steps + 1, stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return steps
 
 
 def staggered_ladder(
@@ -212,7 +217,6 @@ def evolve_pde(
     t_final: float,
     dt: float | None = None,
     stride: int = DEFAULT_STRIDE,
-    norm_tol: float = NORM_DRIFT_TOL,
 ) -> tuple[EvolutionTrace, MajoranaSpinorState]:
     """Integrate the coupled first-order system with implicit midpoint.
 
@@ -237,17 +241,17 @@ def evolve_pde(
     boundary nodes, so its trapezoid sum is h(Σpsi1² + Σpsi2²), the
     quantity the Cayley step conserves. The returned state is back on
     the nodes: interior psi2 averages its two adjacent midpoints, and
-    both components are zero on the boundary nodes. Returns the sampled
-    trace (every ``stride`` steps plus the final one) and the final
-    state. An initial state of zero norm, one the grid does not hold,
-    raises DegenerateFunctionError.
+    both components are zero on the boundary nodes. Returns the trace
+    sampled at ``frame_steps(n_steps, stride)`` and the final state. An
+    initial state of zero norm, one the grid does not hold, raises
+    DegenerateFunctionError; a sampled norm that drifts by more than
+    100 ``NORM_DRIFT_TOL`` raises DivergenceError.
     """
     lapack = flapack()
     spec = initial.spec
     left, right = staggered_ladder(p, phi, spec)
     if dt is None:
-        w = superpotential(p, phi, spec.points())
-        dt = default_time_step(p, spec, float(np.max(np.abs(w))))
+        dt = default_time_step(p, phi, spec)
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_steps = max(1, round(t_final / dt))
@@ -272,6 +276,7 @@ def evolve_pde(
     rhs = np.empty(m)
     tmp = np.empty(m)
     a_v1 = np.empty(m + 1)
+    sampled = set(frame_steps(n_steps, stride))
 
     def snapshot(step: int):
         sq2 = u2**2
@@ -305,12 +310,13 @@ def evolve_pde(
         np.subtract(tmp, u1, out=u1)
         if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
             raise InstabilityError(step)
-        if step % stride == 0 or step == n_steps:
+        if step in sampled:
             t_s, d_s, n_s = snapshot(step)
             drift = abs(n_s - norms[0]) / abs(norms[0])
-            if drift > 100.0 * norm_tol:
+            if drift > 100.0 * NORM_DRIFT_TOL:
                 raise DivergenceError(
-                    f"norm drift {drift:.3e} at step {step} exceeds {100.0 * norm_tol:.1e}"
+                    f"norm drift {drift:.3e} at step {step} "
+                    f"exceeds {100.0 * NORM_DRIFT_TOL:.1e}"
                 )
             times.append(t_s)
             densities.append(d_s)

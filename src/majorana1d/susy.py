@@ -20,9 +20,12 @@ from .errors import BrokenSusyError, InvalidFamilyError, SusyConsistencyError
 from .model import (
     GridFunction,
     GridSpec,
+    LinearPotential,
     PhysicalParams,
+    PoschlTellerPotential,
     ScalarPotential,
     inner_product,
+    norm,
     normalize,
     superpotential,
 )
@@ -31,6 +34,8 @@ from .oracle import Eigenpair, Sector
 # Normalized zero-mode amplitude allowed at the domain ends; separates
 # exponential decay from growth at desk-scale domains.
 BOUNDARY_TOL = 1e-6
+# Largest spread of V_+(a1, x) - V_-(f(a1), x) on the grid that counts as constant
+SHAPE_INVARIANCE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,20 +102,24 @@ class SusyClassification:
     def status(self) -> str:
         return "unbroken" if self.unbroken else "broken"
 
+    def annihilation_residual(self, p: PhysicalParams, phi: ScalarPotential) -> float:
+        """||A ψ0|| for a minus-sector zero mode, ||A† ψ0|| for a plus-sector
+        one. It vanishes for the exact mode, so on the grid it measures
+        the discretization error of that ladder operator."""
+        if not self.unbroken:
+            raise BrokenSusyError("SUSY is broken: there is no zero mode to annihilate")
+        annihilate = apply_a if self.sector is Sector.MINUS else apply_a_dagger
+        return norm(annihilate(p, phi, self.zero_mode))
 
-def zero_mode(
-    p: PhysicalParams,
-    phi: ScalarPotential,
-    grid: GridSpec,
-    boundary_tol: float = BOUNDARY_TOL,
-) -> SusyClassification:
+
+def zero_mode(p: PhysicalParams, phi: ScalarPotential, grid: GridSpec) -> SusyClassification:
     """Construct the zero-mode candidates exp(∓∫W/cħ) and classify.
 
     The running integral of W is formed by cumulative trapezoids from
     x_min; the exponent is shifted by its maximum before exponentiation
     so growing candidates never overflow. A candidate counts as
     normalizable when its normalized amplitude at both domain ends stays
-    below ``boundary_tol``.
+    below ``BOUNDARY_TOL``.
     """
     x = grid.points()
     w = np.asarray(superpotential(p, phi, x), dtype=float)
@@ -122,7 +131,7 @@ def zero_mode(
         mode = normalize(GridFunction(grid, np.exp(exponent - exponent.max())))
         candidates[sector] = mode
         edges[sector] = float(max(abs(mode.values[0]), abs(mode.values[-1])))
-    ok = [s for s in (Sector.MINUS, Sector.PLUS) if edges[s] <= boundary_tol]
+    ok = [s for s in (Sector.MINUS, Sector.PLUS) if edges[s] <= BOUNDARY_TOL]
     if len(ok) == 2:
         raise SusyConsistencyError(
             "both sector candidates look normalizable; inconsistent with "
@@ -156,8 +165,6 @@ class ShapeInvariantFamily:
 
 def linear_family(k: float, p: PhysicalParams) -> ShapeInvariantFamily:
     """phi(a, x) = a x with the identity reparametrization; R = 2 c ħ a."""
-    from .model import LinearPotential
-
     if k <= 0:
         raise InvalidFamilyError("the linear family needs k > 0 (mirror k < 0 first)")
     return ShapeInvariantFamily(
@@ -174,8 +181,6 @@ def poschl_teller_family(
 ) -> ShapeInvariantFamily:
     """phi(a, x) = a tanh(width x), massless: f(a) = a - c ħ width,
     R(a) = a² - (a - c ħ width)²."""
-    from .model import PoschlTellerPotential
-
     if p.mass != 0:
         raise InvalidFamilyError(
             "the tanh family is shape invariant only for a massless fermion; "
@@ -192,6 +197,20 @@ def poschl_teller_family(
     )
 
 
+def builtin_family(p: PhysicalParams, phi: ScalarPotential) -> ShapeInvariantFamily | None:
+    """The built-in shape-invariant family of ``phi`` under ``p``, mirrored
+    onto the zero-mode-hosting sector (a slope or depth of either sign
+    gives the family of its magnitude), or None when it has none. Only
+    the linear potential with k != 0 and the massless Pöschl–Teller well
+    with depth != 0 have one (Cooper, Khare & Sukhatme, Phys. Rep. 251,
+    267 (1995))."""
+    if isinstance(phi, LinearPotential) and phi.k != 0:
+        return linear_family(abs(phi.k), p)
+    if isinstance(phi, PoschlTellerPotential) and p.mass == 0 and phi.depth != 0:
+        return poschl_teller_family(abs(phi.depth), phi.width, p)
+    return None
+
+
 @dataclass(frozen=True)
 class ShapeInvarianceResult:
     r_measured: float
@@ -200,13 +219,11 @@ class ShapeInvarianceResult:
 
 
 def check_shape_invariance(
-    fam: ShapeInvariantFamily,
-    p: PhysicalParams,
-    grid: GridSpec,
-    tol: float = 1e-8,
+    fam: ShapeInvariantFamily, p: PhysicalParams, grid: GridSpec
 ) -> ShapeInvarianceResult:
     """Measure d(x) = V_+(a1, x) - V_-(f(a1), x) on the grid. Shape
-    invariance means d is the constant R(a1): flat within ``tol``."""
+    invariance means d is the constant R(a1): flat within
+    ``SHAPE_INVARIANCE_TOL``."""
     a1 = fam.a1
     a2 = fam.next_parameter(a1)
     v_plus = partner_potentials(p, fam.potential_at(a1), grid).v_plus
@@ -214,7 +231,7 @@ def check_shape_invariance(
     d = v_plus.values - v_minus_next.values
     spread = float(d.max() - d.min())
     return ShapeInvarianceResult(
-        r_measured=float(d.mean()), is_invariant=spread <= tol, spread=spread
+        r_measured=float(d.mean()), is_invariant=spread <= SHAPE_INVARIANCE_TOL, spread=spread
     )
 
 

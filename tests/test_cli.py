@@ -490,20 +490,46 @@ def test_evolve_requires_linear_potential(tmp_path):
     assert run("evolve", "--config", cfg, "--out", tmp_path / "out") == 1
 
 
-@pytest.mark.parametrize("pde", [False, True], ids=["closed_form", "pde"])
-def test_evolve_state_outside_grid_exits_1(tmp_path, capsys, pde):
-    # the level-1 state sits at x = -1 and has zero norm on [100, 110]
-    cfg = write_config(
-        tmp_path / "cfg.json",
-        grid={"x_min": 100.0, "x_max": 110.0, "n_points": 201},
-        evolve={"n": 1},
-    )
-    argv = ["evolve", "--config", cfg, "--out", tmp_path / "out"]
-    assert run(*argv, *(["--pde"] if pde else [])) == 1
+OUTSIDE = {"x_min": 100.0, "x_max": 110.0, "n_points": 201}
+SLIVER = {"x_min": 2.0, "x_max": 12.0, "n_points": 201}
+COARSE = {"x_min": -11.0, "x_max": 9.0, "n_points": 11}
+
+
+@pytest.mark.parametrize(
+    "grid, n, flags",
+    [
+        (OUTSIDE, 1, []),
+        (OUTSIDE, 1, ["--pde"]),
+        (SLIVER, 1, []),
+        (SLIVER, 1, ["--pde"]),
+        (COARSE, 0, []),
+        (COARSE, 1, []),
+        (OUTSIDE, 1, ["--tol", "5"]),
+    ],
+    ids=["closed_form", "pde", "sliver_closed_form", "sliver_pde", "coarse_n0", "coarse_n1",
+         "zero_norm_at_large_tol"],
+)
+def test_evolve_state_outside_grid_exits_1(tmp_path, capsys, grid, n, flags):
+    # the level-1 state sits at x = -1: its trapezoid norm is 0 on OUTSIDE
+    # and 2.2e-4 on SLIVER; on COARSE it is 1.17 (n = 0) or 0.33 (n = 1)
+    cfg = write_config(tmp_path / "cfg.json", grid=grid, evolve={"n": n})
+    assert run("evolve", "--config", cfg, "--out", tmp_path / "out", *flags) == 1
     err = capsys.readouterr().err
     assert "grid" in err
+    assert "norm" in err
     assert "outside [x_min, x_max]" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_evolve_pde_frames_share_the_closed_form_times(tmp_path):
+    # a stride of 7 does not divide the 2000 steps of one period
+    cfg = evolve_config(tmp_path, stride=7)
+    assert run("evolve", "--config", cfg, "--out", tmp_path / "out", "--pde") == 0
+    closed = read_density(tmp_path / "out" / "density.csv")
+    pde = read_density(tmp_path / "out" / "density_pde.csv")
+    assert list(pde) == list(closed)
+    summary = json.loads((tmp_path / "out" / "evolve_summary.json").read_text())
+    assert len(closed) == len(evolution.frame_steps(summary["steps"], 7))
 
 
 # ------------------------------------------------------------------- audit
@@ -600,6 +626,23 @@ def test_spectrum_and_verify_need_no_eigenfunctions(tmp_path, monkeypatch):
     assert {"algebraic_vs_oracle_energy_sq", "partner_isospectrality"} <= {
         c["name"] for c in checks
     }
+
+
+def test_verify_isospectrality_compares_a_level_at_n_max_0(tmp_path):
+    # partner level 0 pairs with host level 1, so n_max = 0 and 1 compare the same level
+    def isospectrality(n_max):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            grid={"x_min": -11.0, "x_max": 9.0, "n_points": 2001},
+            verify={"n_max": n_max, "pde": False},
+        )
+        assert run("verify", "--config", cfg, "--out", tmp_path / f"out{n_max}") == 0
+        checks = json.loads((tmp_path / f"out{n_max}" / "verify.json").read_text())["checks"]
+        return next(c for c in checks if c["name"] == "partner_isospectrality")
+
+    check = isospectrality(0)
+    assert check["residual"] > 0.0
+    assert check["residual"] == isospectrality(1)["residual"]
 
 
 def test_verify_coarse_grid_flags_residuals(tmp_path, capsys):

@@ -261,6 +261,20 @@ def test_pde_default_time_step_runs(params, linear_potential, model):
     assert final.t == pytest.approx(0.05)
 
 
+def test_pde_samples_the_frame_steps(params, linear_potential, model, grid10):
+    # 7 does not divide the 100 steps: the last frame is the last step
+    y = model.y_of_x(grid10.points())
+    psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
+    initial = mj.MajoranaSpinorState(
+        mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
+    )
+    dt = 0.5 / 100
+    trace, _ = mj.evolve_pde(initial, params, linear_potential, 0.5, dt=dt, stride=7)
+    steps = mj.frame_steps(100, 7)
+    assert steps[-2:] == [98, 100]
+    assert trace.times.tolist() == [dt * step for step in steps]
+
+
 def test_pde_components_stay_real(params, linear_potential, model, grid10):
     # reality is structural: the state type only carries real arrays
     y = model.y_of_x(grid10.points())

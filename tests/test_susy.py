@@ -46,6 +46,22 @@ def test_apply_a_annihilates_ground_state(params, linear_potential, model, grid1
     assert mj.norm(residual) <= 1e-4
 
 
+@pytest.mark.parametrize("k", [1.0, -1.0])
+def test_annihilation_residual_applies_the_sector_ladder(params, grid10, k):
+    # k > 0 hosts the zero mode in the minus sector (A annihilates it),
+    # k < 0 in the plus sector (A† does)
+    potential = mj.LinearPotential(k)
+    cls = mj.zero_mode(params, potential, grid10)
+    assert cls.sector is (mj.Sector.MINUS if k > 0 else mj.Sector.PLUS)
+    assert cls.annihilation_residual(params, potential) <= 1e-4
+
+
+def test_annihilation_residual_needs_a_zero_mode(params, grid10):
+    cls = mj.zero_mode(params, mj.LinearPotential(0.0), grid10)
+    with pytest.raises(mj.BrokenSusyError):
+        cls.annihilation_residual(params, mj.LinearPotential(0.0))
+
+
 def test_apply_a_on_constant_with_flat_potential():
     p = mj.PhysicalParams(mass=1.0)
     grid = mj.GridSpec(-5.0, 5.0, 101)
@@ -255,3 +271,26 @@ def test_poschl_teller_family_needs_massless_fermion():
 def test_linear_family_rejects_nonpositive_slope(params):
     with pytest.raises(mj.InvalidFamilyError):
         mj.linear_family(-1.0, params)
+
+
+@pytest.mark.parametrize(
+    "mass, potential, label, a1",
+    [
+        (1.0, mj.LinearPotential(1.5), "linear", 1.5),
+        (1.0, mj.LinearPotential(-1.5), "linear", 1.5),
+        (0.0, mj.PoschlTellerPotential(-3.0, 1.0), "poschl_teller", 3.0),
+        (1.0, mj.LinearPotential(0.0), None, None),
+        (1.0, mj.PoschlTellerPotential(3.0, 1.0), None, None),
+        (0.0, mj.RosenMorsePotential(2.0, 0.5), None, None),
+        (0.0, mj.ScarfPotential(2.0, 0.5), None, None),
+        (0.0, mj.CustomPotential("x"), None, None),
+    ],
+    ids=["linear", "linear_negative", "poschl_teller", "free", "massive_poschl_teller",
+         "rosen_morse", "scarf", "custom"],
+)
+def test_builtin_family(mass, potential, label, a1):
+    fam = mj.builtin_family(mj.PhysicalParams(mass=mass), potential)
+    if label is None:
+        assert fam is None
+    else:
+        assert (fam.label, fam.a1) == (label, a1)
