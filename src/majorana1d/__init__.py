@@ -30,6 +30,7 @@ from .evolution import (
     MajoranaSpinorState,
     analytic_trace,
     assemble_state,
+    closed_form_frames,
     density_period,
     evolve_pde,
     frame_steps,

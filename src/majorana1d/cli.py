@@ -6,8 +6,9 @@ formatting, so identical configs give byte-identical outputs.
 
 A command reads each config number and holds it to its lower bound in
 one ``_convert`` call, calls the library (``susy.oracle_eigenvalues``
-for the finite-difference spectra, ``evolution.pde_vs_closed_form`` for
-the PDE check against the closed form) and serializes what it returns.
+for the finite-difference spectra, ``evolution.closed_form_frames`` for
+the closed-form densities, ``evolution.pde_vs_closed_form`` for the PDE
+check against the closed form) and serializes what it returns.
 
 ``evolve --pde`` writes the closed-form ``density.csv`` in one worker
 process, forked on Linux while no other thread runs, while this process
@@ -376,17 +377,11 @@ def write_analytic_density_csv(
     dt: float,
     steps: list[int],
 ):
-    """Write the closed-form level-``n`` density at times ``step * dt``
+    """Write the closed-form level-``n`` frames at times ``step * dt``
     with ``write_density_csv``. Module level, so a worker process can
     run it."""
-    y = model.y_of_x(grid.points())
-
-    def rows():
-        for step in steps:
-            psi1, psi2 = linear.spinor(model, n, step * dt, y, delta)
-            yield step * dt, psi1**2 + psi2**2
-
-    write_density_csv(path, grid, rows())
+    frames = evolution.closed_form_frames(model, grid, n, delta, dt, steps)
+    write_density_csv(path, grid, frames)
 
 
 def _density_worker(stack: contextlib.ExitStack):
@@ -422,15 +417,6 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     )
 
     model = linear.LinearModel(cfg.potential.k, cfg.params)
-    psi1, psi2 = linear.spinor(model, n, 0.0, model.y_of_x(cfg.grid.points()), delta)
-    state_norm = trapezoid(psi1**2 + psi2**2, cfg.grid.h)
-    if state_norm == 0 or abs(1.0 - state_norm) > cfg.tol:
-        raise ConfigError(
-            f"grid: the level-{n} state has norm {state_norm:.3e} on the grid, not 1 "
-            f"within tol {cfg.tol:.1e}; it lies outside [x_min, x_max] = "
-            f"[{cfg.grid.x_min!r}, {cfg.grid.x_max!r}] or the grid is too coarse; "
-            f"put the grid around x = {-model.y_shift!r}"
-        )
     period = evolution.density_period(model, n) if n >= 1 else None
     t_final = section.get("t_final")
     if t_final is None:
@@ -456,6 +442,15 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
 
     steps = evolution.frame_steps(n_steps, stride)
     density_job = (out_dir / "density.csv", cfg.grid, model, n, delta, dt, steps)
+    _, rho0 = next(evolution.closed_form_frames(model, cfg.grid, n, delta, dt, steps))
+    state_norm = trapezoid(rho0, cfg.grid.h)
+    if abs(1.0 - state_norm) > evolution.NORM_DRIFT_TOL:
+        raise ConfigError(
+            f"grid: the level-{n} state has norm {state_norm:.3e} on the grid, not 1 "
+            f"within {evolution.NORM_DRIFT_TOL:.0e}; it lies outside [x_min, x_max] = "
+            f"[{cfg.grid.x_min!r}, {cfg.grid.x_max!r}] or the grid is too coarse; "
+            f"put the grid around x = {-model.y_shift!r}"
+        )
     summary = _describe_common(cfg)
     summary.update(
         {
@@ -484,9 +479,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
                 model, cfg.grid, n, delta, t_final, dt, stride
             )
             write_density_csv(
-                out_dir / "density_pde.csv",
-                cfg.grid,
-                [(t, d.values) for t, d in zip(trace.times, trace.densities)],
+                out_dir / "density_pde.csv", cfg.grid, zip(trace.times, trace.densities)
             )
             summary.update(
                 {"max_component_error": max_err, "norm_drift": trace.norm_drift}

@@ -67,14 +67,15 @@ class MajoranaSpinorState:
 
 @dataclass(eq=False)
 class EvolutionTrace:
-    """Sampled densities and norms along a run."""
+    """Sampled densities, one frame per row, and norms along a run."""
 
     times: np.ndarray
-    densities: list[GridFunction]
+    densities: np.ndarray
     norms: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
+        self.densities = np.asarray(self.densities, dtype=float)
         self.norms = np.asarray(self.norms, dtype=float)
         if not (len(self.times) == len(self.densities) == len(self.norms)):
             raise ValueError("times, densities and norms must have equal lengths")
@@ -127,21 +128,19 @@ def density_period(model: LinearModel, n: int) -> float:
 def stationarity_metric(trace: EvolutionTrace) -> float:
     """max_t of the sup-norm distance between rho(t) and rho(0); zero
     for a stationary state."""
-    rho0 = trace.densities[0].values
-    best = 0.0
-    for rho in trace.densities[1:]:
-        best = max(best, float(np.max(np.abs(rho.values - rho0))))
-    return best
+    return float(np.max(np.abs(trace.densities[1:] - trace.densities[0]), initial=0.0))
 
 
 def measure_period(trace: EvolutionTrace, rel_tol: float = 0.05) -> float:
     """First return time of the density: the earliest local minimum of
     ||rho(t)-rho(0)||_inf that drops below rel_tol of the excursion,
-    refined with a three-point parabola."""
-    rho0 = trace.densities[0].values
-    r = np.array([np.max(np.abs(d.values - rho0)) for d in trace.densities])
-    if len(r) < 3:
+    refined with a three-point parabola. A trace whose frames all equal
+    the first, a stationary state, raises StationaryStateError."""
+    if len(trace.times) < 3:
         raise ValueError("trace too short to locate a return")
+    r = np.max(np.abs(trace.densities - trace.densities[0]), axis=1)
+    if not r.any():
+        raise StationaryStateError("the density is stationary and has no period")
     threshold = rel_tol * r.max()
     for i in range(1, len(r) - 1):
         if r[i] <= r[i - 1] and r[i] <= r[i + 1] and r[i] <= threshold:
@@ -163,14 +162,23 @@ def analytic_trace(
     hbar: float = 1.0,
 ) -> EvolutionTrace:
     """Trace of the separation-ansatz state sampled at ``times``."""
-    densities = []
-    norms = []
-    for t in np.asarray(times, dtype=float):
-        state = assemble_state(phi_minus, phi_plus, energy, delta, float(t), hbar)
-        rho = probability_density(state)
-        densities.append(rho)
-        norms.append(trapezoid(rho.values, rho.spec.h))
-    return EvolutionTrace(np.asarray(times, dtype=float), densities, np.array(norms))
+    times = np.asarray(times, dtype=float)
+    states = (assemble_state(phi_minus, phi_plus, energy, delta, float(t), hbar) for t in times)
+    densities = np.array([probability_density(state).values for state in states])
+    norms = [trapezoid(rho, phi_minus.spec.h) for rho in densities]
+    return EvolutionTrace(times, densities, np.array(norms))
+
+
+def closed_form_frames(
+    model: LinearModel, grid: GridSpec, n: int, delta: float, dt: float, steps
+):
+    """Lazily yield the closed-form level-``n`` frame (t, rho) of
+    ``model`` on ``grid`` at each t = step * dt, one ``linear.spinor``
+    call per frame."""
+    y = model.y_of_x(grid.points())
+    for step in steps:
+        psi1, psi2 = linear.spinor(model, n, step * dt, y, delta)
+        yield step * dt, psi1**2 + psi2**2
 
 
 def default_time_step(p: PhysicalParams, phi: ScalarPotential, grid: GridSpec) -> float:
@@ -276,23 +284,22 @@ def evolve_pde(
     rhs = np.empty(m)
     tmp = np.empty(m)
     a_v1 = np.empty(m + 1)
-    sampled = set(frame_steps(n_steps, stride))
+    steps = frame_steps(n_steps, stride)
+    densities = np.empty((len(steps), spec.n_points))
+    norms = np.empty(len(steps))
 
-    def snapshot(step: int):
+    def snapshot(frame: int):
         sq2 = u2**2
-        rho = np.empty(spec.n_points)
+        rho = densities[frame]
         rho[1:-1] = u1**2 + 0.5 * (sq2[:-1] + sq2[1:])
         rho[0] = sq2[0]
         rho[-1] = sq2[-1]
-        return step * dt, GridFunction(spec, rho), trapezoid(rho, spec.h)
+        norms[frame] = trapezoid(rho, spec.h)
 
-    times, densities, norms = [], [], []
-    t0, d0, n0 = snapshot(0)
-    if n0 == 0:
+    snapshot(0)
+    if norms[0] == 0:
         raise DegenerateFunctionError("the initial state has zero norm on the grid")
-    times.append(t0)
-    densities.append(d0)
-    norms.append(n0)
+    frame = 1
 
     for step in range(1, n_steps + 1):
         # S v1 = u1 + αAᵀu2; then u1 ← 2v1 - u1 and u2 ← 2v2 - u2 = u2 - 2αA v1
@@ -310,17 +317,15 @@ def evolve_pde(
         np.subtract(tmp, u1, out=u1)
         if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
             raise InstabilityError(step)
-        if step in sampled:
-            t_s, d_s, n_s = snapshot(step)
-            drift = abs(n_s - norms[0]) / abs(norms[0])
+        if step == steps[frame]:
+            snapshot(frame)
+            drift = abs(norms[frame] - norms[0]) / abs(norms[0])
             if drift > 100.0 * NORM_DRIFT_TOL:
                 raise DivergenceError(
                     f"norm drift {drift:.3e} at step {step} "
                     f"exceeds {100.0 * NORM_DRIFT_TOL:.1e}"
                 )
-            times.append(t_s)
-            densities.append(d_s)
-            norms.append(n_s)
+            frame += 1
 
     psi1 = np.zeros(spec.n_points)
     psi2 = np.zeros(spec.n_points)
@@ -329,7 +334,7 @@ def evolve_pde(
     final = MajoranaSpinorState(
         GridFunction(spec, psi1), GridFunction(spec, psi2), t=n_steps * dt
     )
-    return EvolutionTrace(np.array(times), densities, np.array(norms)), final
+    return EvolutionTrace(dt * np.array(steps), densities, norms), final
 
 
 def pde_vs_closed_form(

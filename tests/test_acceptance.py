@@ -164,7 +164,7 @@ def test_criterion_6_density_trace_periods(setup):
         tr = trace(n, 1.1 * stated, 441)
         measured = mj.measure_period(tr)
         rel = abs(measured - stated / 2.0) / (stated / 2.0)
-        full_turn = sup(tr.densities[0].values, trace(n, stated, 2).densities[1].values)
+        full_turn = sup(tr.densities[0], trace(n, stated, 2).densities[1])
         ok = ok and rel <= 0.01 and full_turn <= 1e-10
         details.append(
             f"n={n} first return {measured:.4f} = stated/2 within {rel:.1e} "
@@ -239,7 +239,7 @@ def test_criterion_9_non_stationarity(setup):
         horizon = mj.density_period(model, max(n, 1))
         times = np.linspace(0.0, horizon, 241)
         tr = mj.analytic_trace(phi_minus, phi_plus, mj.energy(model, n), math.pi / 2, times)
-        return mj.stationarity_metric(tr), float(tr.densities[0].values.max())
+        return mj.stationarity_metric(tr), float(tr.densities[0].max())
 
     m0, _ = metric(0)
     ok = m0 <= 1e-12

@@ -505,13 +505,16 @@ COARSE = {"x_min": -11.0, "x_max": 9.0, "n_points": 11}
         (COARSE, 0, []),
         (COARSE, 1, []),
         (OUTSIDE, 1, ["--tol", "5"]),
+        (SLIVER, 1, ["--tol", "1"]),
+        (SLIVER, 1, ["--tol", "1", "--pde"]),
     ],
     ids=["closed_form", "pde", "sliver_closed_form", "sliver_pde", "coarse_n0", "coarse_n1",
-         "zero_norm_at_large_tol"],
+         "zero_norm_at_large_tol", "sliver_loose_tol_closed_form", "sliver_loose_tol_pde"],
 )
 def test_evolve_state_outside_grid_exits_1(tmp_path, capsys, grid, n, flags):
     # the level-1 state sits at x = -1: its trapezoid norm is 0 on OUTSIDE
-    # and 2.2e-4 on SLIVER; on COARSE it is 1.17 (n = 0) or 0.33 (n = 1)
+    # and 2.2e-4 on SLIVER; on COARSE it is 1.17 (n = 0) or 0.33 (n = 1).
+    # The grid rule is NORM_DRIFT_TOL, so a loose --tol does not relax it
     cfg = write_config(tmp_path / "cfg.json", grid=grid, evolve={"n": n})
     assert run("evolve", "--config", cfg, "--out", tmp_path / "out", *flags) == 1
     err = capsys.readouterr().err

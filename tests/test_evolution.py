@@ -14,6 +14,7 @@ from scipy.sparse.linalg import splu
 
 import majorana1d as mj
 from majorana1d.evolution import staggered_ladder
+from majorana1d.model import trapezoid
 
 from .conftest import sup
 
@@ -125,6 +126,13 @@ def test_measured_first_return_is_half_the_phase_period(model, grid10):
         assert measured == pytest.approx(T / 2.0, rel=1e-4)
 
 
+def test_measure_period_rejects_stationary_trace(model, grid10):
+    # every frame of the ground state equals the first, so no sample is a return
+    trace = linear_trace(model, grid10, 0, 5.0, samples=11)
+    with pytest.raises(mj.StationaryStateError):
+        mj.measure_period(trace)
+
+
 def test_stated_period_is_a_true_period(model, grid10):
     phi_minus, phi_plus = analytic_pair(model, grid10, 1)
     T = mj.density_period(model, 1)
@@ -153,7 +161,7 @@ def test_excited_states_oscillate_visibly(model, grid10):
         trace = linear_trace(model, grid10, n, mj.density_period(model, n))
         metric = mj.stationarity_metric(trace)
         assert metric >= 0.1 * math.sqrt(model.w)
-        assert metric > 0.05 * float(trace.densities[0].values.max())
+        assert metric > 0.05 * float(trace.densities[0].max())
 
 
 def test_single_sample_trace_has_zero_metric(model, grid10):
@@ -199,7 +207,7 @@ def test_pde_ground_state_density_constant(params, linear_potential, model):
     )
     T = mj.density_period(model, 1)
     trace, _ = mj.evolve_pde(initial, params, linear_potential, 2.0, dt=T / 2000)
-    drift = max(sup(d.values, trace.densities[0].values) for d in trace.densities)
+    drift = max(sup(d, trace.densities[0]) for d in trace.densities)
     assert drift <= 1e-6
 
 
@@ -212,7 +220,7 @@ def test_pde_ground_state_density_nearly_constant_at_default_grid(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
     trace, _ = mj.evolve_pde(initial, params, linear_potential, 2.0, dt=0.002)
-    drift = max(sup(d.values, trace.densities[0].values) for d in trace.densities)
+    drift = max(sup(d, trace.densities[0]) for d in trace.densities)
     assert drift <= 1e-4
 
 
@@ -273,6 +281,37 @@ def test_pde_samples_the_frame_steps(params, linear_potential, model, grid10):
     steps = mj.frame_steps(100, 7)
     assert steps[-2:] == [98, 100]
     assert trace.times.tolist() == [dt * step for step in steps]
+
+
+def test_pde_trace_keeps_frames_in_one_array(params, linear_potential, model, grid10):
+    y = model.y_of_x(grid10.points())
+    psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
+    initial = mj.MajoranaSpinorState(
+        mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
+    )
+    trace, _ = mj.evolve_pde(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    assert trace.densities.shape == (len(mj.frame_steps(100, 7)), grid10.n_points)
+    assert trace.densities.dtype == np.float64
+    for rho, norm in zip(trace.densities, trace.norms):
+        assert trapezoid(rho, grid10.h) == norm
+
+
+@pytest.mark.parametrize("k", [1.0, -1.0])
+def test_closed_form_frames_are_spinor_densities(params, k):
+    model = mj.LinearModel(k, params)
+    grid = mj.default_grid(model, 401)
+    y = model.y_of_x(grid.points())
+    dt, steps = 0.01, [0, 3, 6, 7]
+    frames = mj.closed_form_frames(model, grid, 2, 0.4, dt, steps)
+    assert iter(frames) is frames
+    count = 0
+    for step, (t, rho) in zip(steps, frames):
+        psi1, psi2 = mj.spinor(model, 2, step * dt, y, 0.4)
+        assert t == step * dt
+        assert np.array_equal(rho, psi1**2 + psi2**2)
+        count += 1
+    assert count == len(steps)
+    assert next(frames, None) is None
 
 
 def test_pde_components_stay_real(params, linear_potential, model, grid10):
