@@ -48,7 +48,8 @@ def pde_table(model, grids):
     steps = 100
     for n_points in grids:
         grid = mj.default_grid(model, n_points)
-        _, error = mj.pde_vs_closed_form(model, grid, 1, math.pi / 2, period, period / steps)
+        check = mj.pde_vs_closed_form(model, grid, 1, math.pi / 2, period, period / steps)
+        error = check.drain().max_component_error
         ratio = "" if previous is None else f"{previous / error:.2f}"
         print(f"{n_points:<8} {steps:<7} {error:<12.3e} {ratio}")
         previous = error

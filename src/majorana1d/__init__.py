@@ -35,6 +35,7 @@ from .evolution import (
     evolve_pde,
     frame_steps,
     measure_period,
+    pde_frames,
     pde_vs_closed_form,
     probability_density,
     state_norm,

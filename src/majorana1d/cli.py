@@ -14,7 +14,9 @@ check against the closed form) and serializes what it returns.
 process, forked on Linux while no other thread runs, while this process
 integrates the first-order system and writes ``density_pde.csv``; the
 two routes share only the config. Elsewhere, and without ``--pde``,
-``density.csv`` is written in-process first.
+``density.csv`` is written in-process first. Both routes stream: each
+frame is written as it is computed, so memory does not grow with the
+frame count.
 
 Exit codes: 0 success, 1 config/parse error, 2 tolerance failure,
 3 physics precondition violation.
@@ -436,9 +438,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
         dt = period / evolution.STEPS_PER_PERIOD
     elif dt is None:
         dt = evolution.default_time_step(cfg.params, cfg.potential, cfg.grid)
-    dt = _convert(float, dt, "evolve.dt", "positive")
-    n_steps = max(1, round(t_final / dt))
-    dt = t_final / n_steps
+    dt, n_steps = evolution.time_grid(t_final, _convert(float, dt, "evolve.dt", "positive"))
 
     steps = evolution.frame_steps(n_steps, stride)
     density_job = (out_dir / "density.csv", cfg.grid, model, n, delta, dt, steps)
@@ -475,15 +475,10 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
             # replaces a PDE error, as when that file is written first
             stack.callback(pool.submit(write_analytic_density_csv, *density_job).result)
         if use_pde:
-            trace, max_err = evolution.pde_vs_closed_form(
-                model, cfg.grid, n, delta, t_final, dt, stride
-            )
-            write_density_csv(
-                out_dir / "density_pde.csv", cfg.grid, zip(trace.times, trace.densities)
-            )
-            summary.update(
-                {"max_component_error": max_err, "norm_drift": trace.norm_drift}
-            )
+            check = evolution.pde_vs_closed_form(model, cfg.grid, n, delta, t_final, dt, stride)
+            write_density_csv(out_dir / "density_pde.csv", cfg.grid, check)
+            max_err = check.max_component_error
+            summary.update({"max_component_error": max_err, "norm_drift": check.norm_drift})
             if max_err > cfg.tol:
                 status = EXIT_TOLERANCE
                 print(
@@ -639,11 +634,11 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
 
         if run_pde:
             period = evolution.density_period(model, 1)
-            trace, err = evolution.pde_vs_closed_form(
+            check = evolution.pde_vs_closed_form(
                 model, cfg.grid, 1, math.pi / 2.0, period, period / evolution.STEPS_PER_PERIOD
-            )
-            record("pde_one_period_return", err, 1e-3)
-            record("pde_norm_drift", trace.norm_drift, evolution.NORM_DRIFT_TOL)
+            ).drain()
+            record("pde_one_period_return", check.max_component_error, 1e-3)
+            record("pde_norm_drift", check.norm_drift, evolution.NORM_DRIFT_TOL)
 
     payload = _describe_common(cfg)
     passed = all(entry["passed"] for entry in checks)

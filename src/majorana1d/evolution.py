@@ -11,8 +11,9 @@ ladder A has no fermion doublers; states are averaged between nodes and
 midpoints on the way in and out. The step is a Cayley transform of a
 skew-symmetric matrix, so the discrete L2 norm is conserved to roundoff,
 and its Schur complement I + α²AᵀA is tridiagonal, solved with LAPACK
-pttrf/pttrs, which ``evolve_pde`` takes from ``_lapack.flapack()`` when
-it runs.
+pttrf/pttrs, which ``pde_frames`` takes from ``_lapack.flapack()`` when
+it runs. ``pde_frames`` yields each sampled frame as the step loop
+reaches it, so a consumer that writes frames out holds one at a time.
 """
 
 from __future__ import annotations
@@ -82,7 +83,12 @@ class EvolutionTrace:
 
     @property
     def norm_drift(self) -> float:
-        return float(np.max(np.abs(self.norms - self.norms[0])) / abs(self.norms[0]))
+        return _relative_drift(self.norms)
+
+
+def _relative_drift(norms: np.ndarray) -> float:
+    """Largest distance of ``norms`` from the first, relative to it."""
+    return float(np.max(np.abs(norms - norms[0])) / abs(norms[0]))
 
 
 def assemble_state(
@@ -188,6 +194,17 @@ def default_time_step(p: PhysicalParams, phi: ScalarPotential, grid: GridSpec) -
     return 0.1 * grid.h / (p.c * p.hbar) * min(1.0, 1.0 / max(w_max, 1e-30))
 
 
+def time_grid(t_final: float, dt: float) -> tuple[float, int]:
+    """The step and step count of a run to ``t_final`` at about ``dt``:
+    n_steps = max(1, round(t_final / dt)) and t_final / n_steps, which
+    lands on ``t_final`` exactly. Rounding again with the returned step
+    gives the same pair."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n_steps = max(1, round(t_final / dt))
+    return t_final / n_steps, n_steps
+
+
 def frame_steps(n_steps: int, stride: int) -> list[int]:
     """The steps at which a run of ``n_steps`` is sampled: every
     ``stride``-th one from 0, and the last."""
@@ -218,15 +235,16 @@ def staggered_ladder(
     return coef + half_w, half_w - coef
 
 
-def evolve_pde(
+def pde_frames(
     initial: MajoranaSpinorState,
     p: PhysicalParams,
     phi: ScalarPotential,
     t_final: float,
     dt: float | None = None,
     stride: int = DEFAULT_STRIDE,
-) -> tuple[EvolutionTrace, MajoranaSpinorState]:
-    """Integrate the coupled first-order system with implicit midpoint.
+):
+    """Integrate the coupled first-order system with implicit midpoint,
+    yielding each sampled (t, rho) frame as the step loop reaches it.
 
     The ladder is the staggered A of ``staggered_ladder``: psi1 lives on
     the m interior nodes and psi2 on the m + 1 midpoints, where it
@@ -247,23 +265,26 @@ def evolve_pde(
     The sampled density is rho_j = psi1_j² + ½(psi2_{j-½}² + psi2_{j+½}²)
     at interior nodes and psi2² of the adjacent midpoint at the two
     boundary nodes, so its trapezoid sum is h(Σpsi1² + Σpsi2²), the
-    quantity the Cayley step conserves. The returned state is back on
-    the nodes: interior psi2 averages its two adjacent midpoints, and
-    both components are zero on the boundary nodes. Returns the trace
-    sampled at ``frame_steps(n_steps, stride)`` and the final state. An
-    initial state of zero norm, one the grid does not hold, raises
-    DegenerateFunctionError; a sampled norm that drifts by more than
-    100 ``NORM_DRIFT_TOL`` raises DivergenceError.
+    quantity the Cayley step conserves. Frames are taken at
+    ``frame_steps(n_steps, stride)`` of the ``time_grid(t_final, dt)``
+    steps, and each ``rho`` is a fresh array, so a consumer that keeps
+    frames does not alias them. When exhausted the generator returns
+    (norms, final): the trapezoid norm of each frame and the final
+    state, back on the nodes (interior psi2 averages its two adjacent
+    midpoints, and both components are zero on the boundary nodes).
+
+    An initial state of zero norm, one the grid does not hold, raises
+    DegenerateFunctionError before the first frame; a step that leaves
+    a non-finite value raises InstabilityError(step); a sampled norm
+    that drifts by more than 100 ``NORM_DRIFT_TOL`` raises
+    DivergenceError.
     """
     lapack = flapack()
     spec = initial.spec
     left, right = staggered_ladder(p, phi, spec)
     if dt is None:
         dt = default_time_step(p, phi, spec)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_steps = max(1, round(t_final / dt))
-    dt = t_final / n_steps
+    dt, n_steps = time_grid(t_final, dt)
 
     m = spec.n_points - 2
     alpha = dt / (2.0 * p.hbar)
@@ -285,20 +306,21 @@ def evolve_pde(
     tmp = np.empty(m)
     a_v1 = np.empty(m + 1)
     steps = frame_steps(n_steps, stride)
-    densities = np.empty((len(steps), spec.n_points))
     norms = np.empty(len(steps))
 
-    def snapshot(frame: int):
+    def snapshot(frame: int) -> np.ndarray:
         sq2 = u2**2
-        rho = densities[frame]
+        rho = np.empty(spec.n_points)
         rho[1:-1] = u1**2 + 0.5 * (sq2[:-1] + sq2[1:])
         rho[0] = sq2[0]
         rho[-1] = sq2[-1]
         norms[frame] = trapezoid(rho, spec.h)
+        return rho
 
-    snapshot(0)
+    rho = snapshot(0)
     if norms[0] == 0:
         raise DegenerateFunctionError("the initial state has zero norm on the grid")
+    yield 0.0, rho
     frame = 1
 
     for step in range(1, n_steps + 1):
@@ -318,13 +340,14 @@ def evolve_pde(
         if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
             raise InstabilityError(step)
         if step == steps[frame]:
-            snapshot(frame)
+            rho = snapshot(frame)
             drift = abs(norms[frame] - norms[0]) / abs(norms[0])
             if drift > 100.0 * NORM_DRIFT_TOL:
                 raise DivergenceError(
                     f"norm drift {drift:.3e} at step {step} "
                     f"exceeds {100.0 * NORM_DRIFT_TOL:.1e}"
                 )
+            yield step * dt, rho
             frame += 1
 
     psi1 = np.zeros(spec.n_points)
@@ -334,7 +357,72 @@ def evolve_pde(
     final = MajoranaSpinorState(
         GridFunction(spec, psi1), GridFunction(spec, psi2), t=n_steps * dt
     )
-    return EvolutionTrace(dt * np.array(steps), densities, norms), final
+    return norms, final
+
+
+def evolve_pde(
+    initial: MajoranaSpinorState,
+    p: PhysicalParams,
+    phi: ScalarPotential,
+    t_final: float,
+    dt: float | None = None,
+    stride: int = DEFAULT_STRIDE,
+) -> tuple[EvolutionTrace, MajoranaSpinorState]:
+    """Run ``pde_frames`` to the end and keep every frame. Returns the
+    trace, one frame per row, and the final state; it raises what
+    ``pde_frames`` raises."""
+    times, densities = [], []
+    frames = pde_frames(initial, p, phi, t_final, dt, stride)
+    while True:
+        try:
+            t, rho = next(frames)
+        except StopIteration as done:
+            norms, final = done.value
+            return EvolutionTrace(times, np.array(densities), norms), final
+        times.append(t)
+        densities.append(rho)
+
+
+class PdeCheck:
+    """The integration route measured against the closed form, as a
+    one-pass stream of frames.
+
+    Iterating it yields the sampled (t, rho) frames of ``pde_frames``
+    once; ``drain`` runs them to the end unread. When they are
+    exhausted, ``norm_drift`` holds the relative drift of the sampled
+    norms and ``max_component_error`` the larger sup-norm distance of
+    the two final components from the closed form at the final time.
+    Reading either earlier raises RuntimeError.
+    """
+
+    def __init__(self, frames):
+        self._result = None
+        self._frames = self._record(frames)
+
+    def _record(self, frames):
+        self._result = yield from frames
+
+    def __iter__(self):
+        return self._frames
+
+    def drain(self) -> PdeCheck:
+        """Run the integration to the end, dropping the frames."""
+        for _ in self._frames:
+            pass
+        return self
+
+    def _finished(self) -> tuple[float, float]:
+        if self._result is None:
+            raise RuntimeError("the PDE check is read before its frames are exhausted")
+        return self._result
+
+    @property
+    def norm_drift(self) -> float:
+        return self._finished()[0]
+
+    @property
+    def max_component_error(self) -> float:
+        return self._finished()[1]
 
 
 def pde_vs_closed_form(
@@ -345,20 +433,24 @@ def pde_vs_closed_form(
     t_final: float,
     dt: float,
     stride: int = DEFAULT_STRIDE,
-) -> tuple[EvolutionTrace, float]:
+) -> PdeCheck:
     """Integrate the closed-form level-``n`` spinor of ``model`` from
-    t = 0 to ``t_final`` with ``evolve_pde`` and compare the final state
-    with the closed form at the same time. Returns the sampled trace and
-    the larger sup-norm distance of the two components."""
+    t = 0 to ``t_final`` with ``pde_frames`` and compare the final state
+    with the closed form at the same time. The integration runs as the
+    returned ``PdeCheck`` is iterated."""
     y = model.y_of_x(grid.points())
     psi1, psi2 = linear.spinor(model, n, 0.0, y, delta)
     initial = MajoranaSpinorState(GridFunction(grid, psi1), GridFunction(grid, psi2))
-    trace, final = evolve_pde(
-        initial, model.params, LinearPotential(model.k), t_final, dt=dt, stride=stride
-    )
-    ref1, ref2 = linear.spinor(model, n, final.t, y, delta)
-    error = max(
-        float(np.max(np.abs(final.psi1.values - ref1))),
-        float(np.max(np.abs(final.psi2.values - ref2))),
-    )
-    return trace, error
+
+    def frames():
+        norms, final = yield from pde_frames(
+            initial, model.params, LinearPotential(model.k), t_final, dt=dt, stride=stride
+        )
+        ref1, ref2 = linear.spinor(model, n, final.t, y, delta)
+        error = max(
+            float(np.max(np.abs(final.psi1.values - ref1))),
+            float(np.max(np.abs(final.psi2.values - ref2))),
+        )
+        return _relative_drift(norms), error
+
+    return PdeCheck(frames())

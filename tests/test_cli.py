@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -466,11 +467,14 @@ def test_evolve_density_csv_error_wins_and_keeps_target(tmp_path, monkeypatch, p
             rows = broken()
         write_density_csv(path, grid, rows)
 
+    called = []
+
     def diverging(*args, **kwargs):
+        called.append(True)
         raise DivergenceError("PDE failed too")
 
     monkeypatch.setattr(cli, "write_density_csv", failing)
-    monkeypatch.setattr(evolution, "evolve_pde", diverging)
+    monkeypatch.setattr(evolution, "pde_frames", diverging)
     monkeypatch.setattr(sys, "platform", platform)
     cfg = evolve_config(tmp_path, dt=math.sqrt(2.0) * math.pi / 200)
     with pytest.raises(OSError, match="disk full"):
@@ -478,6 +482,62 @@ def test_evolve_density_csv_error_wins_and_keeps_target(tmp_path, monkeypatch, p
     assert target.read_bytes() == b"previous run\n"
     assert list(out.glob("*.tmp")) == []
     assert not (out / "evolve_summary.json").exists()
+    # in process, density.csv fails before the integration starts
+    assert called == ([True] if platform == "linux" else [])
+
+
+@pytest.mark.parametrize("platform", [sys.platform, "win32"], ids=["native", "in_process"])
+def test_evolve_pde_failure_mid_stream_keeps_target(tmp_path, monkeypatch, capsys, platform):
+    cfg = evolve_config(tmp_path, dt=math.sqrt(2.0) * math.pi / 200)
+    assert run("evolve", "--config", cfg, "--out", tmp_path / "reference") == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "density_pde.csv"
+    target.write_bytes(b"previous run\n")
+    yielded = []
+
+    def diverging(initial, p, phi, t_final, dt=None, stride=evolution.DEFAULT_STRIDE):
+        for step in (0, stride):
+            yielded.append(step)
+            yield step * dt, np.zeros(initial.spec.n_points)
+        raise DivergenceError("norm drift after two frames")
+
+    monkeypatch.setattr(evolution, "pde_frames", diverging)
+    monkeypatch.setattr(sys, "platform", platform)
+    capsys.readouterr()
+    assert run("evolve", "--config", cfg, "--out", out, "--pde") == 2
+    assert "norm drift after two frames" in capsys.readouterr().err
+    assert yielded == [0, 20]
+    assert target.read_bytes() == b"previous run\n"
+    assert list(out.glob("*.tmp")) == []
+    assert not (out / "evolve_summary.json").exists()
+    assert (out / "density.csv").read_bytes() == (
+        tmp_path / "reference" / "density.csv"
+    ).read_bytes()
+
+
+def test_evolve_pde_memory_does_not_grow_with_frames(tmp_path, monkeypatch):
+    # no worker, so tracemalloc sees both CSVs; 401 frames of 401 points
+    # held at once would be 401 * 401 * 8 B = 1.29 MB
+    monkeypatch.setattr(cli, "_density_worker", lambda stack: None)
+
+    def peak(stride):
+        cfg = write_config(
+            tmp_path / f"cfg{stride}.json",
+            grid={"x_min": -11.0, "x_max": 9.0, "n_points": 401},
+            evolve={"n": 1, "t_final": 1.0, "dt": 1.0 / 400, "stride": stride},
+        )
+        tracemalloc.start()
+        try:
+            assert run("evolve", "--config", cfg, "--out", tmp_path / f"out{stride}", "--pde") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(400)  # first-use imports and caches
+    few, every = peak(400), peak(1)
+    assert len(read_density(tmp_path / "out1" / "density_pde.csv")) == 401
+    assert every - few < 0.25e6
 
 
 def test_evolve_requires_linear_potential(tmp_path):

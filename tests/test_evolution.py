@@ -13,7 +13,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 import majorana1d as mj
-from majorana1d.evolution import staggered_ladder
+from majorana1d.evolution import staggered_ladder, time_grid
 from majorana1d.model import trapezoid
 
 from .conftest import sup
@@ -294,6 +294,69 @@ def test_pde_trace_keeps_frames_in_one_array(params, linear_potential, model, gr
     assert trace.densities.dtype == np.float64
     for rho, norm in zip(trace.densities, trace.norms):
         assert trapezoid(rho, grid10.h) == norm
+
+
+def test_pde_frames_are_fresh_and_make_the_trace(params, linear_potential, model, grid10):
+    y = model.y_of_x(grid10.points())
+    psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
+    initial = mj.MajoranaSpinorState(
+        mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
+    )
+    frames = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    listed = []
+    while True:
+        try:
+            listed.append(next(frames))
+        except StopIteration as done:
+            norms, final = done.value
+            break
+    rows = [rho for _, rho in listed]
+    assert len(rows) == len(mj.frame_steps(100, 7))
+    assert not any(
+        np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :]
+    )
+    trace, trace_final = mj.evolve_pde(
+        initial, params, linear_potential, 0.5, dt=0.005, stride=7
+    )
+    assert [t for t, _ in listed] == trace.times.tolist()
+    assert np.array(rows).tobytes() == trace.densities.tobytes()
+    assert norms.tobytes() == trace.norms.tobytes()
+    assert final.t == trace_final.t
+    assert final.psi1.values.tobytes() == trace_final.psi1.values.tobytes()
+    assert final.psi2.values.tobytes() == trace_final.psi2.values.tobytes()
+
+
+def test_pde_check_streams_once_then_reports(params, linear_potential, model, grid10):
+    T = mj.density_period(model, 1)
+    check = mj.pde_vs_closed_form(model, grid10, 1, math.pi / 2, T, T / 200, stride=20)
+    with pytest.raises(RuntimeError, match="exhausted"):
+        check.norm_drift
+    assert len(list(check)) == len(mj.frame_steps(200, 20))
+    assert list(check) == []
+    drained = mj.pde_vs_closed_form(model, grid10, 1, math.pi / 2, T, T / 200, stride=20)
+    assert drained.drain() is drained
+    assert drained.max_component_error == check.max_component_error <= 1e-2
+    y = model.y_of_x(grid10.points())
+    psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
+    initial = mj.MajoranaSpinorState(
+        mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
+    )
+    trace, _ = mj.evolve_pde(initial, params, linear_potential, T, dt=T / 200, stride=20)
+    assert drained.norm_drift == check.norm_drift == trace.norm_drift
+
+
+@pytest.mark.parametrize(
+    "t_final, dt, n_steps",
+    [(1.0, 0.3, 3), (math.sqrt(2.0) * math.pi, math.sqrt(2.0) * math.pi / 2000, 2000),
+     (0.05, 1.0, 1)],
+)
+def test_time_grid_lands_on_t_final_and_is_idempotent(t_final, dt, n_steps):
+    step, count = time_grid(t_final, dt)
+    assert count == n_steps
+    assert step == t_final / n_steps
+    assert time_grid(t_final, step) == (step, count)
+    with pytest.raises(ValueError):
+        time_grid(t_final, 0.0)
 
 
 @pytest.mark.parametrize("k", [1.0, -1.0])
