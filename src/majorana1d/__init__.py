@@ -29,7 +29,6 @@ from .evolution import (
     EvolutionTrace,
     MajoranaSpinorState,
     analytic_trace,
-    assemble_state,
     closed_form_frames,
     density_period,
     evolve_pde,
@@ -37,10 +36,10 @@ from .evolution import (
     measure_period,
     pde_frames,
     pde_vs_closed_form,
-    probability_density,
-    state_norm,
+    run_length,
     stationarity_metric,
 )
+from .invariants import verify_checks
 from .linear import (
     LinearModel,
     default_grid,
@@ -91,6 +90,7 @@ from .susy import (
     apply_a_dagger,
     builtin_family,
     check_shape_invariance,
+    compare_spectra,
     gram_matrix,
     linear_family,
     oracle_eigenvalues,

@@ -1,22 +1,18 @@
-"""Command-line front end.
+"""Command-line front end: it parses the config, calls the library and
+serializes what it returns.
 
-One JSON config document drives every subcommand; artifacts are written
-atomically with deterministic field order and shortest round-trip float
-formatting, so identical configs give byte-identical outputs.
+One JSON config document drives every subcommand. A command holds each
+config number to its bound in one ``_convert`` call and calls one
+library report: ``susy.compare_spectra`` (``spectrum``),
+``evolution.run_length`` and the frame streams (``evolve``),
+``invariants.verify_checks`` (``verify``), ``susy.zero_mode``
+(``classify``) or ``majorana_compatible`` (``audit``). Artifacts are
+written atomically with deterministic field order and shortest
+round-trip floats, so identical configs give byte-identical outputs.
 
-A command reads each config number and holds it to its lower bound in
-one ``_convert`` call, calls the library (``susy.oracle_eigenvalues``
-for the finite-difference spectra, ``evolution.closed_form_frames`` for
-the closed-form densities, ``evolution.pde_vs_closed_form`` for the PDE
-check against the closed form) and serializes what it returns.
-
-``evolve --pde`` writes the closed-form ``density.csv`` in one worker
-process, forked on Linux while no other thread runs, while this process
-integrates the first-order system and writes ``density_pde.csv``; the
-two routes share only the config. Elsewhere, and without ``--pde``,
-``density.csv`` is written in-process first. Both routes stream: each
-frame is written as it is computed, so memory does not grow with the
-frame count.
+``evolve --pde`` writes ``density.csv`` in one worker process, forked
+on Linux while no other thread runs, while this process integrates and
+writes ``density_pde.csv``; both stream one frame at a time.
 
 Exit codes: 0 success, 1 config/parse error, 2 tolerance failure,
 3 physics precondition violation.
@@ -39,17 +35,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evolution, linear, susy
+from . import evolution, invariants, linear, oracle, susy
 from .errors import (
     BrokenSusyError,
     ConfigError,
     MajoranaSolverError,
     PotentialSyntaxError,
 )
+from .invariants import DEFAULT_TOL
 from .model import (
+    DEFAULT_AUDIT_TOL,
     CouplingSet,
     CustomPotential,
-    GridFunction,
     GridSpec,
     LinearPotential,
     PhysicalParams,
@@ -58,13 +55,8 @@ from .model import (
     ScalarPotential,
     ScarfPotential,
     majorana_compatible,
-    norm,
-    trapezoid,
     zero_potential,
 )
-from .oracle import Sector, energy_from_lambda, verify_isospectral
-
-DEFAULT_TOL = 1e-3
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -104,20 +96,9 @@ def _convert(kind: type, value, key: str, bound: str | None = None):
     return result
 
 
-def _check_levels(grid: GridSpec, n_max: int, key: str):
-    """ConfigError naming ``key`` or ``grid.n_points`` unless the
-    finite-difference oracle can solve for levels 0..``n_max`` on
-    ``grid``: it needs at least 5 points, and one of its n_points - 2
-    interior points per level."""
-    if grid.n_points < 5:
-        raise ConfigError(
-            f"grid.n_points must be at least 5 for the finite-difference spectrum, "
-            f"got {grid.n_points}"
-        )
-    if n_max > grid.n_points - 3:
-        raise ConfigError(
-            f"{key} must be at most grid.n_points - 3 = {grid.n_points - 3}, got {n_max}"
-        )
+def _positive(value, key: str) -> float | None:
+    """An optional config number held positive; None stays None."""
+    return None if value is None else _convert(float, value, key, "positive")
 
 
 def _flag(section: dict, key: str, where: str) -> bool:
@@ -289,14 +270,15 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     if not isinstance(section, dict):
         raise ConfigError("config needs a 'spectrum' object with 'n_max'")
     n_max = _convert(int, _need(section, "n_max", "spectrum"), "spectrum.n_max", "non-negative")
-    _check_levels(cfg.grid, n_max, "spectrum.n_max")
+    oracle.require_levels(cfg.grid, n_max, "spectrum.n_max")
     algebraic = _flag(section, "algebraic", "spectrum")
 
-    classification = susy.zero_mode(cfg.params, cfg.potential, cfg.grid)
+    comparison = susy.compare_spectra(
+        cfg.params, cfg.potential, cfg.grid, n_max, n_max + 1, algebraic
+    )
     invariance = None
-    energies_algebraic = None
     if algebraic:
-        if not classification.unbroken:
+        if not comparison.classification.unbroken:
             print(
                 "spectrum: SUSY is broken for this configuration (no normalizable "
                 "zero mode); the algebraic shape-invariance spectrum does not exist. "
@@ -304,64 +286,34 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
                 file=sys.stderr,
             )
             return EXIT_PHYSICS
-        family = susy.builtin_family(cfg.params, cfg.potential)
-        if family is None:
+        if comparison.family is None:
             raise ConfigError(
                 "no built-in shape-invariant family for potential kind "
                 f"{cfg.potential.kind!r} with these physical parameters; "
                 "set spectrum.algebraic to false"
             )
-        result = susy.check_shape_invariance(family, cfg.params, cfg.grid)
-        invariance = {
-            "family": family.label,
-            "r_declared": family.remainder(family.a1),
-            "r_measured": result.r_measured,
-            "spread": result.spread,
-            "is_invariant": result.is_invariant,
-        }
-        if not result.is_invariant:
+        invariance = {"family": comparison.family.label, **asdict(comparison.invariance)}
+        if not comparison.invariance.is_invariant:
             print(
-                f"spectrum: shape-invariance check failed (spread {result.spread:.3e})",
+                "spectrum: shape-invariance check failed "
+                f"(spread {comparison.invariance.spread:.3e})",
                 file=sys.stderr,
             )
             return EXIT_TOLERANCE
-        energies_algebraic = susy.algebraic_spectrum(family, n_max)
 
-    pair = susy.partner_potentials(cfg.params, cfg.potential, cfg.grid)
-    sector = classification.sector or Sector.MINUS
-    energies_oracle = [
-        energy_from_lambda(lam, cfg.tol)
-        for lam in susy.oracle_eigenvalues(pair, sector, n_max + 1)
-    ]
-
-    levels = []
-    worst = 0.0
-    for n in range(n_max + 1):
-        e_alg = float(energies_algebraic[n]) if energies_algebraic is not None else None
-        e_orc = energies_oracle[n]
-        diff = abs(e_alg - e_orc) if e_alg is not None else None
-        if diff is not None:
-            worst = max(worst, diff)
-        levels.append(
-            {
-                "n": n,
-                "energy_algebraic": e_alg,
-                "energy_oracle": e_orc,
-                "abs_diff": diff,
-            }
-        )
-
+    levels = comparison.levels(cfg.tol)
     payload = _describe_common(cfg)
     payload.update(
         {
-            "sector": sector.value,
+            "sector": comparison.sector.value,
             "tolerance": cfg.tol,
             "shape_invariance": invariance,
             "levels": levels,
         }
     )
     write_json(out_dir / "spectrum.json", payload)
-    if energies_algebraic is not None and worst > cfg.tol:
+    worst = max(level["abs_diff"] or 0.0 for level in levels)
+    if worst > cfg.tol:
         print(
             f"spectrum: algebraic/oracle mismatch {worst:.3e} exceeds tol {cfg.tol:.1e}",
             file=sys.stderr,
@@ -418,48 +370,32 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
         int, section.get("stride", evolution.DEFAULT_STRIDE), "evolve.stride", "positive"
     )
 
-    model = linear.LinearModel(cfg.potential.k, cfg.params)
-    period = evolution.density_period(model, n) if n >= 1 else None
-    t_final = section.get("t_final")
+    t_final = _positive(section.get("t_final"), "evolve.t_final")
+    periods = None
     if t_final is None:
         periods = _convert(float, section.get("periods", 1.0), "evolve.periods", "positive")
-        if period is None:
-            t_final = 5.0
-            print(
-                "evolve: the ground state is stationary and has no period; "
-                f"falling back to t_final={t_final}",
-                file=sys.stderr,
-            )
-        else:
-            t_final = periods * period
-    t_final = _convert(float, t_final, "evolve.t_final", "positive")
-    dt = section.get("dt")
-    if dt is None and period is not None:
-        dt = period / evolution.STEPS_PER_PERIOD
-    elif dt is None:
-        dt = evolution.default_time_step(cfg.params, cfg.potential, cfg.grid)
-    dt, n_steps = evolution.time_grid(t_final, _convert(float, dt, "evolve.dt", "positive"))
+    dt = _positive(section.get("dt"), "evolve.dt")
 
-    steps = evolution.frame_steps(n_steps, stride)
-    density_job = (out_dir / "density.csv", cfg.grid, model, n, delta, dt, steps)
-    _, rho0 = next(evolution.closed_form_frames(model, cfg.grid, n, delta, dt, steps))
-    state_norm = trapezoid(rho0, cfg.grid.h)
-    if abs(1.0 - state_norm) > evolution.NORM_DRIFT_TOL:
-        raise ConfigError(
-            f"grid: the level-{n} state has norm {state_norm:.3e} on the grid, not 1 "
-            f"within {evolution.NORM_DRIFT_TOL:.0e}; it lies outside [x_min, x_max] = "
-            f"[{cfg.grid.x_min!r}, {cfg.grid.x_max!r}] or the grid is too coarse; "
-            f"put the grid around x = {-model.y_shift!r}"
+    model = linear.LinearModel(cfg.potential.k, cfg.params)
+    run = evolution.run_length(model, cfg.grid, n, t_final, periods, dt)
+    if run.fallback:
+        print(
+            "evolve: the ground state is stationary and has no period; "
+            f"falling back to t_final={run.t_final}",
+            file=sys.stderr,
         )
+    steps = evolution.frame_steps(run.n_steps, stride)
+    density_job = (out_dir / "density.csv", cfg.grid, model, n, delta, run.dt, steps)
+    evolution.require_grid_holds(model, cfg.grid, n, delta)
     summary = _describe_common(cfg)
     summary.update(
         {
             "n": n,
             "delta": delta,
-            "period": period,
-            "t_final": t_final,
-            "dt": dt,
-            "steps": n_steps,
+            "period": run.period,
+            "t_final": run.t_final,
+            "dt": run.dt,
+            "steps": run.n_steps,
             "stride": stride,
             "pde": bool(use_pde),
         }
@@ -475,7 +411,9 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
             # replaces a PDE error, as when that file is written first
             stack.callback(pool.submit(write_analytic_density_csv, *density_job).result)
         if use_pde:
-            check = evolution.pde_vs_closed_form(model, cfg.grid, n, delta, t_final, dt, stride)
+            check = evolution.pde_vs_closed_form(
+                model, cfg.grid, n, delta, run.t_final, run.dt, stride
+            )
             write_density_csv(out_dir / "density_pde.csv", cfg.grid, check)
             max_err = check.max_component_error
             summary.update({"max_component_error": max_err, "norm_drift": check.norm_drift})
@@ -506,12 +444,14 @@ def _audit_couplings(cfg: RunConfig) -> CouplingSet:
     return CouplingSet(*map(coupling, ("f1", "f2", "f3", "f4")))
 
 
+def _audit_tol(cfg: RunConfig) -> float:
+    """``audit_tol``, as ``audit`` and ``verify`` both read it."""
+    value = cfg.raw.get("audit_tol", DEFAULT_AUDIT_TOL)
+    return _convert(float, value, "audit_tol", "non-negative")
+
+
 def cmd_audit(cfg: RunConfig, out_dir: Path, tol_override: float | None) -> int:
-    audit_tol = (
-        tol_override
-        if tol_override is not None
-        else _convert(float, cfg.raw.get("audit_tol", 1e-9), "audit_tol", "non-negative")
-    )
+    audit_tol = tol_override if tol_override is not None else _audit_tol(cfg)
     report = majorana_compatible(_audit_couplings(cfg), cfg.grid, audit_tol)
     payload = _describe_common(cfg)
     payload.update(
@@ -564,81 +504,17 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         int, section.get("ladder_levels", 5), "verify.ladder_levels", "positive"
     )
     run_pde = _flag(section, "pde", "verify")
-    checks: list[dict] = []
-
-    def record(name: str, residual: float, tol: float, passed=None):
-        checks.append(
-            {
-                "name": name,
-                "residual": float(residual),
-                "tol": float(tol),
-                "passed": bool(residual <= tol) if passed is None else bool(passed),
-            }
-        )
-
-    audit = majorana_compatible(_audit_couplings(cfg), cfg.grid, 1e-9)
-    worst_coupling = max((v for k, v in audit.max_abs.items() if k != "f2"), default=0.0)
-    record("coupling_reality_audit", worst_coupling, 1e-9, passed=audit.compatible)
-
-    cls = susy.zero_mode(cfg.params, cfg.potential, cfg.grid)
-    record("unbroken_susy", 0.0 if cls.unbroken else 1.0, 0.5, passed=cls.unbroken)
-
-    if cls.unbroken:
-        residual = cls.annihilation_residual(cfg.params, cfg.potential)
-        record("zero_mode_annihilation", residual, 1e-4)
-
-    family = susy.builtin_family(cfg.params, cfg.potential)
-    if family is not None and cls.unbroken:
-        inv = susy.check_shape_invariance(family, cfg.params, cfg.grid)
-        record("shape_invariance_spread", inv.spread, susy.SHAPE_INVARIANCE_TOL)
-        record(
-            "shape_invariance_remainder",
-            abs(inv.r_measured - family.remainder(family.a1)),
-            1e-10,
-        )
-        _check_levels(cfg.grid, n_max, "verify.n_max")
-        energies = susy.algebraic_spectrum(family, n_max)
-        pair = susy.partner_potentials(cfg.params, cfg.potential, cfg.grid)
-        # one host level above the partner's, so n_max = 0 still compares a level
-        host = susy.oracle_eigenvalues(pair, cls.sector, max(n_max, 1) + 1)
-        worst_energy = max(abs(energies[n] ** 2 - host[n]) for n in range(n_max + 1))
-        record("algebraic_vs_oracle_energy_sq", worst_energy, cfg.tol)
-
-        partner = susy.oracle_eigenvalues(pair, cls.sector.partner, max(n_max, 1))
-        # interlacing: partner level n pairs with host level n+1
-        iso = verify_isospectral(host, partner, 5e-3, cfg.tol)
-        record("partner_isospectrality", iso.max_diff, iso.tol, passed=iso.passed)
-
-    is_linear = isinstance(cfg.potential, LinearPotential) and cfg.potential.k != 0
-    if is_linear and cls.unbroken:
-        model = linear.LinearModel(cfg.potential.k, cfg.params)
-        y = model.y_of_x(cfg.grid.points())
-        if model.k > 0:
-            gaussian = linear.eigenstate_minus(model, 0, y)
-            record(
-                "zero_mode_matches_gaussian",
-                float(np.max(np.abs(cls.zero_mode.values - gaussian))),
-                1e-6,
-            )
-            worst_ladder = 0.0
-            for level in range(1, ladder_levels + 1):
-                minus_n = GridFunction(cfg.grid, linear.eigenstate_minus(model, level, y))
-                target = linear.energy(model, level) * linear.eigenstate_plus(
-                    model, level, y
-                )
-                image = susy.apply_a(cfg.params, cfg.potential, minus_n).values
-                if float(np.dot(image, target)) < 0:
-                    target = -target
-                worst_ladder = max(worst_ladder, norm(GridFunction(cfg.grid, image - target)))
-            record("ladder_mapping_residual", worst_ladder, 1e-3)
-
-        if run_pde:
-            period = evolution.density_period(model, 1)
-            check = evolution.pde_vs_closed_form(
-                model, cfg.grid, 1, math.pi / 2.0, period, period / evolution.STEPS_PER_PERIOD
-            ).drain()
-            record("pde_one_period_return", check.max_component_error, 1e-3)
-            record("pde_norm_drift", check.norm_drift, evolution.NORM_DRIFT_TOL)
+    checks = invariants.verify_checks(
+        cfg.params,
+        cfg.potential,
+        cfg.grid,
+        _audit_couplings(cfg),
+        _audit_tol(cfg),
+        cfg.tol,
+        n_max,
+        ladder_levels,
+        run_pde,
+    )
 
     payload = _describe_common(cfg)
     passed = all(entry["passed"] for entry in checks)

@@ -26,6 +26,7 @@ import numpy as np
 from . import linear
 from ._lapack import flapack
 from .errors import (
+    ConfigError,
     DegenerateFunctionError,
     DivergenceError,
     GridMismatchError,
@@ -44,9 +45,13 @@ from .model import (
 )
 
 NORM_DRIFT_TOL = 1e-6
+# Largest sup-norm distance of an integrated component from the closed form
+PDE_RETURN_TOL = 1e-3
 DEFAULT_STRIDE = 50
 # time steps per density period when no step is given
 STEPS_PER_PERIOD = 2000
+# run length of a ground state asked for in periods: it has none
+GROUND_STATE_T_FINAL = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,34 +94,6 @@ class EvolutionTrace:
 def _relative_drift(norms: np.ndarray) -> float:
     """Largest distance of ``norms`` from the first, relative to it."""
     return float(np.max(np.abs(norms - norms[0])) / abs(norms[0]))
-
-
-def assemble_state(
-    phi_minus: GridFunction,
-    phi_plus: GridFunction,
-    energy: float,
-    delta: float,
-    t: float,
-    hbar: float = 1.0,
-) -> MajoranaSpinorState:
-    """Separation-ansatz state at time t. For energy = 0 pass a zero
-    function as the plus component (that sector has no partner state)."""
-    if energy < 0:
-        raise ValueError("energy label must be non-negative")
-    theta = energy * t / hbar + delta
-    return MajoranaSpinorState(
-        psi1=GridFunction(phi_minus.spec, phi_minus.values * math.sin(theta)),
-        psi2=GridFunction(phi_plus.spec, phi_plus.values * math.cos(theta)),
-        t=t,
-    )
-
-
-def probability_density(state: MajoranaSpinorState) -> GridFunction:
-    return GridFunction(state.spec, state.psi1.values**2 + state.psi2.values**2)
-
-
-def state_norm(state: MajoranaSpinorState) -> float:
-    return trapezoid(state.psi1.values**2 + state.psi2.values**2, state.spec.h)
 
 
 def density_period(model: LinearModel, n: int) -> float:
@@ -167,10 +144,21 @@ def analytic_trace(
     times,
     hbar: float = 1.0,
 ) -> EvolutionTrace:
-    """Trace of the separation-ansatz state sampled at ``times``."""
+    """Trace of the separation-ansatz state psi1 = phi^- sin(θ),
+    psi2 = phi^+ cos(θ), θ = Et/ħ + δ, sampled at ``times``. For
+    energy = 0 pass a zero function as the plus component (that sector
+    has no partner state)."""
+    if energy < 0:
+        raise ValueError("energy label must be non-negative")
+    if phi_minus.spec != phi_plus.spec:
+        raise GridMismatchError("spinor components live on different grids")
     times = np.asarray(times, dtype=float)
-    states = (assemble_state(phi_minus, phi_plus, energy, delta, float(t), hbar) for t in times)
-    densities = np.array([probability_density(state).values for state in states])
+    densities = np.array(
+        [
+            (phi_minus.values * math.sin(theta)) ** 2 + (phi_plus.values * math.cos(theta)) ** 2
+            for theta in energy * times / hbar + delta
+        ]
+    )
     norms = [trapezoid(rho, phi_minus.spec.h) for rho in densities]
     return EvolutionTrace(times, densities, np.array(norms))
 
@@ -203,6 +191,61 @@ def time_grid(t_final: float, dt: float) -> tuple[float, int]:
         raise ValueError("dt must be positive")
     n_steps = max(1, round(t_final / dt))
     return t_final / n_steps, n_steps
+
+
+@dataclass(frozen=True)
+class RunLength:
+    """The time grid of one ``evolve`` run; ``fallback`` tells whether
+    ``t_final`` fell back to ``GROUND_STATE_T_FINAL``."""
+
+    period: float | None
+    t_final: float
+    dt: float
+    n_steps: int
+    fallback: bool
+
+
+def run_length(
+    model: LinearModel,
+    grid: GridSpec,
+    n: int,
+    t_final: float | None,
+    periods: float | None,
+    dt: float | None,
+) -> RunLength:
+    """The time grid of a level-``n`` run of ``model`` on ``grid``. Without
+    ``t_final`` it lasts ``periods`` density periods, or for the
+    stationary n = 0 ``GROUND_STATE_T_FINAL``; without ``dt`` the step is
+    the period over ``STEPS_PER_PERIOD``, or for n = 0
+    ``default_time_step``. ``time_grid`` then rounds the step."""
+    period = density_period(model, n) if n >= 1 else None
+    fallback = t_final is None and period is None
+    if t_final is None:
+        t_final = GROUND_STATE_T_FINAL if fallback else periods * period
+    if not math.isfinite(t_final):  # a multiple of the period can overflow
+        raise ConfigError(f"evolve.t_final must be finite, got {t_final!r}")
+    if dt is None and period is not None:
+        dt = period / STEPS_PER_PERIOD
+    elif dt is None:
+        dt = default_time_step(model.params, LinearPotential(model.k), grid)
+    dt, n_steps = time_grid(t_final, dt)
+    return RunLength(period, t_final, dt, n_steps, fallback)
+
+
+def require_grid_holds(model: LinearModel, grid: GridSpec, n: int, delta: float):
+    """ConfigError naming ``grid`` unless the trapezoid norm of the
+    closed-form level-``n`` state at t = 0 is 1 within ``NORM_DRIFT_TOL``
+    on ``grid``; otherwise the state lies partly outside it, or the grid
+    is too coarse for it."""
+    _, rho = next(closed_form_frames(model, grid, n, delta, 0.0, [0]))
+    norm = trapezoid(rho, grid.h)
+    if abs(1.0 - norm) > NORM_DRIFT_TOL:
+        raise ConfigError(
+            f"grid: the level-{n} state has norm {norm:.3e} on the grid, not 1 "
+            f"within {NORM_DRIFT_TOL:.0e}; it lies outside [x_min, x_max] = "
+            f"[{grid.x_min!r}, {grid.x_max!r}] or the grid is too coarse; "
+            f"put the grid around x = {-model.y_shift!r}"
+        )
 
 
 def frame_steps(n_steps: int, stride: int) -> list[int]:

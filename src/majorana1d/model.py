@@ -235,8 +235,9 @@ class CustomPotential(ScalarPotential):
         return out
 
 
-def zero_potential() -> CustomPotential:
-    return CustomPotential("0")
+def zero_potential() -> LinearPotential:
+    """The identically zero coupling, built in: nothing to parse."""
+    return LinearPotential(0.0)
 
 
 def sample(spec: GridSpec, f) -> GridFunction:
@@ -289,6 +290,11 @@ class CouplingSet:
     f2: ScalarPotential
     f3: ScalarPotential
     f4: ScalarPotential
+
+
+# Largest amplitude an audited coupling outside the scalar channel may
+# have when the config sets no ``audit_tol``
+DEFAULT_AUDIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,12 @@ from enum import Enum
 import numpy as np
 
 from ._lapack import flapack
-from .errors import DiscretizationError
+from .errors import ConfigError, DiscretizationError
 from .model import GridFunction, GridSpec, PhysicalParams, normalize
+
+# Largest |E+_n - E-_(n+1)| between the two partner spectra that counts
+# as isospectral
+ISOSPECTRAL_TOL = 5e-3
 
 
 class Sector(str, Enum):
@@ -93,6 +97,22 @@ def discretize(
     diagonal = 2.0 * kin + v.values[1:-1]
     off_diagonal = np.full(spec.n_points - 3, -kin)
     return TridiagonalOperator(diagonal, off_diagonal, spec, sector)
+
+
+def require_levels(spec: GridSpec, n_max: int, key: str):
+    """ConfigError naming ``key`` or ``grid.n_points`` unless levels
+    0..``n_max`` can be solved on ``spec``: ``discretize`` needs at least
+    5 points, and ``eigensolve`` one of the n_points - 2 interior points
+    per level."""
+    if spec.n_points < 5:
+        raise ConfigError(
+            f"grid.n_points must be at least 5 for the finite-difference spectrum, "
+            f"got {spec.n_points}"
+        )
+    if n_max > spec.n_points - 3:
+        raise ConfigError(
+            f"{key} must be at most grid.n_points - 3 = {spec.n_points - 3}, got {n_max}"
+        )
 
 
 def _bands(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -188,22 +208,16 @@ def energy_from_lambda(lam: float, tol: float = 1e-9) -> float:
 
 
 @dataclass(frozen=True)
-class LevelMatch:
-    n: int
-    energy_plus: float
-    energy_minus_next: float
-    abs_diff: float
-
-
-@dataclass(frozen=True)
 class IsospectralReport:
-    entries: tuple[LevelMatch, ...]
+    """|E+_n - E-_(n+1)| for each compared level n, against ``tol``."""
+
+    diffs: tuple[float, ...]
     tol: float
     passed: bool
 
     @property
     def max_diff(self) -> float:
-        return max((e.abs_diff for e in self.entries), default=0.0)
+        return max(self.diffs, default=0.0)
 
 
 def verify_isospectral(
@@ -216,10 +230,8 @@ def verify_isospectral(
     comparable levels of two ascending energy² sequences (the output of
     ``eigenvalues``, or the ``energy_squared`` of ``eigensolve`` pairs);
     energies are taken with ``energy_from_lambda`` at ``clamp_tol``."""
-    entries = []
-    for n in range(min(len(plus), len(minus) - 1)):
-        e_plus = energy_from_lambda(plus[n], clamp_tol)
-        e_minus = energy_from_lambda(minus[n + 1], clamp_tol)
-        entries.append(LevelMatch(n, e_plus, e_minus, abs(e_plus - e_minus)))
-    passed = all(e.abs_diff <= tol for e in entries)
-    return IsospectralReport(tuple(entries), tol, passed)
+    diffs = tuple(
+        abs(energy_from_lambda(plus[n], clamp_tol) - energy_from_lambda(minus[n + 1], clamp_tol))
+        for n in range(min(len(plus), len(minus) - 1))
+    )
+    return IsospectralReport(diffs, tol, all(d <= tol for d in diffs))

@@ -10,6 +10,7 @@ reparametrization remainder R.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +37,15 @@ from .oracle import Eigenpair, Sector
 BOUNDARY_TOL = 1e-6
 # Largest spread of V_+(a1, x) - V_-(f(a1), x) on the grid that counts as constant
 SHAPE_INVARIANCE_TOL = 1e-8
+# Largest |mean of that difference - R(a1)|
+REMAINDER_TOL = 1e-10
+# Largest ||A ψ0|| (or ||A† ψ0||) of a sampled zero mode
+ANNIHILATION_TOL = 1e-4
+# Largest sup-norm distance of a sampled zero mode from the closed-form
+# ground state, and largest ||A φ-_n - E_n φ+_n|| of the central-difference
+# ladder on closed-form states
+ZERO_MODE_TOL = 1e-6
+LADDER_TOL = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,9 +223,10 @@ def builtin_family(p: PhysicalParams, phi: ScalarPotential) -> ShapeInvariantFam
 
 @dataclass(frozen=True)
 class ShapeInvarianceResult:
+    r_declared: float
     r_measured: float
-    is_invariant: bool
     spread: float
+    is_invariant: bool
 
 
 def check_shape_invariance(
@@ -223,7 +234,8 @@ def check_shape_invariance(
 ) -> ShapeInvarianceResult:
     """Measure d(x) = V_+(a1, x) - V_-(f(a1), x) on the grid. Shape
     invariance means d is the constant R(a1): flat within
-    ``SHAPE_INVARIANCE_TOL``."""
+    ``SHAPE_INVARIANCE_TOL``, with a mean that ``REMAINDER_TOL`` holds to
+    the declared R(a1)."""
     a1 = fam.a1
     a2 = fam.next_parameter(a1)
     v_plus = partner_potentials(p, fam.potential_at(a1), grid).v_plus
@@ -231,7 +243,10 @@ def check_shape_invariance(
     d = v_plus.values - v_minus_next.values
     spread = float(d.max() - d.min())
     return ShapeInvarianceResult(
-        r_measured=float(d.mean()), is_invariant=spread <= SHAPE_INVARIANCE_TOL, spread=spread
+        r_declared=fam.remainder(a1),
+        r_measured=float(d.mean()),
+        spread=spread,
+        is_invariant=spread <= SHAPE_INVARIANCE_TOL,
     )
 
 
@@ -251,6 +266,75 @@ def algebraic_spectrum(fam: ShapeInvariantFamily, n_max: int) -> np.ndarray:
             )
         energies.append(float(np.sqrt(total)))
     return np.array(energies)
+
+
+@dataclass(frozen=True, eq=False)
+class SpectrumComparison:
+    """One run of the shape-invariance chain beside the oracle, from
+    ``compare_spectra``. ``family`` and ``invariance`` are None where the
+    chain stops, and ``pair`` where the oracle does not run. The energies
+    are solved when first read, so a caller that stops at a failed
+    precondition never solves."""
+
+    pair: PartnerPotentials | None
+    n_max: int
+    oracle_levels: int
+    classification: SusyClassification
+    family: ShapeInvariantFamily | None
+    invariance: ShapeInvarianceResult | None
+
+    @property
+    def sector(self) -> Sector:
+        """The sector hosting the zero mode; MINUS when SUSY is broken."""
+        return self.classification.sector or Sector.MINUS
+
+    @functools.cached_property
+    def algebraic(self) -> np.ndarray | None:
+        return None if self.family is None else algebraic_spectrum(self.family, self.n_max)
+
+    @functools.cached_property
+    def host(self) -> np.ndarray:
+        """The ``oracle_levels`` lowest oracle energies² of ``sector``."""
+        return oracle_eigenvalues(self.pair, self.sector, self.oracle_levels)
+
+    @functools.cached_property
+    def partner(self) -> np.ndarray:
+        """One level fewer of the other sector: level n pairs with host level n + 1."""
+        return oracle_eigenvalues(self.pair, self.sector.partner, self.oracle_levels - 1)
+
+    def levels(self, tol: float) -> list[dict]:
+        """The level records of ``spectrum``, each oracle energy taken
+        with ``oracle.energy_from_lambda`` at ``tol``."""
+        algebraic = self.algebraic
+        records = []
+        for n in range(self.n_max + 1):
+            e_orc = oracle.energy_from_lambda(self.host[n], tol)
+            e_alg = None if algebraic is None else float(algebraic[n])
+            diff = None if e_alg is None else abs(e_alg - e_orc)
+            records.append(
+                {"n": n, "energy_algebraic": e_alg, "energy_oracle": e_orc, "abs_diff": diff}
+            )
+        return records
+
+
+def compare_spectra(
+    p: PhysicalParams,
+    phi: ScalarPotential,
+    grid: GridSpec,
+    n_max: int,
+    oracle_levels: int,
+    algebraic: bool = True,
+) -> SpectrumComparison:
+    """Classify the zero mode of ``phi`` and, when ``algebraic`` and SUSY
+    is unbroken, measure the shape invariance of its built-in family.
+    Bisection bits depend on the level count, so ``spectrum`` asks for
+    ``oracle_levels`` = n_max + 1 and ``verify`` for max(n_max, 1) + 1."""
+    cls = zero_mode(p, phi, grid)
+    family = builtin_family(p, phi) if algebraic and cls.unbroken else None
+    invariance = None if family is None else check_shape_invariance(family, p, grid)
+    # the oracle runs beside a family, or alone when none is asked for
+    pair = partner_potentials(p, phi, grid) if family is not None or not algebraic else None
+    return SpectrumComparison(pair, n_max, oracle_levels, cls, family, invariance)
 
 
 def state_hierarchy(

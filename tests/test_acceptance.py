@@ -106,7 +106,7 @@ def test_criterion_4_isospectrality(setup):
     report(
         4,
         "isospectrality",
-        result.passed and len(result.entries) == 9 and elapsed < 10.0,
+        result.passed and len(result.diffs) == 9 and elapsed < 10.0,
         f"max |E+_n - E-_(n+1)| = {result.max_diff:.3e} over n<=8 (tol 5e-3), "
         f"{elapsed:.2f}s (< 10s)",
     )

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from majorana1d import cli, evolution
+from majorana1d import cli, evolution, invariants, susy
 from majorana1d.cli import main, write_density_csv
 from majorana1d.errors import DivergenceError
-from majorana1d.model import GridSpec
+from majorana1d.model import DEFAULT_AUDIT_TOL, GridSpec
 
 
 def write_config(path, **overrides):
@@ -136,6 +136,32 @@ def test_spectrum_oracle_only_other_kinds(tmp_path):
         assert run("spectrum", "--config", cfg, "--out", tmp_path / "out") == 0
 
 
+LINEAR_POS = {"potential": {"kind": "linear", "k": 1.0}}
+LINEAR_NEG = {
+    "potential": {"kind": "linear", "k": -1.0},
+    "grid": {"x_min": -11.0, "x_max": 13.0, "n_points": 2001},
+}
+POSCHL_TELLER = {
+    "potential": {"kind": "poschl_teller", "depth": 3.0, "width": 1.0},
+    "physical": {"mass": 0.0, "c": 1.0, "hbar": 1.0},
+    "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 8001},
+}
+FAMILIES = [LINEAR_POS, LINEAR_NEG, POSCHL_TELLER]
+FAMILY_IDS = ["linear", "linear_negative", "poschl_teller"]
+
+
+@pytest.mark.parametrize("overrides", FAMILIES, ids=FAMILY_IDS)
+def test_spectrum_levels_are_the_library_comparison(tmp_path, overrides):
+    cfg = write_config(tmp_path / "cfg.json", spectrum={"n_max": 2}, **overrides)
+    assert run("spectrum", "--config", cfg, "--out", tmp_path / "out") == 0
+    data = json.loads((tmp_path / "out" / "spectrum.json").read_text())
+    loaded = cli.load_config(str(cfg))
+    comparison = susy.compare_spectra(loaded.params, loaded.potential, loaded.grid, 2, 3)
+    assert data["levels"] == comparison.levels(loaded.tol)
+    assert data["sector"] == comparison.sector.value
+    assert data["shape_invariance"]["r_declared"] == comparison.invariance.r_declared
+
+
 def test_malformed_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"potential": ')
@@ -192,6 +218,8 @@ MALFORMED_VALUES = [
         {"verify": {"n_max": 1, "ladder_levels": -3}},
     ),
     ("evolve.periods must be positive", "evolve", {"evolve": {"n": 1, "periods": 0}}),
+    # a finite number of periods whose length overflows
+    ("evolve.t_final must be finite", "evolve", {"evolve": {"n": 1, "periods": 1e308}}),
     # a solve for more levels than the grid has interior points, or on a
     # grid too small to discretize, is a config error
     (
@@ -670,6 +698,70 @@ def test_verify_default_linear_passes(tmp_path):
             "partner_isospectrality", "ladder_mapping_residual",
             "pde_one_period_return", "pde_norm_drift"} <= names
     assert all(c["passed"] for c in data["checks"])
+    # the PDE checks close the list, at evolution.PDE_RETURN_TOL and NORM_DRIFT_TOL
+    assert [(c["name"], c["tol"]) for c in data["checks"][-2:]] == [
+        ("pde_one_period_return", 1e-3),
+        ("pde_norm_drift", 1e-6),
+    ]
+
+
+@pytest.mark.parametrize("overrides", FAMILIES, ids=FAMILY_IDS)
+def test_verify_writes_the_library_check_list(tmp_path, overrides):
+    cfg = write_config(tmp_path / "cfg.json", verify={"n_max": 2, "pde": False}, **overrides)
+    assert run("verify", "--config", cfg, "--out", tmp_path / "out") == 0
+    written = json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]
+    loaded = cli.load_config(str(cfg))
+    checks = invariants.verify_checks(
+        loaded.params,
+        loaded.potential,
+        loaded.grid,
+        cli._audit_couplings(loaded),
+        DEFAULT_AUDIT_TOL,
+        loaded.tol,
+        2,
+        5,
+        False,
+    )
+    assert checks == written
+    names = [check["name"] for check in written]
+    expected = ["coupling_reality_audit", "unbroken_susy", "zero_mode_annihilation",
+                "shape_invariance_spread", "shape_invariance_remainder",
+                "algebraic_vs_oracle_energy_sq", "partner_isospectrality"]
+    if overrides is LINEAR_POS:
+        expected += ["zero_mode_matches_gaussian", "ladder_mapping_residual"]
+    assert names == expected
+    tols = {check["name"]: check["tol"] for check in written}
+    assert tols["coupling_reality_audit"] == 1e-9
+    assert tols["unbroken_susy"] == 0.5
+    assert tols["zero_mode_annihilation"] == 1e-4
+    assert tols["shape_invariance_spread"] == 1e-8
+    assert tols["shape_invariance_remainder"] == 1e-10
+    assert tols["algebraic_vs_oracle_energy_sq"] == 1e-3
+    assert tols["partner_isospectrality"] == 5e-3
+    if overrides is LINEAR_POS:
+        assert tols["zero_mode_matches_gaussian"] == 1e-6
+        assert tols["ladder_mapping_residual"] == 1e-3
+
+
+def test_verify_reads_audit_tol_as_audit_does(tmp_path, capsys):
+    # a pseudoscalar below audit_tol passes both commands
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        audit_tol=1e-6,
+        audit={"f3": {"kind": "custom", "expression": "1e-7*sin(x)"}},
+        verify={"pde": False},
+    )
+    assert run("audit", "--config", cfg, "--out", tmp_path / "out") == 0
+    assert run("verify", "--config", cfg, "--out", tmp_path / "out") == 0
+    checks = json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]
+    audit = next(c for c in checks if c["name"] == "coupling_reality_audit")
+    assert audit["tol"] == 1e-6 and audit["passed"] is True
+    assert audit["residual"] == pytest.approx(1e-7, rel=1e-3)
+    # a bad audit_tol is refused by verify as by audit
+    bad = write_config(tmp_path / "bad.json", audit_tol=-1.0, verify={"pde": False})
+    capsys.readouterr()
+    assert run("verify", "--config", bad, "--out", tmp_path / "out") == 1
+    assert "audit_tol must be non-negative" in capsys.readouterr().err
 
 
 def test_spectrum_and_verify_need_no_eigenfunctions(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 import majorana1d as mj
+from majorana1d import evolution
 from majorana1d.evolution import staggered_ladder, time_grid
 from majorana1d.model import trapezoid
 
@@ -39,32 +40,34 @@ def linear_trace(model, grid, n, t_final, samples=481, delta=math.pi / 2):
 
 
 def test_assemble_ground_state_with_quarter_phase(model, grid10):
-    phi_minus, phi_plus = analytic_pair(model, grid10, 0)
-    state = mj.assemble_state(phi_minus, phi_plus, 0.0, math.pi / 2, t=3.0)
-    assert np.allclose(state.psi1.values, phi_minus.values)
-    assert np.all(state.psi2.values == 0.0)
+    y = model.y_of_x(grid10.points())
+    psi1, psi2 = mj.spinor(model, 0, 3.0, y, math.pi / 2)
+    assert np.allclose(psi1, mj.eigenstate_minus(model, 0, y))
+    assert np.all(psi2 == 0.0)
 
 
 def test_assemble_zero_phase_starts_in_plus_component(model, grid10):
-    phi_minus, phi_plus = analytic_pair(model, grid10, 1)
-    state = mj.assemble_state(phi_minus, phi_plus, mj.energy(model, 1), 0.0, t=0.0)
-    assert np.allclose(state.psi1.values, 0.0, atol=1e-15)
-    assert np.allclose(state.psi2.values, phi_plus.values)
+    y = model.y_of_x(grid10.points())
+    psi1, psi2 = mj.spinor(model, 1, 0.0, y, 0.0)
+    assert np.allclose(psi1, 0.0, atol=1e-15)
+    assert np.allclose(psi2, mj.eigenstate_plus(model, 1, y))
 
 
 def test_assemble_quarter_period_swaps_components(model, grid10):
-    phi_minus, phi_plus = analytic_pair(model, grid10, 1)
+    y = model.y_of_x(grid10.points())
     energy = mj.energy(model, 1)
-    state = mj.assemble_state(phi_minus, phi_plus, energy, 0.0, t=math.pi / (2 * energy))
-    assert np.allclose(state.psi1.values, phi_minus.values)
-    assert np.allclose(state.psi2.values, 0.0, atol=1e-12)
+    psi1, psi2 = mj.spinor(model, 1, math.pi / (2 * energy), y, 0.0)
+    assert np.allclose(psi1, mj.eigenstate_minus(model, 1, y))
+    assert np.allclose(psi2, 0.0, atol=1e-12)
 
 
 def test_assemble_rejects_grid_mismatch(model, grid10):
     phi_minus, _ = analytic_pair(model, grid10, 0)
     other = mj.sample(mj.GridSpec(-1.0, 1.0, grid10.n_points), lambda x: x)
     with pytest.raises(mj.GridMismatchError):
-        mj.assemble_state(phi_minus, other, 0.0, 0.0, t=0.0)
+        mj.MajoranaSpinorState(phi_minus, other)
+    with pytest.raises(mj.GridMismatchError):
+        mj.analytic_trace(phi_minus, other, 0.0, 0.0, [0.0])
 
 
 # ---------------------------------------------------------------- density
@@ -73,18 +76,16 @@ def test_assemble_rejects_grid_mismatch(model, grid10):
 def test_ground_state_density_profile(model, grid10):
     phi_minus, phi_plus = analytic_pair(model, grid10, 0)
     y = model.y_of_x(grid10.points())
-    for t in (0.0, 1.3):
-        state = mj.assemble_state(phi_minus, phi_plus, 0.0, math.pi / 2, t=t)
-        rho = mj.probability_density(state)
-        assert sup(rho.values, np.sqrt(model.w / np.pi) * np.exp(-model.w * y**2)) <= 1e-12
+    trace = mj.analytic_trace(phi_minus, phi_plus, 0.0, math.pi / 2, [0.0, 1.3])
+    for rho in trace.densities:
+        assert sup(rho, np.sqrt(model.w / np.pi) * np.exp(-model.w * y**2)) <= 1e-12
 
 
 def test_first_excited_density_vanishes_at_origin(model, grid10):
     phi_minus, phi_plus = analytic_pair(model, grid10, 1)
-    state = mj.assemble_state(phi_minus, phi_plus, mj.energy(model, 1), math.pi / 2, t=0.0)
-    rho = mj.probability_density(state)
+    trace = mj.analytic_trace(phi_minus, phi_plus, mj.energy(model, 1), math.pi / 2, [0.0])
     y = model.y_of_x(grid10.points())
-    assert rho.values[int(np.argmin(np.abs(y)))] == pytest.approx(0.0, abs=1e-20)
+    assert trace.densities[0][int(np.argmin(np.abs(y)))] == pytest.approx(0.0, abs=1e-20)
 
 
 @given(st.integers(0, 4), st.floats(0, 10, allow_nan=False))
@@ -93,8 +94,8 @@ def test_density_is_nonnegative(n, t):
     model = mj.LinearModel(1.0, mj.PhysicalParams())
     grid = mj.default_grid(model, 301)
     phi_minus, phi_plus = analytic_pair(model, grid, n)
-    state = mj.assemble_state(phi_minus, phi_plus, mj.energy(model, n), 0.4, t=t)
-    assert np.all(mj.probability_density(state).values >= 0.0)
+    trace = mj.analytic_trace(phi_minus, phi_plus, mj.energy(model, n), 0.4, [t])
+    assert np.all(trace.densities >= 0.0)
 
 
 # ----------------------------------------------------------------- period
@@ -139,13 +140,8 @@ def test_stated_period_is_a_true_period(model, grid10):
     energy = mj.energy(model, 1)
     rng = np.random.default_rng(7)
     for t in rng.uniform(0.0, T, 4):
-        rho_t = mj.probability_density(
-            mj.assemble_state(phi_minus, phi_plus, energy, math.pi / 2, t=t)
-        )
-        rho_tT = mj.probability_density(
-            mj.assemble_state(phi_minus, phi_plus, energy, math.pi / 2, t=t + T)
-        )
-        assert sup(rho_t.values, rho_tT.values) <= 1e-6
+        trace = mj.analytic_trace(phi_minus, phi_plus, energy, math.pi / 2, [t, t + T])
+        assert sup(trace.densities[0], trace.densities[1]) <= 1e-6
 
 
 # ------------------------------------------------------------ stationarity
@@ -176,8 +172,8 @@ def test_analytic_norm_conservation(model, grid10):
 
 def test_state_norm_of_assembled_state(model, grid10):
     phi_minus, phi_plus = analytic_pair(model, grid10, 3)
-    state = mj.assemble_state(phi_minus, phi_plus, mj.energy(model, 3), 0.9, t=2.2)
-    assert mj.state_norm(state) == pytest.approx(1.0, abs=1e-8)
+    trace = mj.analytic_trace(phi_minus, phi_plus, mj.energy(model, 3), 0.9, [2.2])
+    assert trace.norms[0] == pytest.approx(1.0, abs=1e-8)
 
 
 # ------------------------------------------------------------------- PDE
@@ -357,6 +353,38 @@ def test_time_grid_lands_on_t_final_and_is_idempotent(t_final, dt, n_steps):
     assert time_grid(t_final, step) == (step, count)
     with pytest.raises(ValueError):
         time_grid(t_final, 0.0)
+
+
+T1 = math.sqrt(2.0) * math.pi  # density period of n = 1 at k = 1
+
+
+@pytest.mark.parametrize(
+    "n, t_final, periods, dt, expected",
+    [
+        # the stationary ground state has no period: t_final falls back
+        (0, None, 1.0, 0.01, (None, 5.0, 0.01, 500, True)),
+        (0, None, 3.0, None, (None, 5.0, None, None, True)),
+        # one period at period / STEPS_PER_PERIOD
+        (1, None, 1.0, None, (T1, T1, T1 / 2000, 2000, False)),
+        (1, None, 2.0, None, (T1, 2 * T1, T1 / 2000, 4000, False)),
+        # explicit t_final and dt; dt is rounded to land on t_final
+        (1, 1.0, None, 0.3, (T1, 1.0, 1.0 / 3, 3, False)),
+        (0, 2.0, None, 0.01, (None, 2.0, 0.01, 200, False)),
+    ],
+    ids=["ground_fallback", "ground_fallback_default_step", "one_period", "two_periods",
+         "explicit", "ground_explicit"],
+)
+def test_run_length(model, grid10, n, t_final, periods, dt, expected):
+    run = mj.run_length(model, grid10, n, t_final, periods, dt)
+    period, t_end, step, n_steps, fallback = expected
+    assert (run.period, run.t_final, run.fallback) == (period, t_end, fallback)
+    if step is None:
+        # n = 0 without dt: the default step, rounded onto t_final
+        default = evolution.default_time_step(model.params, mj.LinearPotential(model.k), grid10)
+        step, n_steps = time_grid(t_end, default)
+    assert run.dt == pytest.approx(step, rel=1e-12)
+    assert run.n_steps == n_steps
+    assert time_grid(run.t_final, run.dt) == (run.dt, run.n_steps)
 
 
 @pytest.mark.parametrize("k", [1.0, -1.0])

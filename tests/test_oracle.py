@@ -192,7 +192,7 @@ def test_isospectral_linear_pass(minus_levels12, plus_levels12):
         tol=5e-3,
     )
     assert report.passed
-    assert len(report.entries) == 10
+    assert len(report.diffs) == 10
     assert report.max_diff <= 5e-3
 
 
@@ -217,7 +217,7 @@ def test_isospectral_negative_control(minus_levels12, plus_levels12):
         tol=5e-3,
     )
     assert not report.passed
-    assert all(not entry.abs_diff <= 5e-3 for entry in report.entries)
+    assert all(not diff <= 5e-3 for diff in report.diffs)
 
 
 # ------------------------------------------------------------ convergence
