@@ -14,6 +14,10 @@ and its Schur complement I + α²AᵀA is tridiagonal, solved with LAPACK
 pttrf/pttrs, which ``pde_frames`` takes from ``_lapack.flapack()`` when
 it runs. ``pde_frames`` yields each sampled frame as the step loop
 reaches it, so a consumer that writes frames out holds one at a time.
+It tests the state for inf and NaN only at those frames; on a failed
+test it replays the steps since the last frame, each one tested, to
+name the step that failed. An initial state of zero or non-finite norm,
+and a sampled norm drift that is NaN or too large, raise.
 """
 
 from __future__ import annotations
@@ -228,7 +232,13 @@ def run_length(
         dt = period / STEPS_PER_PERIOD
     elif dt is None:
         dt = default_time_step(model.params, LinearPotential(model.k), grid)
-    dt, n_steps = time_grid(t_final, dt)
+    try:
+        dt, n_steps = time_grid(t_final, dt)
+    except OverflowError as err:  # t_final / dt rounds from inf
+        raise ConfigError(
+            f"evolve.t_final / evolve.dt must give a finite step count, "
+            f"got {t_final!r} / {dt!r}"
+        ) from err
     return RunLength(period, t_final, dt, n_steps, fallback)
 
 
@@ -316,11 +326,16 @@ def pde_frames(
     state, back on the nodes (interior psi2 averages its two adjacent
     midpoints, and both components are zero on the boundary nodes).
 
-    An initial state of zero norm, one the grid does not hold, raises
-    DegenerateFunctionError before the first frame; a step that leaves
-    a non-finite value raises InstabilityError(step); a sampled norm
-    that drifts by more than 100 ``NORM_DRIFT_TOL`` raises
-    DivergenceError.
+    An initial state of zero norm, one the grid does not hold, or of
+    non-finite norm (inf or NaN, say from an amplitude whose square
+    overflows) raises DegenerateFunctionError before the first frame.
+    The state is checked for finite values only at the frame steps; the
+    steps between them run the step arithmetic alone. When a check
+    fails, the steps since the last frame are replayed from the state
+    that passed there, each one checked, and the first step that leaves
+    a non-finite value raises InstabilityError(step): the same step a
+    check after every step would name. A sampled norm whose drift is not
+    within 100 ``NORM_DRIFT_TOL``, NaN included, raises DivergenceError.
     """
     lapack = flapack()
     spec = initial.spec
@@ -341,6 +356,7 @@ def pde_frames(
         raise np.linalg.LinAlgError(f"pttrf failed on the Schur complement (info={info})")
     a2_left = 2.0 * a_left
     a2_right = 2.0 * a_right
+    dpttrs = lapack.dpttrs
 
     u1 = initial.psi1.values[1:-1].copy()
     psi2_nodes = initial.psi2.values
@@ -348,8 +364,34 @@ def pde_frames(
     rhs = np.empty(m)
     tmp = np.empty(m)
     a_v1 = np.empty(m + 1)
+    u2_lo, u2_hi = u2[:-1], u2[1:]
+    a_v1_lo, a_v1_hi = a_v1[:-1], a_v1[1:]
+    # the state at the last step that passed its check, to replay from
+    checked1 = np.empty(m)
+    checked2 = np.empty(m + 1)
     steps = frame_steps(n_steps, stride)
     norms = np.empty(len(steps))
+
+    def advance(count: int):
+        """Take ``count`` steps in place, without checking the state."""
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        for _ in range(count):
+            # S v1 = u1 + αAᵀu2; then u1 ← 2v1 - u1 and u2 ← 2v2 - u2 = u2 - 2αA v1
+            multiply(a_left, u2_lo, out=rhs)
+            multiply(a_right, u2_hi, out=tmp)
+            add(rhs, tmp, out=rhs)
+            add(rhs, u1, out=rhs)
+            v1, _ = dpttrs(diag, off, rhs, overwrite_b=True)
+            multiply(a2_left, v1, out=a_v1_lo)
+            a_v1[-1] = 0.0
+            multiply(a2_right, v1, out=tmp)
+            add(a_v1_hi, tmp, out=a_v1_hi)
+            subtract(u2, a_v1, out=u2)
+            multiply(v1, 2.0, out=tmp)
+            subtract(tmp, u1, out=u1)
+
+    def finite() -> bool:
+        return bool(np.all(np.isfinite(u1)) and np.all(np.isfinite(u2)))
 
     def snapshot(frame: int) -> np.ndarray:
         sq2 = u2**2
@@ -363,35 +405,39 @@ def pde_frames(
     rho = snapshot(0)
     if norms[0] == 0:
         raise DegenerateFunctionError("the initial state has zero norm on the grid")
+    if not math.isfinite(norms[0]):
+        raise DegenerateFunctionError(f"the initial state has norm {norms[0]} on the grid")
     yield 0.0, rho
-    frame = 1
 
-    for step in range(1, n_steps + 1):
-        # S v1 = u1 + αAᵀu2; then u1 ← 2v1 - u1 and u2 ← 2v2 - u2 = u2 - 2αA v1
-        np.multiply(a_left, u2[:-1], out=rhs)
-        np.multiply(a_right, u2[1:], out=tmp)
-        rhs += tmp
-        rhs += u1
-        v1, _ = lapack.dpttrs(diag, off, rhs, overwrite_b=True)
-        np.multiply(a2_left, v1, out=a_v1[:-1])
-        a_v1[-1] = 0.0
-        np.multiply(a2_right, v1, out=tmp)
-        a_v1[1:] += tmp
-        u2 -= a_v1
-        np.multiply(v1, 2.0, out=tmp)
-        np.subtract(tmp, u1, out=u1)
-        if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
+    step = 0
+    for frame in range(1, len(steps)):
+        np.copyto(checked1, u1)
+        np.copyto(checked2, u2)
+        # silent here: the replay below warns for the failing step alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            advance(steps[frame] - step)
+        # Checked at frames only. A step that leaves an inf or NaN leaves
+        # one in every later step: the next pttrs sweep spreads it to all
+        # of v1 (0·inf is NaN too), and nothing in the step divides by
+        # state values. The arithmetic is deterministic, so replaying
+        # from the last checked state, one checked step at a time, stops
+        # at the first step that left a non-finite value.
+        if not finite():
+            np.copyto(u1, checked1)
+            np.copyto(u2, checked2)
+            while step < steps[frame] and finite():
+                advance(1)
+                step += 1
             raise InstabilityError(step)
-        if step == steps[frame]:
-            rho = snapshot(frame)
-            drift = abs(norms[frame] - norms[0]) / abs(norms[0])
-            if drift > 100.0 * NORM_DRIFT_TOL:
-                raise DivergenceError(
-                    f"norm drift {drift:.3e} at step {step} "
-                    f"exceeds {100.0 * NORM_DRIFT_TOL:.1e}"
-                )
-            yield step * dt, rho
-            frame += 1
+        step = steps[frame]
+        rho = snapshot(frame)
+        drift = abs(norms[frame] - norms[0]) / abs(norms[0])
+        if not drift <= 100.0 * NORM_DRIFT_TOL:
+            raise DivergenceError(
+                f"norm drift {drift:.3e} at step {step} "
+                f"exceeds {100.0 * NORM_DRIFT_TOL:.1e}"
+            )
+        yield step * dt, rho
 
     psi1 = np.zeros(spec.n_points)
     psi2 = np.zeros(spec.n_points)

@@ -220,6 +220,12 @@ MALFORMED_VALUES = [
     ("evolve.periods must be positive", "evolve", {"evolve": {"n": 1, "periods": 0}}),
     # a finite number of periods whose length overflows
     ("evolve.t_final must be finite", "evolve", {"evolve": {"n": 1, "periods": 1e308}}),
+    # a step count t_final / dt that overflows
+    (
+        "evolve.t_final / evolve.dt must give a finite step count",
+        "evolve",
+        {"evolve": {"n": 1, "t_final": 1e300, "dt": 1e-300}},
+    ),
     # a solve for more levels than the grid has interior points, or on a
     # grid too small to discretize, is a config error
     (

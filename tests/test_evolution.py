@@ -253,6 +253,63 @@ def test_pde_rejects_state_outside_grid(params, linear_potential, model):
         mj.evolve_pde(initial, params, linear_potential, 1.0, dt=0.01)
 
 
+def scaled_state(model, grid, amplitude, n=1, delta=math.pi / 2):
+    y = model.y_of_x(grid.points())
+    psi1, psi2 = mj.spinor(model, n, 0.0, y, delta)
+    return mj.MajoranaSpinorState(
+        mj.GridFunction(grid, amplitude * psi1), mj.GridFunction(grid, amplitude * psi2)
+    )
+
+
+def test_pde_rejects_non_finite_initial_norm(params, linear_potential, model):
+    # the squares of the state overflow, so its norm is not a number
+    initial = scaled_state(model, mj.GridSpec(-11.0, 9.0, 201), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(mj.DegenerateFunctionError, match="norm"):
+            mj.evolve_pde(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+
+
+def test_pde_raises_on_a_nan_norm(monkeypatch, params, linear_potential, model):
+    # a NaN drift compares false with any bound; it must not pass as small
+    calls = []
+
+    def trapezoid_then_nan(values, h):
+        calls.append(h)
+        return trapezoid(values, h) if len(calls) == 1 else math.nan
+
+    monkeypatch.setattr(evolution, "trapezoid", trapezoid_then_nan)
+    initial = scaled_state(model, mj.GridSpec(-11.0, 9.0, 201), 1.0)
+    with pytest.raises(mj.DivergenceError, match="nan at step 7"):
+        mj.evolve_pde(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+
+
+def test_pde_names_the_failing_step_between_frames(params, linear_potential, model):
+    # α·cħ/h ≈ 5e155: S overflows and the first step leaves NaN, which
+    # the stride-7 run only sees at step 7
+    initial = scaled_state(model, mj.GridSpec(-11.0, 9.0, 201), 1.0, delta=0.3)
+    dt = 1e155
+    errors = []
+    for stride in (1, 7):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(mj.InstabilityError) as err:
+                mj.evolve_pde(initial, params, linear_potential, 30 * dt, dt=dt, stride=stride)
+        errors.append(err.value.step)
+    assert errors == [1, 1]
+
+
+def test_pde_stride_does_not_change_the_bits(params, linear_potential, model, grid10):
+    initial = scaled_state(model, grid10, 1.0)
+    every, every_final = mj.evolve_pde(initial, params, linear_potential, 0.5, dt=0.005, stride=1)
+    sampled, sampled_final = mj.evolve_pde(
+        initial, params, linear_potential, 0.5, dt=0.005, stride=7
+    )
+    shared = mj.frame_steps(100, 7)
+    assert every.densities[shared].tobytes() == sampled.densities.tobytes()
+    assert every.norms[shared].tobytes() == sampled.norms.tobytes()
+    assert every_final.psi1.values.tobytes() == sampled_final.psi1.values.tobytes()
+    assert every_final.psi2.values.tobytes() == sampled_final.psi2.values.tobytes()
+
+
 def test_pde_default_time_step_runs(params, linear_potential, model):
     grid = mj.default_grid(model, 301)
     y = model.y_of_x(grid.points())
