@@ -82,9 +82,9 @@ def verify_checks(
             worst_ladder = max(worst_ladder, model.norm(model.GridFunction(grid, image - target)))
         checks.append(_check("ladder_mapping_residual", worst_ladder, susy.LADDER_TOL))
     if pde:
-        period = evolution.density_period(lin, 1)
-        dt = period / evolution.STEPS_PER_PERIOD
-        check = evolution.pde_vs_closed_form(lin, grid, 1, math.pi / 2.0, period, dt).drain()
+        one = evolution.run_length(lin, grid, 1, None, 1.0, None)  # evolve's one-period grid
+        check = evolution.pde_vs_closed_form(lin, grid, 1, math.pi / 2.0, one.t_final, one.dt)
+        check.drain()
         error, drift = check.max_component_error, check.norm_drift
         checks.append(_check("pde_one_period_return", error, evolution.PDE_RETURN_TOL))
         checks.append(_check("pde_norm_drift", drift, evolution.NORM_DRIFT_TOL))

@@ -84,7 +84,7 @@ class GridFunction:
             )
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            x_bad = self.spec.points()[bad]
+            x_bad = float(self.spec.points()[bad])
             raise EvaluationError(f"non-finite sample at x={x_bad!r}")
         values = values.copy()
         values.setflags(write=False)
@@ -118,10 +118,8 @@ class ScalarPotential:
         values = np.asarray(values, dtype=float)
         finite = np.isfinite(values)
         if not np.all(finite):
-            if values.ndim == 0:
-                raise EvaluationError(f"potential {self.kind!r} is non-finite at x={x!r}")
             bad = int(np.flatnonzero(~finite)[0])
-            x_bad = np.asarray(x, dtype=float).ravel()[bad]
+            x_bad = float(np.asarray(x, dtype=float).ravel()[bad])
             raise EvaluationError(f"potential {self.kind!r} is non-finite at x={x_bad!r}")
         return values if values.ndim else float(values)
 

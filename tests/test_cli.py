@@ -226,6 +226,13 @@ MALFORMED_VALUES = [
         "evolve",
         {"evolve": {"n": 1, "t_final": 1e300, "dt": 1e-300}},
     ),
+    # 1e20 steps at stride 50 sample more frames than MAX_FRAMES; the
+    # bound holds before any list of them is built
+    (
+        "evolve.t_final / evolve.dt / evolve.stride sample more than MAX_FRAMES",
+        "evolve",
+        {"evolve": {"n": 1, "t_final": 1e10, "dt": 1e-10}},
+    ),
     # a solve for more levels than the grid has interior points, or on a
     # grid too small to discretize, is a config error
     (
@@ -508,7 +515,7 @@ def test_evolve_density_csv_error_wins_and_keeps_target(tmp_path, monkeypatch, p
         raise DivergenceError("PDE failed too")
 
     monkeypatch.setattr(cli, "write_density_csv", failing)
-    monkeypatch.setattr(evolution, "pde_frames", diverging)
+    monkeypatch.setattr(evolution.PdeRun, "_integrate", diverging)
     monkeypatch.setattr(sys, "platform", platform)
     cfg = evolve_config(tmp_path, dt=math.sqrt(2.0) * math.pi / 200)
     with pytest.raises(OSError, match="disk full"):
@@ -530,13 +537,13 @@ def test_evolve_pde_failure_mid_stream_keeps_target(tmp_path, monkeypatch, capsy
     target.write_bytes(b"previous run\n")
     yielded = []
 
-    def diverging(initial, p, phi, t_final, dt=None, stride=evolution.DEFAULT_STRIDE):
+    def diverging(run, initial, p, phi, t_final, dt, stride):
         for step in (0, stride):
             yielded.append(step)
             yield step * dt, np.zeros(initial.spec.n_points)
         raise DivergenceError("norm drift after two frames")
 
-    monkeypatch.setattr(evolution, "pde_frames", diverging)
+    monkeypatch.setattr(evolution.PdeRun, "_integrate", diverging)
     monkeypatch.setattr(sys, "platform", platform)
     capsys.readouterr()
     assert run("evolve", "--config", cfg, "--out", out, "--pde") == 2

@@ -355,14 +355,9 @@ def test_pde_frames_are_fresh_and_make_the_trace(params, linear_potential, model
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
-    frames = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
-    listed = []
-    while True:
-        try:
-            listed.append(next(frames))
-        except StopIteration as done:
-            norms, final = done.value
-            break
+    run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    listed = list(run)
+    norms, final = run.norms, run.final
     rows = [rho for _, rho in listed]
     assert len(rows) == len(mj.frame_steps(100, 7))
     assert not any(

@@ -34,7 +34,7 @@ def test_grid_spec_validation():
 def test_grid_function_rejects_wrong_length_and_nonfinite():
     with pytest.raises(ValueError):
         mj.GridFunction(GRID, np.zeros(5))
-    with pytest.raises(mj.EvaluationError):
+    with pytest.raises(mj.EvaluationError, match=r"at x=0\.0$"):
         mj.GridFunction(GRID, np.full(GRID.n_points, np.inf))
 
 
@@ -74,6 +74,9 @@ def test_superpotential_propagates_evaluation_error():
     pot = mj.CustomPotential("1/x")
     with pytest.raises(mj.EvaluationError, match="x=0.0"):
         mj.superpotential(p, pot, 0.0)
+    # an array input names x as a plain float, not as np.float64(0.0)
+    with pytest.raises(mj.EvaluationError, match=r"at x=0\.0$"):
+        mj.superpotential(p, pot, np.array([-1.0, 0.0, 1.0]))
 
 
 # ----------------------------------------------------------- inner product
