@@ -30,7 +30,6 @@ import sys
 import tempfile
 import threading
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -207,14 +206,14 @@ def _jsonable(value):
     return value
 
 
-def write_text_atomic(path: Path, chunks):
-    """Write the strings of ``chunks`` to a temp file beside ``path``, then
+def write_atomic(path: Path, chunks):
+    """Write the bytes of ``chunks`` to a temp file beside ``path``, then
     rename it over ``path``; on any failure the temp file is removed and
     ``path`` is left untouched."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -226,32 +225,38 @@ def write_text_atomic(path: Path, chunks):
 
 
 def write_json(path: Path, payload: dict):
-    write_text_atomic(path, (json.dumps(_jsonable(payload), indent=2) + "\n",))
-
-
-def _float_reprs(values) -> list[str]:
-    """Shortest round-trip repr of each value, as ``repr(float(v))`` gives it."""
-    return repr(np.asarray(values, dtype=float).tolist())[1:-1].split(", ")
+    text = json.dumps(_jsonable(payload), indent=2) + "\n"
+    write_atomic(path, (text.encode("utf-8"),))
 
 
 def write_density_csv(path: Path, grid: GridSpec, rows):
-    """Write ``t,x,rho`` rows, one per grid point and frame.
+    """Write ``t,x,rho`` rows, one per grid point and frame, each float
+    as ``repr`` gives it.
 
     rows: iterable of (t, density ndarray), already sorted by t. It is
     consumed once, lazily and in order: each frame is formatted and
     written before the next one is drawn, so memory does not grow with
-    the number of frames.
+    the number of frames. A density that is not one value per grid
+    point raises ValueError naming its frame, and ``path`` is left
+    untouched.
     """
-    x_cells = [cell + "," for cell in _float_reprs(grid.points())]
+    # the formatting kernel and its tables load only when a CSV is written
+    from ._floatrepr import DensityRows
+
+    density_rows = DensityRows(grid.points())
 
     def frames():
-        yield "t,x,rho\n"
-        for t, rho in rows:
-            t_cell = repr(float(t)) + ","
-            cells = zip(repeat(t_cell), x_cells, _float_reprs(rho), repeat("\n"))
-            yield "".join(map("".join, cells))
+        yield b"t,x,rho\n"
+        for index, (t, rho) in enumerate(rows):
+            rho = np.asarray(rho)
+            if rho.shape != (grid.n_points,):
+                raise ValueError(
+                    f"density frame {index} has shape {rho.shape}; "
+                    f"the grid needs ({grid.n_points},)"
+                )
+            yield density_rows.frame(t, rho)
 
-    write_text_atomic(path, frames())
+    write_atomic(path, frames())
 
 
 def _describe_common(cfg: RunConfig) -> dict:

@@ -1,13 +1,14 @@
 import errno
 import json
 import math
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from majorana1d import cli, evolution, invariants, susy
+from majorana1d import _floatrepr, cli, evolution, invariants, susy
 from majorana1d.cli import main, write_density_csv
 from majorana1d.errors import DivergenceError
 from majorana1d.model import DEFAULT_AUDIT_TOL, GridSpec
@@ -402,6 +403,32 @@ def test_density_csv_interrupted_write_keeps_target(tmp_path):
         write_density_csv(target, grid, rows())
     assert target.read_bytes() == b"previous run\n"
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize(
+    "shape", [(3,), (6,), (2, 4), (5, 1), ()], ids=["short", "long", "2x4", "5x1", "scalar"]
+)
+def test_density_csv_rejects_a_frame_off_the_grid(tmp_path, shape):
+    grid = GridSpec(-1.0, 1.0, 5)
+    target = tmp_path / "density.csv"
+    target.write_bytes(b"previous run\n")
+    rows = [(0.0, np.ones(5)), (0.5, np.ones(shape))]
+    with pytest.raises(ValueError, match=rf"frame 1 has shape {re.escape(str(shape))}"):
+        write_density_csv(target, grid, iter(rows))
+    assert target.read_bytes() == b"previous run\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_density_csv_matches_per_row_reference_across_blocks(tmp_path):
+    # frames longer than one formatting block, with values of every kind
+    n_points = 2 * _floatrepr.BLOCK + 5
+    grid = GridSpec(-13.0, 11.0, n_points)
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, (2, n_points), dtype=np.uint64)
+    rows = [(0.0, bits[0].view(np.float64)), (0.1 + 0.2, bits[1].view(np.float64))]
+    path = tmp_path / "density.csv"
+    write_density_csv(path, grid, iter(rows))
+    assert path.read_bytes() == reference_density_csv(grid, rows)
 
 
 def read_density(path):
