@@ -26,9 +26,7 @@ from .errors import (
     SusyConsistencyError,
 )
 from .evolution import (
-    EvolutionTrace,
     MajoranaSpinorState,
-    analytic_trace,
     closed_form_frames,
     density_period,
     evolve_pde,

@@ -12,9 +12,12 @@ midpoints on the way in and out. The step is a Cayley transform of a
 skew-symmetric matrix, so the discrete L2 norm is conserved to roundoff,
 and its Schur complement I + α²AᵀA is tridiagonal, solved with LAPACK
 pttrf/pttrs, taken from ``_lapack.flapack()`` when a run starts.
-``pde_frames`` returns a one-pass ``PdeRun``: it yields each sampled
-frame as the step loop reaches it, so a consumer that writes frames out
-holds one at a time, and then holds the norms and the final state. It
+Both routes give their densities as a stream of (t, rho) frames:
+``closed_form_frames`` for the closed form, and ``pde_frames``, a
+one-pass ``PdeRun`` that yields each sampled frame as the step loop
+reaches it, so a consumer that writes frames out holds one at a time,
+and then holds the norms and the final state. ``stationarity_metric``
+and ``measure_period`` reduce any such stream in one pass. The run
 tests the state for inf and NaN only at those frames; on a failed test
 it replays the steps since the last frame, each one tested, to name the
 step that failed. An initial state of zero or non-finite norm, and a
@@ -24,7 +27,7 @@ sampled norm drift that is NaN or too large, raise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -79,26 +82,6 @@ class MajoranaSpinorState:
         return self.psi1.spec
 
 
-@dataclass(eq=False)
-class EvolutionTrace:
-    """Sampled densities, one frame per row, and norms along a run."""
-
-    times: np.ndarray
-    densities: np.ndarray
-    norms: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.densities = np.asarray(self.densities, dtype=float)
-        self.norms = np.asarray(self.norms, dtype=float)
-        if not (len(self.times) == len(self.densities) == len(self.norms)):
-            raise ValueError("times, densities and norms must have equal lengths")
-
-    @property
-    def norm_drift(self) -> float:
-        return _relative_drift(self.norms)
-
-
 def _relative_drift(norms: np.ndarray) -> float:
     """Largest distance of ``norms`` from the first, relative to it."""
     return float(np.max(np.abs(norms - norms[0])) / abs(norms[0]))
@@ -116,59 +99,53 @@ def density_period(model: LinearModel, n: int) -> float:
     return math.sqrt(2.0) * math.pi / (model.params.c * math.sqrt(model.w * n))
 
 
-def stationarity_metric(trace: EvolutionTrace) -> float:
-    """max_t of the sup-norm distance between rho(t) and rho(0); zero
-    for a stationary state."""
-    return float(np.max(np.abs(trace.densities[1:] - trace.densities[0]), initial=0.0))
+def _excursions(frames) -> tuple[np.ndarray, np.ndarray]:
+    """The times t and the sup-norm distances r(t) = max|rho(t) - rho(0)|
+    of a stream of (t, rho) frames, read in one pass that keeps rho(0)
+    and two floats per frame."""
+    times, r = [], []
+    rho0 = None
+    for t, rho in frames:
+        if rho0 is None:
+            rho0 = np.array(rho, dtype=float)
+        times.append(t)
+        r.append(np.max(np.abs(rho - rho0)))
+    return np.array(times, dtype=float), np.array(r, dtype=float)
 
 
-def measure_period(trace: EvolutionTrace, rel_tol: float = 0.05) -> float:
-    """First return time of the density: the earliest local minimum of
-    ||rho(t)-rho(0)||_inf that drops below rel_tol of the excursion,
-    refined with a three-point parabola. A trace whose frames all equal
-    the first, a stationary state, raises StationaryStateError."""
-    if len(trace.times) < 3:
-        raise ValueError("trace too short to locate a return")
-    r = np.max(np.abs(trace.densities - trace.densities[0]), axis=1)
+def stationarity_metric(frames) -> float:
+    """max_t of the sup-norm distance between rho(t) and rho(0) over a
+    stream of (t, rho) frames, such as ``closed_form_frames`` or a
+    ``PdeRun``; zero for a stationary state or a single frame."""
+    _, r = _excursions(frames)
+    return float(np.max(r[1:], initial=0.0))
+
+
+def measure_period(frames, rel_tol: float = 0.05) -> float:
+    """First return time of the density over a stream of (t, rho) frames:
+    the earliest local minimum of ||rho(t)-rho(0)||_inf that drops below
+    rel_tol of the excursion, refined with a three-point parabola.
+
+    This is the density return time, half of ``density_period``: rho is
+    built from sin² and cos², so it returns twice per turn of the
+    component phase. Fewer than three frames raise ValueError, and
+    frames that all equal the first, a stationary state, raise
+    StationaryStateError."""
+    times, r = _excursions(frames)
+    if len(times) < 3:
+        raise ValueError("too few frames to locate a return")
     if not r.any():
         raise StationaryStateError("the density is stationary and has no period")
     threshold = rel_tol * r.max()
     for i in range(1, len(r) - 1):
         if r[i] <= r[i - 1] and r[i] <= r[i + 1] and r[i] <= threshold:
             denom = r[i - 1] - 2.0 * r[i] + r[i + 1]
-            t = trace.times[i]
+            t = times[i]
             if denom > 0:
-                dt = trace.times[i + 1] - trace.times[i]
+                dt = times[i + 1] - times[i]
                 t += 0.5 * dt * (r[i - 1] - r[i + 1]) / denom
             return float(t)
     raise ValueError("no density return found in the sampled window")
-
-
-def analytic_trace(
-    phi_minus: GridFunction,
-    phi_plus: GridFunction,
-    energy: float,
-    delta: float,
-    times,
-    hbar: float = 1.0,
-) -> EvolutionTrace:
-    """Trace of the separation-ansatz state psi1 = phi^- sin(θ),
-    psi2 = phi^+ cos(θ), θ = Et/ħ + δ, sampled at ``times``. For
-    energy = 0 pass a zero function as the plus component (that sector
-    has no partner state)."""
-    if energy < 0:
-        raise ValueError("energy label must be non-negative")
-    if phi_minus.spec != phi_plus.spec:
-        raise GridMismatchError("spinor components live on different grids")
-    times = np.asarray(times, dtype=float)
-    densities = np.array(
-        [
-            (phi_minus.values * math.sin(theta)) ** 2 + (phi_plus.values * math.cos(theta)) ** 2
-            for theta in energy * times / hbar + delta
-        ]
-    )
-    norms = [trapezoid(rho, phi_minus.spec.h) for rho in densities]
-    return EvolutionTrace(times, densities, np.array(norms))
 
 
 def closed_form_frames(
@@ -250,10 +227,19 @@ def require_grid_holds(model: LinearModel, grid: GridSpec, n: int, delta: float)
     """ConfigError naming ``grid`` unless the trapezoid norm of the
     closed-form level-``n`` state at t = 0 is 1 within ``NORM_DRIFT_TOL``
     on ``grid``; otherwise the state lies partly outside it, or the grid
-    is too coarse for it."""
-    _, rho = next(closed_form_frames(model, grid, n, delta, 0.0, [0]))
-    norm = trapezoid(rho, grid.h)
-    if abs(1.0 - norm) > NORM_DRIFT_TOL:
+    is too coarse for it, or, for a norm that is not finite, its closed
+    form overflows there."""
+    # an overflow shows as the norm that is not finite, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, rho = next(closed_form_frames(model, grid, n, delta, 0.0, [0]))
+        norm = trapezoid(rho, grid.h)
+    if not math.isfinite(norm):
+        raise ConfigError(
+            f"grid: the level-{n} state has norm {norm!r} on the grid, which is not "
+            f"finite; its closed form overflows in floating point on "
+            f"[x_min, x_max] = [{grid.x_min!r}, {grid.x_max!r}]"
+        )
+    if not abs(1.0 - norm) <= NORM_DRIFT_TOL:
         raise ConfigError(
             f"grid: the level-{n} state has norm {norm:.3e} on the grid, not 1 "
             f"within {NORM_DRIFT_TOL:.0e}; it lies outside [x_min, x_max] = "
@@ -492,13 +478,12 @@ def evolve_pde(
     t_final: float,
     dt: float | None = None,
     stride: int = DEFAULT_STRIDE,
-) -> tuple[EvolutionTrace, MajoranaSpinorState]:
-    """Run ``pde_frames`` to the end and keep every frame. Returns the
-    trace, one frame per row, and the final state; it raises what
-    ``pde_frames`` raises."""
-    run = pde_frames(initial, p, phi, t_final, dt, stride)
-    times, densities = zip(*list(run))
-    return EvolutionTrace(times, np.array(densities), run.norms), run.final
+) -> PdeRun:
+    """``pde_frames(...).drain()``: the exhausted run, which holds
+    ``norms``, ``norm_drift`` and ``final`` and keeps no frame; it raises
+    what ``pde_frames`` raises. The benchmark tracer,
+    ``perfbench/tracer.py``, times the PDE under this name."""
+    return pde_frames(initial, p, phi, t_final, dt, stride).drain()
 
 
 class ClosedFormRun(PdeRun):

@@ -143,28 +143,22 @@ def test_criterion_6_density_trace_periods(setup):
     verified as an exact period of the trace."""
     params, _, model = setup
     grid = mj.default_grid(model)
-    y = model.y_of_x(grid.points())
 
-    def trace(n, t_final, samples):
-        phi_minus = mj.GridFunction(grid, mj.eigenstate_minus(model, n, y))
-        plus_values = (
-            np.zeros(grid.n_points) if n == 0 else mj.eigenstate_plus(model, n, y)
-        )
-        phi_plus = mj.GridFunction(grid, plus_values)
-        times = np.linspace(0.0, t_final, samples)
-        return mj.analytic_trace(
-            phi_minus, phi_plus, mj.energy(model, n), math.pi / 2, times
+    def frames(n, t_final, samples):
+        # samples equal steps from t = 0 to t_final
+        return mj.closed_form_frames(
+            model, grid, n, math.pi / 2, t_final / (samples - 1), range(samples)
         )
 
-    static = mj.stationarity_metric(trace(0, mj.density_period(model, 1), 121))
+    static = mj.stationarity_metric(frames(0, mj.density_period(model, 1), 121))
     details = [f"n=0 static to {static:.1e} (tol 1e-12)"]
     ok = static <= 1e-12
     for n in (1, 2):
         stated = mj.density_period(model, n)
-        tr = trace(n, 1.1 * stated, 441)
-        measured = mj.measure_period(tr)
+        measured = mj.measure_period(frames(n, 1.1 * stated, 441))
         rel = abs(measured - stated / 2.0) / (stated / 2.0)
-        full_turn = sup(tr.densities[0], trace(n, stated, 2).densities[1])
+        # the distance of rho(stated) from rho(0)
+        full_turn = mj.stationarity_metric(frames(n, stated, 2))
         ok = ok and rel <= 0.01 and full_turn <= 1e-10
         details.append(
             f"n={n} first return {measured:.4f} = stated/2 within {rel:.1e} "
@@ -186,17 +180,16 @@ def test_criterion_7_dynamical_cross_check(setup):
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid, psi1), mj.GridFunction(grid, psi2)
     )
-    trace, final = mj.evolve_pde(
-        initial, params, potential, period, dt=period / 2000.0
-    )
+    run = mj.evolve_pde(initial, params, potential, period, dt=period / 2000.0)
+    final = run.final
     error = max(sup(final.psi1.values, psi1), sup(final.psi2.values, psi2))
     elapsed = time.perf_counter() - start
     report(
         7,
         "dynamical cross-check",
-        error <= 1e-3 and trace.norm_drift <= 1e-6 and elapsed < 30.0,
+        error <= 1e-3 and run.norm_drift <= 1e-6 and elapsed < 30.0,
         f"one-period component error {error:.3e} (tol 1e-3), norm drift "
-        f"{trace.norm_drift:.1e} (tol 1e-6), {elapsed:.2f}s (< 30s)",
+        f"{run.norm_drift:.1e} (tol 1e-6), {elapsed:.2f}s (< 30s)",
     )
 
 
@@ -228,18 +221,12 @@ def test_criterion_9_non_stationarity(setup):
     for the ground state."""
     params, _, model = setup
     grid = mj.default_grid(model)
-    y = model.y_of_x(grid.points())
 
     def metric(n):
-        phi_minus = mj.GridFunction(grid, mj.eigenstate_minus(model, n, y))
-        plus_values = (
-            np.zeros(grid.n_points) if n == 0 else mj.eigenstate_plus(model, n, y)
-        )
-        phi_plus = mj.GridFunction(grid, plus_values)
         horizon = mj.density_period(model, max(n, 1))
-        times = np.linspace(0.0, horizon, 241)
-        tr = mj.analytic_trace(phi_minus, phi_plus, mj.energy(model, n), math.pi / 2, times)
-        return mj.stationarity_metric(tr), float(tr.densities[0].max())
+        frames = mj.closed_form_frames(model, grid, n, math.pi / 2, horizon / 240, range(241))
+        _, rho0 = next(mj.closed_form_frames(model, grid, n, math.pi / 2, 0.0, [0]))
+        return mj.stationarity_metric(frames), float(rho0.max())
 
     m0, _ = metric(0)
     ok = m0 <= 1e-12
@@ -321,7 +308,7 @@ def test_criterion_11_convergence_order(setup):
         initial = mj.MajoranaSpinorState(
             mj.GridFunction(grid, a), mj.GridFunction(grid, b)
         )
-        _, final = mj.evolve_pde(initial, params, potential, period, dt=period / steps)
+        final = mj.evolve_pde(initial, params, potential, period, dt=period / steps).final
         r1, r2 = mj.spinor(model, 1, final.t, y, math.pi / 2)
         return max(sup(final.psi1.values, r1), sup(final.psi2.values, r2))
 

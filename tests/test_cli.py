@@ -652,6 +652,24 @@ def test_evolve_state_outside_grid_exits_1(tmp_path, capsys, grid, n, flags):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--pde"]], ids=["closed_form", "pde"])
+def test_evolve_non_finite_state_norm_exits_1(tmp_path, capsys, flags):
+    # linear.hermite overflows for the level-200 state on this grid, so its
+    # norm is NaN; it must not pass the norm check, nor warn
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        potential={"kind": "linear", "k": 10.0},
+        grid={"x_min": -13.0, "x_max": 11.0, "n_points": 401},
+        evolve={"n": 200, "periods": 0.01, "stride": 1000},
+    )
+    assert run("evolve", "--config", cfg, "--out", tmp_path / "out", *flags) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("majorana1d: config error: grid: the level-200 state has norm nan")
+    assert "not finite" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_evolve_pde_frames_share_the_closed_form_times(tmp_path):
     # a stride of 7 does not divide the 2000 steps of one period
     cfg = evolve_config(tmp_path, stride=7)

@@ -20,20 +20,17 @@ from majorana1d.model import trapezoid
 from .conftest import sup
 
 
-def analytic_pair(model, grid, n):
-    y = model.y_of_x(grid.points())
-    phi_minus = mj.GridFunction(grid, mj.eigenstate_minus(model, n, y))
-    if n == 0:
-        phi_plus = mj.GridFunction(grid, np.zeros(grid.n_points))
-    else:
-        phi_plus = mj.GridFunction(grid, mj.eigenstate_plus(model, n, y))
-    return phi_minus, phi_plus
+def linear_frames(model, grid, n, t_final, samples=481, delta=math.pi / 2):
+    """The closed-form level-``n`` frames at ``samples`` equal steps from
+    t = 0 to ``t_final``."""
+    return mj.closed_form_frames(
+        model, grid, n, delta, t_final / (samples - 1), range(samples)
+    )
 
 
-def linear_trace(model, grid, n, t_final, samples=481, delta=math.pi / 2):
-    phi_minus, phi_plus = analytic_pair(model, grid, n)
-    times = np.linspace(0.0, t_final, samples)
-    return mj.analytic_trace(phi_minus, phi_plus, mj.energy(model, n), delta, times)
+def frame_at(model, grid, n, t, delta=math.pi / 2):
+    """The closed-form level-``n`` density at time ``t``."""
+    return next(mj.closed_form_frames(model, grid, n, delta, t, [1]))[1]
 
 
 # --------------------------------------------------------------- assembly
@@ -62,30 +59,26 @@ def test_assemble_quarter_period_swaps_components(model, grid10):
 
 
 def test_assemble_rejects_grid_mismatch(model, grid10):
-    phi_minus, _ = analytic_pair(model, grid10, 0)
+    y = model.y_of_x(grid10.points())
+    phi_minus = mj.GridFunction(grid10, mj.eigenstate_minus(model, 0, y))
     other = mj.sample(mj.GridSpec(-1.0, 1.0, grid10.n_points), lambda x: x)
     with pytest.raises(mj.GridMismatchError):
         mj.MajoranaSpinorState(phi_minus, other)
-    with pytest.raises(mj.GridMismatchError):
-        mj.analytic_trace(phi_minus, other, 0.0, 0.0, [0.0])
 
 
 # ---------------------------------------------------------------- density
 
 
 def test_ground_state_density_profile(model, grid10):
-    phi_minus, phi_plus = analytic_pair(model, grid10, 0)
     y = model.y_of_x(grid10.points())
-    trace = mj.analytic_trace(phi_minus, phi_plus, 0.0, math.pi / 2, [0.0, 1.3])
-    for rho in trace.densities:
+    for _, rho in mj.closed_form_frames(model, grid10, 0, math.pi / 2, 1.3, [0, 1]):
         assert sup(rho, np.sqrt(model.w / np.pi) * np.exp(-model.w * y**2)) <= 1e-12
 
 
 def test_first_excited_density_vanishes_at_origin(model, grid10):
-    phi_minus, phi_plus = analytic_pair(model, grid10, 1)
-    trace = mj.analytic_trace(phi_minus, phi_plus, mj.energy(model, 1), math.pi / 2, [0.0])
+    rho = frame_at(model, grid10, 1, 0.0)
     y = model.y_of_x(grid10.points())
-    assert trace.densities[0][int(np.argmin(np.abs(y)))] == pytest.approx(0.0, abs=1e-20)
+    assert rho[int(np.argmin(np.abs(y)))] == pytest.approx(0.0, abs=1e-20)
 
 
 @given(st.integers(0, 4), st.floats(0, 10, allow_nan=False))
@@ -93,9 +86,7 @@ def test_first_excited_density_vanishes_at_origin(model, grid10):
 def test_density_is_nonnegative(n, t):
     model = mj.LinearModel(1.0, mj.PhysicalParams())
     grid = mj.default_grid(model, 301)
-    phi_minus, phi_plus = analytic_pair(model, grid, n)
-    trace = mj.analytic_trace(phi_minus, phi_plus, mj.energy(model, n), 0.4, [t])
-    assert np.all(trace.densities >= 0.0)
+    assert np.all(frame_at(model, grid, n, t, delta=0.4) >= 0.0)
 
 
 # ----------------------------------------------------------------- period
@@ -122,58 +113,87 @@ def test_density_period_undefined_for_ground_state(model):
 def test_measured_first_return_is_half_the_phase_period(model, grid10):
     for n in (1, 2):
         T = mj.density_period(model, n)
-        trace = linear_trace(model, grid10, n, 1.1 * T, samples=441)
-        measured = mj.measure_period(trace)
+        measured = mj.measure_period(linear_frames(model, grid10, n, 1.1 * T, samples=441))
         assert measured == pytest.approx(T / 2.0, rel=1e-4)
 
 
 def test_measure_period_rejects_stationary_trace(model, grid10):
     # every frame of the ground state equals the first, so no sample is a return
-    trace = linear_trace(model, grid10, 0, 5.0, samples=11)
     with pytest.raises(mj.StationaryStateError):
-        mj.measure_period(trace)
+        mj.measure_period(linear_frames(model, grid10, 0, 5.0, samples=11))
+
+
+def test_measure_period_needs_three_frames_and_a_return(model, grid10):
+    T = mj.density_period(model, 1)
+    with pytest.raises(ValueError, match="too few frames"):
+        mj.measure_period(linear_frames(model, grid10, 1, T, samples=2))
+    # a quarter of the return time: the distance from rho(0) only grows
+    with pytest.raises(ValueError, match="no density return"):
+        mj.measure_period(linear_frames(model, grid10, 1, T / 8, samples=41))
+
+
+def test_stream_reducers_keep_the_stacked_array_bits(params, linear_potential, model, grid10):
+    # the reference: the same reductions over all frames stacked in one array
+    T = mj.density_period(model, 1)
+    y = model.y_of_x(grid10.points())
+    psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
+    initial = mj.MajoranaSpinorState(
+        mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
+    )
+    for frames in (
+        lambda: linear_frames(model, grid10, 2, 0.7 * T, samples=97),
+        lambda: mj.pde_frames(initial, params, linear_potential, 0.6 * T, dt=T / 1987.3, stride=7),
+    ):
+        times, rows = zip(*frames())
+        stacked = np.array(rows)
+        metric = np.max(np.abs(stacked[1:] - stacked[0]), initial=0.0)
+        assert mj.stationarity_metric(frames()) == metric
+        r = np.max(np.abs(stacked - stacked[0]), axis=1)
+        i = int(np.argmin(r[1:-1])) + 1
+        parabola = times[i] + 0.5 * (times[i + 1] - times[i]) * (r[i - 1] - r[i + 1]) / (
+            r[i - 1] - 2.0 * r[i] + r[i + 1]
+        )
+        assert mj.measure_period(frames()) == parabola
 
 
 def test_stated_period_is_a_true_period(model, grid10):
-    phi_minus, phi_plus = analytic_pair(model, grid10, 1)
     T = mj.density_period(model, 1)
-    energy = mj.energy(model, 1)
     rng = np.random.default_rng(7)
     for t in rng.uniform(0.0, T, 4):
-        trace = mj.analytic_trace(phi_minus, phi_plus, energy, math.pi / 2, [t, t + T])
-        assert sup(trace.densities[0], trace.densities[1]) <= 1e-6
+        assert sup(frame_at(model, grid10, 1, t), frame_at(model, grid10, 1, t + T)) <= 1e-6
 
 
 # ------------------------------------------------------------ stationarity
 
 
 def test_ground_state_trace_is_stationary(model, grid10):
-    trace = linear_trace(model, grid10, 0, mj.density_period(model, 1))
-    assert mj.stationarity_metric(trace) <= 1e-12
+    frames = linear_frames(model, grid10, 0, mj.density_period(model, 1))
+    assert mj.stationarity_metric(frames) <= 1e-12
 
 
 def test_excited_states_oscillate_visibly(model, grid10):
     for n in (1, 2):
-        trace = linear_trace(model, grid10, n, mj.density_period(model, n))
-        metric = mj.stationarity_metric(trace)
+        metric = mj.stationarity_metric(
+            linear_frames(model, grid10, n, mj.density_period(model, n))
+        )
         assert metric >= 0.1 * math.sqrt(model.w)
-        assert metric > 0.05 * float(trace.densities[0].max())
+        assert metric > 0.05 * float(frame_at(model, grid10, n, 0.0).max())
 
 
 def test_single_sample_trace_has_zero_metric(model, grid10):
-    trace = linear_trace(model, grid10, 1, 0.0, samples=1)
-    assert mj.stationarity_metric(trace) == 0.0
+    frames = mj.closed_form_frames(model, grid10, 1, math.pi / 2, 0.0, [0])
+    assert mj.stationarity_metric(frames) == 0.0
 
 
 def test_analytic_norm_conservation(model, grid10):
-    trace = linear_trace(model, grid10, 2, 2.0 * mj.density_period(model, 2))
-    assert trace.norm_drift <= 1e-10
+    frames = linear_frames(model, grid10, 2, 2.0 * mj.density_period(model, 2))
+    norms = np.array([trapezoid(rho, grid10.h) for _, rho in frames])
+    assert np.max(np.abs(norms - norms[0])) / norms[0] <= 1e-10
 
 
 def test_state_norm_of_assembled_state(model, grid10):
-    phi_minus, phi_plus = analytic_pair(model, grid10, 3)
-    trace = mj.analytic_trace(phi_minus, phi_plus, mj.energy(model, 3), 0.9, [2.2])
-    assert trace.norms[0] == pytest.approx(1.0, abs=1e-8)
+    rho = frame_at(model, grid10, 3, 2.2, delta=0.9)
+    assert trapezoid(rho, grid10.h) == pytest.approx(1.0, abs=1e-8)
 
 
 # ------------------------------------------------------------------- PDE
@@ -186,10 +206,10 @@ def test_pde_returns_after_one_period(params, linear_potential, model, grid10):
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
-    trace, final = mj.evolve_pde(initial, params, linear_potential, T, dt=T / 2000)
-    assert sup(final.psi1.values, psi1) <= 1e-3
-    assert sup(final.psi2.values, psi2) <= 1e-3
-    assert trace.norm_drift <= 1e-6
+    run = mj.evolve_pde(initial, params, linear_potential, T, dt=T / 2000)
+    assert sup(run.final.psi1.values, psi1) <= 1e-3
+    assert sup(run.final.psi2.values, psi2) <= 1e-3
+    assert run.norm_drift <= 1e-6
 
 
 def test_pde_ground_state_density_constant(params, linear_potential, model):
@@ -202,9 +222,8 @@ def test_pde_ground_state_density_constant(params, linear_potential, model):
         mj.GridFunction(grid, psi1), mj.GridFunction(grid, psi2)
     )
     T = mj.density_period(model, 1)
-    trace, _ = mj.evolve_pde(initial, params, linear_potential, 2.0, dt=T / 2000)
-    drift = max(sup(d, trace.densities[0]) for d in trace.densities)
-    assert drift <= 1e-6
+    frames = mj.pde_frames(initial, params, linear_potential, 2.0, dt=T / 2000)
+    assert mj.stationarity_metric(frames) <= 1e-6
 
 
 def test_pde_ground_state_density_nearly_constant_at_default_grid(
@@ -215,9 +234,8 @@ def test_pde_ground_state_density_nearly_constant_at_default_grid(
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
-    trace, _ = mj.evolve_pde(initial, params, linear_potential, 2.0, dt=0.002)
-    drift = max(sup(d, trace.densities[0]) for d in trace.densities)
-    assert drift <= 1e-4
+    frames = mj.pde_frames(initial, params, linear_potential, 2.0, dt=0.002)
+    assert mj.stationarity_metric(frames) <= 1e-4
 
 
 def test_pde_free_case_conserves_norm(params):
@@ -227,8 +245,8 @@ def test_pde_free_case_conserves_norm(params):
         mj.GridFunction(grid, np.exp(-0.5 * (x + 3.0) ** 2)),
         mj.GridFunction(grid, 0.5 * np.exp(-0.4 * (x - 2.0) ** 2)),
     )
-    trace, _ = mj.evolve_pde(initial, params, mj.LinearPotential(0.0), 10.0, dt=0.005)
-    assert trace.norm_drift <= 1e-6
+    run = mj.evolve_pde(initial, params, mj.LinearPotential(0.0), 10.0, dt=0.005)
+    assert run.norm_drift <= 1e-6
 
 
 def test_pde_rejects_bad_time_step(params, linear_potential, model, grid10):
@@ -299,15 +317,15 @@ def test_pde_names_the_failing_step_between_frames(params, linear_potential, mod
 
 def test_pde_stride_does_not_change_the_bits(params, linear_potential, model, grid10):
     initial = scaled_state(model, grid10, 1.0)
-    every, every_final = mj.evolve_pde(initial, params, linear_potential, 0.5, dt=0.005, stride=1)
-    sampled, sampled_final = mj.evolve_pde(
-        initial, params, linear_potential, 0.5, dt=0.005, stride=7
-    )
+    every = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=1)
+    every_rows = np.array([rho for _, rho in every])
+    sampled = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    sampled_rows = np.array([rho for _, rho in sampled])
     shared = mj.frame_steps(100, 7)
-    assert every.densities[shared].tobytes() == sampled.densities.tobytes()
+    assert every_rows[shared].tobytes() == sampled_rows.tobytes()
     assert every.norms[shared].tobytes() == sampled.norms.tobytes()
-    assert every_final.psi1.values.tobytes() == sampled_final.psi1.values.tobytes()
-    assert every_final.psi2.values.tobytes() == sampled_final.psi2.values.tobytes()
+    assert every.final.psi1.values.tobytes() == sampled.final.psi1.values.tobytes()
+    assert every.final.psi2.values.tobytes() == sampled.final.psi2.values.tobytes()
 
 
 def test_pde_default_time_step_runs(params, linear_potential, model):
@@ -317,9 +335,9 @@ def test_pde_default_time_step_runs(params, linear_potential, model):
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid, psi1), mj.GridFunction(grid, psi2)
     )
-    trace, final = mj.evolve_pde(initial, params, linear_potential, 0.05)
-    assert trace.norm_drift <= 1e-6
-    assert final.t == pytest.approx(0.05)
+    run = mj.evolve_pde(initial, params, linear_potential, 0.05)
+    assert run.norm_drift <= 1e-6
+    assert run.final.t == pytest.approx(0.05)
 
 
 def test_pde_samples_the_frame_steps(params, linear_potential, model, grid10):
@@ -330,26 +348,30 @@ def test_pde_samples_the_frame_steps(params, linear_potential, model, grid10):
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
     dt = 0.5 / 100
-    trace, _ = mj.evolve_pde(initial, params, linear_potential, 0.5, dt=dt, stride=7)
+    frames = mj.pde_frames(initial, params, linear_potential, 0.5, dt=dt, stride=7)
     steps = mj.frame_steps(100, 7)
     assert steps[-2:] == [98, 100]
-    assert trace.times.tolist() == [dt * step for step in steps]
+    assert [t for t, _ in frames] == [dt * step for step in steps]
 
 
-def test_pde_trace_keeps_frames_in_one_array(params, linear_potential, model, grid10):
+def test_pde_norms_are_the_frame_trapezoid_sums(params, linear_potential, model, grid10):
     y = model.y_of_x(grid10.points())
     psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
-    trace, _ = mj.evolve_pde(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
-    assert trace.densities.shape == (len(mj.frame_steps(100, 7)), grid10.n_points)
-    assert trace.densities.dtype == np.float64
-    for rho, norm in zip(trace.densities, trace.norms):
+    run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    rows = [rho for _, rho in run]
+    assert len(rows) == len(run.norms) == len(mj.frame_steps(100, 7))
+    for rho, norm in zip(rows, run.norms):
+        assert rho.shape == (grid10.n_points,)
+        assert rho.dtype == np.float64
         assert trapezoid(rho, grid10.h) == norm
 
 
-def test_pde_frames_are_fresh_and_make_the_trace(params, linear_potential, model, grid10):
+def test_pde_frames_are_fresh_and_evolve_pde_drains_them(
+    params, linear_potential, model, grid10
+):
     y = model.y_of_x(grid10.points())
     psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
     initial = mj.MajoranaSpinorState(
@@ -363,15 +385,13 @@ def test_pde_frames_are_fresh_and_make_the_trace(params, linear_potential, model
     assert not any(
         np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :]
     )
-    trace, trace_final = mj.evolve_pde(
-        initial, params, linear_potential, 0.5, dt=0.005, stride=7
-    )
-    assert [t for t, _ in listed] == trace.times.tolist()
-    assert np.array(rows).tobytes() == trace.densities.tobytes()
-    assert norms.tobytes() == trace.norms.tobytes()
-    assert final.t == trace_final.t
-    assert final.psi1.values.tobytes() == trace_final.psi1.values.tobytes()
-    assert final.psi2.values.tobytes() == trace_final.psi2.values.tobytes()
+    drained = mj.evolve_pde(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    assert isinstance(drained, evolution.PdeRun)
+    assert list(drained) == []
+    assert norms.tobytes() == drained.norms.tobytes()
+    assert final.t == drained.final.t
+    assert final.psi1.values.tobytes() == drained.final.psi1.values.tobytes()
+    assert final.psi2.values.tobytes() == drained.final.psi2.values.tobytes()
 
 
 def test_pde_check_streams_once_then_reports(params, linear_potential, model, grid10):
@@ -389,8 +409,8 @@ def test_pde_check_streams_once_then_reports(params, linear_potential, model, gr
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
-    trace, _ = mj.evolve_pde(initial, params, linear_potential, T, dt=T / 200, stride=20)
-    assert drained.norm_drift == check.norm_drift == trace.norm_drift
+    run = mj.evolve_pde(initial, params, linear_potential, T, dt=T / 200, stride=20)
+    assert drained.norm_drift == check.norm_drift == run.norm_drift
 
 
 @pytest.mark.parametrize(
@@ -464,7 +484,7 @@ def test_pde_components_stay_real(params, linear_potential, model, grid10):
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
-    _, final = mj.evolve_pde(initial, params, linear_potential, 0.5, dt=0.005)
+    final = mj.evolve_pde(initial, params, linear_potential, 0.5, dt=0.005).final
     assert final.psi1.values.dtype == np.float64
     assert final.psi2.values.dtype == np.float64
 
@@ -481,7 +501,7 @@ def test_pde_error_shrinks_with_joint_refinement(params, linear_potential, model
         initial = mj.MajoranaSpinorState(
             mj.GridFunction(grid, a), mj.GridFunction(grid, b)
         )
-        _, final = mj.evolve_pde(initial, params, linear_potential, T, dt=T / steps)
+        final = mj.evolve_pde(initial, params, linear_potential, T, dt=T / steps).final
         r1, r2 = mj.spinor(model, 1, final.t, y, math.pi / 2)
         return max(sup(final.psi1.values, r1), sup(final.psi2.values, r2))
 
@@ -537,14 +557,14 @@ def test_pde_matches_block_cayley_reference(params, linear_potential, model, n_p
         mj.GridFunction(grid, 0.5 * np.exp(-0.4 * (x - 1.0) ** 2)),
     )
     T = mj.density_period(model, 1)
-    trace, final = mj.evolve_pde(initial, params, linear_potential, T, dt=T / 2000, stride=50)
+    run = mj.evolve_pde(initial, params, linear_potential, T, dt=T / 2000, stride=50)
     norms, psi1, psi2 = block_cayley_reference(
         initial, params, linear_potential, T, T / 2000, stride=50
     )
-    assert sup(final.psi1.values[1:-1], psi1) <= 1e-10
-    assert sup(final.psi2.values[1:-1], psi2) <= 1e-10
-    assert len(trace.norms) == len(norms)
-    assert sup(trace.norms, norms) <= 1e-10
+    assert sup(run.final.psi1.values[1:-1], psi1) <= 1e-10
+    assert sup(run.final.psi2.values[1:-1], psi2) <= 1e-10
+    assert len(run.norms) == len(norms)
+    assert sup(run.norms, norms) <= 1e-10
 
 
 def test_staggered_ladder_has_no_doublers(params, linear_potential, grid12):
