@@ -24,6 +24,7 @@ from .errors import (
     PotentialSyntaxError,
     StationaryStateError,
     SusyConsistencyError,
+    UnboundLevelError,
 )
 from .evolution import (
     MajoranaSpinorState,

@@ -10,9 +10,16 @@ library report: ``susy.compare_spectra`` (``spectrum``),
 written atomically with deterministic field order and shortest
 round-trip floats, so identical configs give byte-identical outputs.
 
-``evolve --pde`` writes ``density.csv`` in one worker process, forked
-on Linux while no other thread runs, while this process integrates and
-writes ``density_pde.csv``; both stream one frame at a time.
+Two commands run two independent halves at once, one of them in a
+child process forked with ``_fork``: ``verify`` bisects the partner
+sector in the child while this process bisects the host sector, and
+``evolve --pde`` writes ``density.csv`` in the child while this process
+integrates and writes ``density_pde.csv``; both CSVs stream one frame
+at a time. Neither forks off Linux, while another Python thread runs,
+or when this process may run on one CPU only; both halves then run
+here, the host sector or ``density.csv`` first. The bytes, the exit
+code and which error wins (the host sector's, or ``density.csv``'s)
+are the same either way, and no child outlives the command.
 
 Exit codes: 0 success, 1 config/parse error, 2 tolerance failure,
 3 physics precondition violation.
@@ -28,18 +35,18 @@ import operator
 import os
 import sys
 import tempfile
-import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import evolution, invariants, linear, oracle, susy
+from . import _fork, evolution, invariants, linear, oracle, susy
 from .errors import (
     BrokenSusyError,
     ConfigError,
     MajoranaSolverError,
     PotentialSyntaxError,
+    UnboundLevelError,
 )
 from .invariants import DEFAULT_TOL
 from .model import (
@@ -297,6 +304,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
                 f"{cfg.potential.kind!r} with these physical parameters; "
                 "set spectrum.algebraic to false"
             )
+        comparison.family.require_bound(n_max, "spectrum.n_max")
         invariance = {"family": comparison.family.label, **asdict(comparison.invariance)}
         if not comparison.invariance.is_invariant:
             print(
@@ -337,27 +345,9 @@ def write_analytic_density_csv(
     steps: list[int],
 ):
     """Write the closed-form level-``n`` frames at times ``step * dt``
-    with ``write_density_csv``. Module level, so a worker process can
-    run it."""
+    with ``write_density_csv``."""
     frames = evolution.closed_form_frames(model, grid, n, delta, dt, steps)
     write_density_csv(path, grid, frames)
-
-
-def _density_worker(stack: contextlib.ExitStack):
-    """A one-process pool, closed by ``stack``, forked from this process.
-
-    fork copies only the calling thread, so a lock another thread holds
-    would stay held in the child: the pool is made only on Linux and
-    while no other thread runs. Fork is unsafe with the macOS system
-    frameworks and absent on Windows. Returns None where it is not made.
-    """
-    if sys.platform != "linux" or threading.active_count() != 1:
-        return None
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork")
-    return stack.enter_context(ProcessPoolExecutor(1, mp_context=context))
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
@@ -408,13 +398,15 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
 
     status = EXIT_OK
     with contextlib.ExitStack() as stack:
-        pool = _density_worker(stack) if use_pde else None
-        if pool is None:
+        density = _fork.start(write_analytic_density_csv, *density_job) if use_pde else None
+        if density is None:
             write_analytic_density_csv(*density_job)
         else:
-            # waits before the pool closes; a density.csv error raised here
-            # replaces a PDE error, as when that file is written first
-            stack.callback(pool.submit(write_analytic_density_csv, *density_job).result)
+            # joined, not killed, when the PDE fails: a density.csv error
+            # raised here replaces a PDE error, as when that file is
+            # written first
+            stack.enter_context(density)
+            stack.callback(density.join)
         if use_pde:
             check = evolution.pde_vs_closed_form(
                 model, cfg.grid, n, delta, run.t_final, run.dt, stride
@@ -589,7 +581,7 @@ def main(argv=None) -> int:
     except (ConfigError, PotentialSyntaxError) as err:
         print(f"majorana1d: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except BrokenSusyError as err:
+    except (BrokenSusyError, UnboundLevelError) as err:
         print(f"majorana1d: {err}", file=sys.stderr)
         return EXIT_PHYSICS
     except MajoranaSolverError as err:

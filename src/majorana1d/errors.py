@@ -32,6 +32,11 @@ class InvalidFamilyError(MajoranaSolverError):
     partial remainder sum, no real spectrum)."""
 
 
+class UnboundLevelError(MajoranaSolverError):
+    """A level asked of a shape-invariant family lies above its bound
+    levels, at or past the continuum threshold."""
+
+
 class DiscretizationError(MajoranaSolverError):
     """The finite-difference oracle produced values incompatible with a
     positive semi-definite operator."""
@@ -43,6 +48,9 @@ class InstabilityError(MajoranaSolverError):
     def __init__(self, step: int, message: str = ""):
         self.step = step
         super().__init__(message or f"non-finite state at step {step}")
+
+    def __reduce__(self):  # pickle rebuilds an exception from its args
+        return type(self), (self.step, *self.args)
 
 
 class DivergenceError(MajoranaSolverError):
@@ -58,7 +66,11 @@ class PotentialSyntaxError(MajoranaSolverError, ValueError):
 
     def __init__(self, position: int, message: str):
         self.position = position
+        self.message = message
         super().__init__(f"{message} (offset {position})")
+
+    def __reduce__(self):
+        return type(self), (self.position, self.message)
 
 
 class ConfigError(MajoranaSolverError, ValueError):

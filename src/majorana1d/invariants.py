@@ -4,11 +4,12 @@ result it bounds, or to the run tolerance ``tol``."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
-from . import evolution, linear, model, oracle, susy
+from . import _fork, evolution, linear, model, oracle, susy
 
 # Run tolerance when the config sets none: it bounds the algebraic and
 # oracle energies against each other, and the integrated components
@@ -38,8 +39,10 @@ def verify_checks(
     ``tol`` and ``passed``: the reality audit of ``couplings``; unbroken
     SUSY and its zero mode; with a built-in family, shape invariance and
     the spectra of ``susy.compare_spectra`` (``n_max`` must then fit on
-    ``grid``); for phi = k x, the closed forms and, with ``pde``, one
-    period of the integration."""
+    ``grid`` and name only bound levels of the family), with both
+    partner sectors bisected at once where ``_fork.start`` forks; for
+    phi = k x, the closed forms and, with ``pde``, one period of the
+    integration."""
     audit = model.majorana_compatible(couplings, grid, audit_tol)
     worst_coupling = max((v for k, v in audit.max_abs.items() if k != "f2"), default=0.0)
     checks = [_check("coupling_reality_audit", worst_coupling, audit_tol, audit.compatible)]
@@ -58,10 +61,16 @@ def verify_checks(
         remainder = abs(inv.r_measured - inv.r_declared)
         checks.append(_check("shape_invariance_remainder", remainder, susy.REMAINDER_TOL))
         oracle.require_levels(grid, n_max, "verify.n_max")
-        energies, host = comparison.algebraic, comparison.host
-        worst_energy = max(abs(energies[n] ** 2 - host[n]) for n in range(n_max + 1))
-        checks.append(_check("algebraic_vs_oracle_energy_sq", worst_energy, tol))
-        iso = oracle.verify_isospectral(host, comparison.partner, oracle.ISOSPECTRAL_TOL, tol)
+        comparison.family.require_bound(n_max, "verify.n_max")
+        # the partner sector is bisected in a child while this process
+        # bisects the host; a host error wins, and kills the child
+        child = _fork.start(getattr, comparison, "partner")
+        with child or contextlib.nullcontext():
+            energies, host = comparison.algebraic, comparison.host
+            worst_energy = max(abs(energies[n] ** 2 - host[n]) for n in range(n_max + 1))
+            checks.append(_check("algebraic_vs_oracle_energy_sq", worst_energy, tol))
+            partner = comparison.partner if child is None else child.join()
+        iso = oracle.verify_isospectral(host, partner, oracle.ISOSPECTRAL_TOL, tol)
         checks.append(_check("partner_isospectrality", iso.max_diff, iso.tol, iso.passed))
 
     if not (isinstance(phi, model.LinearPotential) and phi.k != 0 and cls.unbroken):

@@ -11,13 +11,19 @@ reparametrization remainder R.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import oracle
-from .errors import BrokenSusyError, InvalidFamilyError, SusyConsistencyError
+from .errors import (
+    BrokenSusyError,
+    InvalidFamilyError,
+    SusyConsistencyError,
+    UnboundLevelError,
+)
 from .model import (
     GridFunction,
     GridSpec,
@@ -158,19 +164,32 @@ def zero_mode(p: PhysicalParams, phi: ScalarPotential, grid: GridSpec) -> SusyCl
 @dataclass(frozen=True)
 class ShapeInvariantFamily:
     """A one-parameter potential family closed under the partner map:
-    H_+(a) = H_-(f(a)) + R(a)."""
+    H_+(a) = H_-(f(a)) + R(a). ``bound_levels`` counts the bound levels
+    of H_-(a1); None means every level is bound."""
 
     potential_at: Callable[[float], ScalarPotential]
     next_parameter: Callable[[float], float]
     remainder: Callable[[float], float]
     a1: float
     label: str = ""
+    bound_levels: int | None = None
 
     def parameters(self, count: int) -> list[float]:
         seq = [self.a1]
         for _ in range(count - 1):
             seq.append(self.next_parameter(seq[-1]))
         return seq
+
+    def require_bound(self, n_max: int, key: str):
+        """UnboundLevelError naming ``key`` and ``bound_levels`` unless
+        levels 0..``n_max`` are all bound: above them the algebraic
+        ladder runs on past the continuum threshold."""
+        if self.bound_levels is not None and n_max >= self.bound_levels:
+            raise UnboundLevelError(
+                f"{key} is {n_max}, but the {self.label} family binds only "
+                f"{self.bound_levels} level(s), n = 0..{self.bound_levels - 1}; "
+                f"set {key} to at most {self.bound_levels - 1}"
+            )
 
 
 def linear_family(k: float, p: PhysicalParams) -> ShapeInvariantFamily:
@@ -190,7 +209,9 @@ def poschl_teller_family(
     depth: float, width: float, p: PhysicalParams
 ) -> ShapeInvariantFamily:
     """phi(a, x) = a tanh(width x), massless: f(a) = a - c ħ width,
-    R(a) = a² - (a - c ħ width)²."""
+    R(a) = a² - (a - c ħ width)². It binds the levels n < depth/(c ħ
+    width): the zero mode of a_(n+1) = depth - n c ħ width is
+    normalizable only while that parameter is positive."""
     if p.mass != 0:
         raise InvalidFamilyError(
             "the tanh family is shape invariant only for a massless fermion; "
@@ -204,20 +225,22 @@ def poschl_teller_family(
         remainder=lambda a: a**2 - (a - step) ** 2,
         a1=depth,
         label="poschl_teller",
+        bound_levels=math.ceil(depth / step),
     )
 
 
 def builtin_family(p: PhysicalParams, phi: ScalarPotential) -> ShapeInvariantFamily | None:
     """The built-in shape-invariant family of ``phi`` under ``p``, mirrored
-    onto the zero-mode-hosting sector (a slope or depth of either sign
-    gives the family of its magnitude), or None when it has none. Only
-    the linear potential with k != 0 and the massless Pöschl–Teller well
-    with depth != 0 have one (Cooper, Khare & Sukhatme, Phys. Rep. 251,
-    267 (1995))."""
+    onto the zero-mode-hosting sector (a slope, depth or width of either
+    sign gives the family of its magnitude), or None when it has none.
+    Only the linear potential with k != 0 and the massless Pöschl–Teller
+    well with depth and width != 0 have one (Cooper, Khare & Sukhatme,
+    Phys. Rep. 251, 267 (1995))."""
     if isinstance(phi, LinearPotential) and phi.k != 0:
         return linear_family(abs(phi.k), p)
-    if isinstance(phi, PoschlTellerPotential) and p.mass == 0 and phi.depth != 0:
-        return poschl_teller_family(abs(phi.depth), phi.width, p)
+    if isinstance(phi, PoschlTellerPotential) and p.mass == 0 and phi.depth * phi.width != 0:
+        # depth tanh(width x) = -depth tanh(-width x)
+        return poschl_teller_family(abs(phi.depth), abs(phi.width), p)
     return None
 
 

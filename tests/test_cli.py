@@ -1,16 +1,20 @@
 import errno
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from majorana1d import _floatrepr, cli, evolution, invariants, susy
+from majorana1d import _floatrepr, _fork, cli, evolution, invariants, susy
 from majorana1d.cli import main, write_density_csv
-from majorana1d.errors import DivergenceError
+from majorana1d.errors import DiscretizationError, DivergenceError
 from majorana1d.model import DEFAULT_AUDIT_TOL, GridSpec
 
 
@@ -28,6 +32,17 @@ def write_config(path, **overrides):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """This process may run on two CPUs, so ``_fork.start`` forks on Linux."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------- spectrum
@@ -79,6 +94,38 @@ def test_spectrum_broken_susy_exits_3(tmp_path, capsys):
     )
     assert run("spectrum", "--config", cfg, "--out", tmp_path / "out") == 3
     assert "broken" in capsys.readouterr().err
+
+
+SHALLOW_WELL = {
+    "potential": {"kind": "poschl_teller", "depth": 2.0, "width": 1.0},
+    "physical": {"mass": 0.0, "c": 1.0, "hbar": 1.0},
+    "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 4001},
+}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_levels_above_the_bound_ones_exit_3(tmp_path, capsys, command):
+    # depth 2 binds n < depth / (c hbar width) = 2; levels 2..4 are continuum
+    cfg = write_config(tmp_path / "cfg.json", **SHALLOW_WELL, **{command: {"n_max": 4}})
+    capsys.readouterr()
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 3
+    assert capsys.readouterr().err == (
+        f"majorana1d: {command}.n_max is 4, but the poschl_teller family binds only "
+        f"2 level(s), n = 0..1; set {command}.n_max to at most 1\n"
+    )
+    assert not (tmp_path / "out").exists()
+    cfg = write_config(tmp_path / "cfg.json", **SHALLOW_WELL, **{command: {"n_max": 1}})
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("depth", [4.95, 5.05])
+def test_spectrum_keeps_n_max_4_below_depth_5(tmp_path, depth):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        **{**POSCHL_TELLER, "potential": {"kind": "poschl_teller", "depth": depth}},
+        spectrum={"n_max": 4},
+    )
+    assert run("spectrum", "--config", cfg, "--out", tmp_path / "out") == 0
 
 
 def test_spectrum_oracle_only_for_broken_susy(tmp_path):
@@ -495,7 +542,7 @@ def test_evolve_with_pde_comparison(tmp_path):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the worker process is forked on Linux only")
-def test_evolve_pde_worker_matches_in_process(tmp_path, monkeypatch):
+def test_evolve_pde_worker_matches_in_process(tmp_path, monkeypatch, two_cpus):
     written = []
 
     def recording(path, grid, rows):
@@ -518,7 +565,7 @@ def test_evolve_pde_worker_matches_in_process(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("platform", [sys.platform, "win32"], ids=["native", "in_process"])
-def test_evolve_density_csv_error_wins_and_keeps_target(tmp_path, monkeypatch, platform):
+def test_evolve_density_csv_error_wins_and_keeps_target(tmp_path, monkeypatch, two_cpus, platform):
     out = tmp_path / "out"
     out.mkdir()
     target = out / "density.csv"
@@ -552,10 +599,13 @@ def test_evolve_density_csv_error_wins_and_keeps_target(tmp_path, monkeypatch, p
     assert not (out / "evolve_summary.json").exists()
     # in process, density.csv fails before the integration starts
     assert called == ([True] if platform == "linux" else [])
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("platform", [sys.platform, "win32"], ids=["native", "in_process"])
-def test_evolve_pde_failure_mid_stream_keeps_target(tmp_path, monkeypatch, capsys, platform):
+def test_evolve_pde_failure_mid_stream_keeps_target(
+    tmp_path, monkeypatch, capsys, two_cpus, platform
+):
     cfg = evolve_config(tmp_path, dt=math.sqrt(2.0) * math.pi / 200)
     assert run("evolve", "--config", cfg, "--out", tmp_path / "reference") == 0
     out = tmp_path / "out"
@@ -582,12 +632,14 @@ def test_evolve_pde_failure_mid_stream_keeps_target(tmp_path, monkeypatch, capsy
     assert (out / "density.csv").read_bytes() == (
         tmp_path / "reference" / "density.csv"
     ).read_bytes()
+    # the density.csv child was joined, not left behind
+    assert_no_child_left()
 
 
 def test_evolve_pde_memory_does_not_grow_with_frames(tmp_path, monkeypatch):
-    # no worker, so tracemalloc sees both CSVs; 401 frames of 401 points
+    # no child, so tracemalloc sees both CSVs; 401 frames of 401 points
     # held at once would be 401 * 401 * 8 B = 1.29 MB
-    monkeypatch.setattr(cli, "_density_worker", lambda stack: None)
+    monkeypatch.setattr(_fork, "can_fork", lambda: False)
 
     def peak(stride):
         cfg = write_config(
@@ -883,3 +935,138 @@ def test_verify_incompatible_coupling_flagged(tmp_path):
     data = json.loads((tmp_path / "out" / "verify.json").read_text())
     audit_check = next(c for c in data["checks"] if c["name"] == "coupling_reality_audit")
     assert audit_check["passed"] is False
+
+
+ON_LINUX = pytest.mark.skipif(sys.platform != "linux", reason="the child is forked on Linux only")
+SMALL_LINEAR = {"grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 2001}}
+VERIFY_CASES = [
+    ({**SMALL_LINEAR, "verify": {"n_max": 3, "pde": False}}, 0),
+    ({**POSCHL_TELLER, "verify": {"n_max": 2, "pde": False}}, 0),
+    ({"grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 101}, "verify": {"n_max": 3}}, 2),
+]
+
+
+@ON_LINUX
+@pytest.mark.parametrize(
+    "overrides, code", VERIFY_CASES, ids=["linear", "poschl_teller", "coarse_fails"]
+)
+def test_verify_forked_partner_matches_in_process(tmp_path, monkeypatch, two_cpus, overrides, code):
+    sectors = []
+    solve = susy.oracle_eigenvalues
+
+    def recording(pair, sector, k):
+        sectors.append(sector)
+        return solve(pair, sector, k)
+
+    monkeypatch.setattr(susy, "oracle_eigenvalues", recording)
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert run("verify", "--config", cfg, "--out", tmp_path / "forked") == code
+    [host] = sectors  # the partner sector was bisected in the child
+    assert_no_child_left()
+
+    sectors.clear()
+    monkeypatch.setattr(sys, "platform", "win32")
+    assert run("verify", "--config", cfg, "--out", tmp_path / "in_process") == code
+    assert sectors == [host, host.partner]
+    assert (tmp_path / "forked" / "verify.json").read_bytes() == (
+        tmp_path / "in_process" / "verify.json"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("platform", [sys.platform, "win32"], ids=["native", "in_process"])
+@pytest.mark.parametrize(
+    "failing, shown", [(("minus", "plus"), "minus"), (("plus",), "plus")], ids=["both", "partner"]
+)
+def test_verify_host_sector_error_wins(
+    tmp_path, monkeypatch, capsys, two_cpus, platform, failing, shown
+):
+    solve = susy.oracle_eigenvalues
+
+    def solve_or_fail(pair, sector, k):
+        if sector.value in failing:
+            raise DiscretizationError(f"{sector.value} sector failed")
+        return solve(pair, sector, k)
+
+    monkeypatch.setattr(susy, "oracle_eigenvalues", solve_or_fail)
+    monkeypatch.setattr(sys, "platform", platform)
+    cfg = write_config(tmp_path / "cfg.json", **SMALL_LINEAR, verify={"n_max": 3, "pde": False})
+    capsys.readouterr()
+    assert run("verify", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"majorana1d: {shown} sector failed\n"
+    assert not (tmp_path / "out" / "verify.json").exists()
+    assert_no_child_left()
+
+
+@ON_LINUX
+def test_verify_host_failure_kills_the_running_partner_child(
+    tmp_path, monkeypatch, capsys, two_cpus
+):
+    pid_file = tmp_path / "child.pid"
+
+    def slow_partner_failing_host(pair, sector, k):
+        if sector.value == "plus":  # the partner, in the child
+            (tmp_path / "child.tmp").write_text(str(os.getpid()))
+            os.replace(tmp_path / "child.tmp", pid_file)
+            time.sleep(60)
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise DiscretizationError("host bisection failed")
+
+    monkeypatch.setattr(susy, "oracle_eigenvalues", slow_partner_failing_host)
+    cfg = write_config(tmp_path / "cfg.json", **SMALL_LINEAR, verify={"n_max": 3, "pde": False})
+    capsys.readouterr()
+    began = time.monotonic()
+    assert run("verify", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert time.monotonic() - began < 30
+    assert capsys.readouterr().err == "majorana1d: host bisection failed\n"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+    assert_no_child_left()
+
+
+@ON_LINUX
+def test_one_cpu_runs_verify_and_evolve_in_process(tmp_path, monkeypatch):
+    verify_cfg = write_config(
+        tmp_path / "verify.json", **SMALL_LINEAR, verify={"n_max": 3, "pde": False}
+    )
+    evolve_cfg = evolve_config(tmp_path, dt=math.sqrt(2.0) * math.pi / 200)
+
+    def run_both(out):
+        assert run("verify", "--config", verify_cfg, "--out", out) == 0
+        assert run("evolve", "--config", evolve_cfg, "--out", out, "--pde") == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = run_both(tmp_path / "two")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+
+    def refuse():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run_both(tmp_path / "one") == forked
+    assert sorted(forked) == [
+        "density.csv", "density_pde.csv", "evolve_summary.json", "verify.json"
+    ]
+
+
+def test_cli_loads_no_process_pool(tmp_path):
+    cfg = evolve_config(tmp_path, dt=math.sqrt(2.0) * math.pi / 200)
+    argv = ["evolve", "--config", str(cfg), "--out", str(tmp_path / "out"), "--pde"]
+    modules = ("multiprocessing", "concurrent.futures", "concurrent.futures.process")
+    code = (
+        "import sys; from majorana1d import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        f"print([m for m in {modules!r} if m in sys.modules])"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "density.csv").exists()

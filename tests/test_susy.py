@@ -294,3 +294,31 @@ def test_builtin_family(mass, potential, label, a1):
         assert fam is None
     else:
         assert (fam.label, fam.a1) == (label, a1)
+
+
+@pytest.mark.parametrize(
+    "depth, width, hbar, bound",
+    [(2.0, 1.0, 1.0, 2), (3.0, 1.0, 1.0, 3), (4.95, 1.0, 1.0, 5), (5.05, 1.0, 1.0, 6),
+     (1.0, 0.5, 1.0, 2), (2.0, 1.0, 0.3, 7), (0.5, 1.0, 1.0, 1)],
+)
+def test_poschl_teller_family_binds_the_levels_below_depth_over_step(depth, width, hbar, bound):
+    # level n needs a positive a_(n+1) = depth - n c hbar width: n < depth / (c hbar width)
+    p = mj.PhysicalParams(mass=0.0, hbar=hbar)
+    fam = mj.poschl_teller_family(depth, width, p)
+    assert fam.bound_levels == bound
+    assert fam.parameters(bound)[-1] > 0 >= fam.parameters(bound + 1)[-1]
+    fam.require_bound(bound - 1, "spectrum.n_max")
+    with pytest.raises(mj.UnboundLevelError, match=f"spectrum.n_max is {bound}, .* binds only {bound} "):
+        fam.require_bound(bound, "spectrum.n_max")
+    # the linear family binds every level
+    assert mj.linear_family(1.0, p).bound_levels is None
+    mj.linear_family(1.0, p).require_bound(10**6, "spectrum.n_max")
+
+
+def test_builtin_poschl_teller_family_mirrors_a_negative_width():
+    p = mj.PhysicalParams(mass=0.0)
+    mirrored = mj.builtin_family(p, mj.PoschlTellerPotential(3.0, -1.0))
+    reference = mj.builtin_family(p, mj.PoschlTellerPotential(-3.0, 1.0))
+    assert (mirrored.a1, mirrored.bound_levels) == (reference.a1, reference.bound_levels) == (3.0, 3)
+    assert mirrored.parameters(3) == reference.parameters(3) == [3.0, 2.0, 1.0]
+    assert mj.builtin_family(p, mj.PoschlTellerPotential(3.0, 0.0)) is None
