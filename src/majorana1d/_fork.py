@@ -1,4 +1,11 @@
-"""One call computed in a forked child process beside this one.
+"""One call computed beside this process: in a forked child where it
+may fork, else in this process.
+
+``start(fn, *args)`` returns a handle, also a ``with`` block, whose
+``join`` returns ``fn(*args)`` or raises its exception. A caller does
+its own half between the two, so it has one order whether or not it
+forks: its own half's error comes first, and the call is done when
+``join`` returns.
 
 ``Child(fn, *args)`` forks. The child computes ``fn(*args)``, sends the
 pickled result, or the exception it raised, back through a pipe and
@@ -12,6 +19,8 @@ holds would stay held in the child: ``start`` forks only on Linux and
 while no other Python thread runs (fork is unsafe with the macOS system
 frameworks and absent on Windows), and only when this process may run
 on two CPUs or more; on one, the child would only add the fork's cost.
+Otherwise its ``InProcess`` handle computes ``fn(*args)`` on ``join``,
+and nothing when its block is left first.
 """
 
 from __future__ import annotations
@@ -31,10 +40,25 @@ def can_fork() -> bool:
     )
 
 
-def start(fn, *args) -> Child | None:
-    """``fn(*args)`` started in a forked child, or None where ``can_fork``
-    says this process should compute it itself."""
-    return Child(fn, *args) if can_fork() else None
+def start(fn, *args) -> Child | InProcess:
+    """``fn(*args)`` in a forked child where ``can_fork``, else here on ``join``."""
+    return Child(fn, *args) if can_fork() else InProcess(fn, *args)
+
+
+class InProcess:
+    """``fn(*args)`` computed in this process by ``join``."""
+
+    def __init__(self, fn, *args):
+        self._fn, self._args = fn, args
+
+    def join(self):
+        return self._fn(*self._args)
+
+    def __enter__(self) -> InProcess:
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
 
 
 class _ChildTraceback(Exception):

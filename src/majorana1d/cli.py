@@ -16,10 +16,10 @@ sector in the child while this process bisects the host sector, and
 ``evolve --pde`` writes ``density.csv`` in the child while this process
 integrates and writes ``density_pde.csv``; both CSVs stream one frame
 at a time. Neither forks off Linux, while another Python thread runs,
-or when this process may run on one CPU only; both halves then run
-here, the host sector or ``density.csv`` first. The bytes, the exit
-code and which error wins (the host sector's, or ``density.csv``'s)
-are the same either way, and no child outlives the command.
+or when this process may run on one CPU only; the child's half then
+runs here after this process's. A command has that one order either
+way, so its bytes, its exit code and which error wins (the host
+sector's, or ``density.csv``'s) are the same, and no child outlives it.
 
 Exit codes: 0 success, 1 config/parse error, 2 tolerance failure,
 3 physics precondition violation.
@@ -28,7 +28,6 @@ Exit codes: 0 success, 1 config/parse error, 2 tolerance failure,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import operator
@@ -85,10 +84,12 @@ _BOUNDS = {"positive": operator.gt, "non-negative": operator.ge}
 
 def _convert(kind: type, value, key: str, bound: str | None = None):
     """``kind(value)`` for ``kind`` float or int; a malformed value, a
-    float that is not finite, a non-integral number where an integer
-    is wanted, or a value that is not ``bound`` ("positive" or
+    boolean, a float that is not finite, a non-integral number where an
+    integer is wanted, or a value that is not ``bound`` ("positive" or
     "non-negative") raises ConfigError naming ``key``."""
     expected = "an integer" if kind is int else "a number"
+    if isinstance(value, bool):  # int() and float() take a JSON true as 1
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
     try:
         result = kind(value)
     except (TypeError, ValueError, OverflowError) as err:
@@ -203,16 +204,6 @@ def load_config(path: str) -> RunConfig:
 # ------------------------------------------------------------- artifacts
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def write_atomic(path: Path, chunks):
     """Write the bytes of ``chunks`` to a temp file beside ``path``, then
     rename it over ``path``; on any failure the temp file is removed and
@@ -232,7 +223,7 @@ def write_atomic(path: Path, chunks):
 
 
 def write_json(path: Path, payload: dict):
-    text = json.dumps(_jsonable(payload), indent=2) + "\n"
+    text = json.dumps(payload, indent=2) + "\n"
     write_atomic(path, (text.encode("utf-8"),))
 
 
@@ -335,21 +326,6 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def write_analytic_density_csv(
-    path: Path,
-    grid: GridSpec,
-    model: linear.LinearModel,
-    n: int,
-    delta: float,
-    dt: float,
-    steps: list[int],
-):
-    """Write the closed-form level-``n`` frames at times ``step * dt``
-    with ``write_density_csv``."""
-    frames = evolution.closed_form_frames(model, grid, n, delta, dt, steps)
-    write_density_csv(path, grid, frames)
-
-
 def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     section = cfg.raw.get("evolve")
     if not isinstance(section, dict):
@@ -380,7 +356,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
             file=sys.stderr,
         )
     steps = evolution.frame_steps(run.n_steps, stride)
-    density_job = (out_dir / "density.csv", cfg.grid, model, n, delta, run.dt, steps)
+    frames = evolution.closed_form_frames(model, cfg.grid, n, delta, run.dt, steps)
     evolution.require_grid_holds(model, cfg.grid, n, delta)
     summary = _describe_common(cfg)
     summary.update(
@@ -397,29 +373,27 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     )
 
     status = EXIT_OK
-    with contextlib.ExitStack() as stack:
-        density = _fork.start(write_analytic_density_csv, *density_job) if use_pde else None
-        if density is None:
-            write_analytic_density_csv(*density_job)
-        else:
-            # joined, not killed, when the PDE fails: a density.csv error
-            # raised here replaces a PDE error, as when that file is
-            # written first
-            stack.enter_context(density)
-            stack.callback(density.join)
-        if use_pde:
-            check = evolution.pde_vs_closed_form(
-                model, cfg.grid, n, delta, run.t_final, run.dt, stride
-            )
-            write_density_csv(out_dir / "density_pde.csv", cfg.grid, check)
-            max_err = check.max_component_error
-            summary.update({"max_component_error": max_err, "norm_drift": check.norm_drift})
-            if max_err > cfg.tol:
-                status = EXIT_TOLERANCE
-                print(
-                    f"evolve: PDE/analytic mismatch {max_err:.3e} exceeds tol {cfg.tol:.1e}",
-                    file=sys.stderr,
+    if not use_pde:
+        write_density_csv(out_dir / "density.csv", cfg.grid, frames)
+    else:
+        with _fork.start(write_density_csv, out_dir / "density.csv", cfg.grid, frames) as density:
+            try:
+                check = evolution.pde_vs_closed_form(
+                    model, cfg.grid, n, delta, run.t_final, run.dt, stride
                 )
+                write_density_csv(out_dir / "density_pde.csv", cfg.grid, check)
+                max_err = check.max_component_error
+                summary.update({"max_component_error": max_err, "norm_drift": check.norm_drift})
+                if max_err > cfg.tol:
+                    status = EXIT_TOLERANCE
+                    print(
+                        f"evolve: PDE/analytic mismatch {max_err:.3e} exceeds tol {cfg.tol:.1e}",
+                        file=sys.stderr,
+                    )
+            finally:
+                # joined, not killed, when the PDE fails: a density.csv error
+                # raised here replaces a PDE error, and the file is still written
+                density.join()
     write_json(out_dir / "evolve_summary.json", summary)
     return status
 

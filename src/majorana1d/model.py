@@ -60,6 +60,10 @@ class GridSpec:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_points < 3:
             raise ValueError(f"need at least 3 grid points, got {self.n_points}")
+        if not math.isfinite(self.h):  # x_max - x_min overflows, or a bound is infinite
+            raise ValueError(
+                f"need a finite spacing (x_max - x_min) / (n_points - 1), got {self.h}"
+            )
 
     @property
     def h(self) -> float:

@@ -255,6 +255,19 @@ MALFORMED_VALUES = [
         {"potential": {"kind": "custom", "expression": "a*x", "parameters": {"a": "nan"}}},
     ),
     ("physical.mass", "spectrum", {"physical": {"mass": "nan"}}),
+    # int() and float() take a JSON true as 1
+    (
+        "potential.k must be a number, got True",
+        "spectrum",
+        {"potential": {"kind": "linear", "k": True}},
+    ),
+    ("spectrum.n_max must be an integer, got True", "spectrum", {"spectrum": {"n_max": True}}),
+    # a span x_max - x_min that overflows gives no finite spacing
+    (
+        "bad grid: need a finite spacing",
+        "classify",
+        {"grid": {"x_min": -1e308, "x_max": 1e308, "n_points": 11}},
+    ),
     ("physical", "classify", {"physical": [1.0]}),
     ("verify", "verify", {"verify": ["n_max", 3]}),
     ("audit", "audit", {"audit": ["f3", {"kind": "custom", "expression": "0.1*sin(x)"}]}),
@@ -557,7 +570,7 @@ def test_evolve_pde_worker_matches_in_process(tmp_path, monkeypatch, two_cpus):
     written.clear()
     monkeypatch.setattr(sys, "platform", "win32")
     assert run("evolve", "--config", cfg, "--out", tmp_path / "in_process", "--pde") == 0
-    assert written == ["density.csv", "density_pde.csv"]
+    assert written == ["density_pde.csv", "density.csv"]  # joined after the PDE, as forked
     for name in ("density.csv", "density_pde.csv", "evolve_summary.json"):
         assert (tmp_path / "worker" / name).read_bytes() == (
             tmp_path / "in_process" / name
@@ -597,8 +610,8 @@ def test_evolve_density_csv_error_wins_and_keeps_target(tmp_path, monkeypatch, t
     assert target.read_bytes() == b"previous run\n"
     assert list(out.glob("*.tmp")) == []
     assert not (out / "evolve_summary.json").exists()
-    # in process, density.csv fails before the integration starts
-    assert called == ([True] if platform == "linux" else [])
+    # density.csv is joined after the integration on either path
+    assert called == [True]
     assert_no_child_left()
 
 

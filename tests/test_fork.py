@@ -92,23 +92,62 @@ def test_leaving_the_block_kills_and_reaps_a_running_child():
 
 
 def test_start_forks_only_on_linux_with_one_thread_and_two_cpus(monkeypatch):
+    def forks() -> bool:
+        with _fork.start(os.getpid) as handle:
+            return isinstance(handle, _fork.Child) and handle.join() != os.getpid()
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with _fork.start(os.getpid) as child:
-        assert child.join() != os.getpid()
+    assert forks()
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _fork.start(os.getpid) is None
+    assert not forks()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert _fork.start(os.getpid) is None
+        assert not forks()
     finally:
         release.set()
         other.join()
 
     monkeypatch.setattr(sys, "platform", "win32")
-    assert _fork.start(os.getpid) is None
+    assert not forks()
     assert_no_child_left()
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """This process may run on one CPU only, so ``_fork.start`` does not fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def test_in_process_join_computes_here(one_cpu):
+    with _fork.start(os.getpid) as handle:
+        assert isinstance(handle, _fork.InProcess)
+        assert handle.join() == os.getpid()
+    with _fork.start(np.linspace, 0.0, 1.0, 5) as handle:
+        assert handle.join().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_in_process_join_raises_the_exception_unchanged(one_cpu):
+    error = errors.InstabilityError(7, "nan at step 7")
+
+    def fail():
+        raise error
+
+    with pytest.raises(errors.InstabilityError) as caught:
+        _fork.start(fail).join()
+    assert caught.value is error
+    assert caught.value.__cause__ is None
+
+
+def test_in_process_block_left_without_join_computes_nothing(one_cpu):
+    called = []
+    with pytest.raises(ValueError, match="caller failed"):
+        with _fork.start(called.append, "computed"):
+            raise ValueError("caller failed")
+    with _fork.start(called.append, "computed"):
+        pass
+    assert called == []

@@ -31,6 +31,12 @@ def test_grid_spec_validation():
     assert mj.GridSpec(0.0, 1.0, 11).h == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("x_min, x_max", [(-1e308, 1e308), (-math.inf, 0.0)])
+def test_grid_spec_refuses_a_spacing_that_is_not_finite(x_min, x_max):
+    with pytest.raises(ValueError, match="need a finite spacing"):
+        mj.GridSpec(x_min, x_max, 11)
+
+
 def test_grid_function_rejects_wrong_length_and_nonfinite():
     with pytest.raises(ValueError):
         mj.GridFunction(GRID, np.zeros(5))
