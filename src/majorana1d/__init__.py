@@ -90,12 +90,10 @@ from .susy import (
     builtin_family,
     check_shape_invariance,
     compare_spectra,
-    gram_matrix,
     linear_family,
     oracle_eigenvalues,
     partner_potentials,
     poschl_teller_family,
-    state_hierarchy,
     zero_mode,
 )
 

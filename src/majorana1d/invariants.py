@@ -40,7 +40,8 @@ def verify_checks(
     the spectra of ``susy.compare_spectra`` (``n_max`` must then fit on
     ``grid`` and name only bound levels of the family), the host sector
     before the partner's, which a child bisects at the same time where
-    ``_fork.start`` forks; for phi = k x, the closed forms and, with
+    ``_fork.start`` forks; for phi = k x of either sign, the closed forms
+    (those of the mirror slope |k|, rows exchanged, for k < 0) and, with
     ``pde``, one period of the integration."""
     audit = model.majorana_compatible(couplings, grid, audit_tol)
     worst_coupling = max((v for k, v in audit.max_abs.items() if k != "f2"), default=0.0)
@@ -75,19 +76,23 @@ def verify_checks(
         return checks
     lin = linear.LinearModel(phi.k, p)
     y = lin.y_of_x(grid.points())
-    if lin.k > 0:
-        gaussian = linear.eigenstate_minus(lin, 0, y)
-        error = float(np.max(np.abs(cls.zero_mode.values - gaussian)))
-        checks.append(_check("zero_mode_matches_gaussian", error, susy.ZERO_MODE_TOL))
-        worst_ladder = 0.0
-        for level in range(1, ladder_levels + 1):
-            minus_n = model.GridFunction(grid, linear.eigenstate_minus(lin, level, y))
-            target = linear.energy(lin, level) * linear.eigenstate_plus(lin, level, y)
-            image = susy.apply_a(p, phi, minus_n).values
-            if float(np.dot(image, target)) < 0:
-                target = -target
-            worst_ladder = max(worst_ladder, model.norm(model.GridFunction(grid, image - target)))
-        checks.append(_check("ladder_mapping_residual", worst_ladder, susy.LADDER_TOL))
+    # for k < 0 the rows are exchanged: the plus-sector host states are the
+    # minus-sector closed forms of the mirror slope |k|, and A† maps them
+    # onto their partners as A does for k > 0
+    mirror = lin if lin.k > 0 else linear.LinearModel(-lin.k, p)
+    ladder = susy.apply_a if lin.k > 0 else susy.apply_a_dagger
+    gaussian = linear.eigenstate_minus(mirror, 0, y)
+    error = float(np.max(np.abs(cls.zero_mode.values - gaussian)))
+    checks.append(_check("zero_mode_matches_gaussian", error, susy.ZERO_MODE_TOL))
+    worst_ladder = 0.0
+    for level in range(1, ladder_levels + 1):
+        host_n = model.GridFunction(grid, linear.eigenstate_minus(mirror, level, y))
+        target = linear.energy(mirror, level) * linear.eigenstate_plus(mirror, level, y)
+        image = ladder(p, phi, host_n).values
+        if float(np.dot(image, target)) < 0:
+            target = -target
+        worst_ladder = max(worst_ladder, model.norm(model.GridFunction(grid, image - target)))
+    checks.append(_check("ladder_mapping_residual", worst_ladder, susy.LADDER_TOL))
     if pde:
         one = evolution.run_length(lin, grid, 1, None, 1.0, None)  # evolve's one-period grid
         check = evolution.pde_vs_closed_form(lin, grid, 1, math.pi / 2.0, one.t_final, one.dt)

@@ -254,6 +254,27 @@ def superpotential(p: PhysicalParams, phi: ScalarPotential, x):
     return p.rest_energy + phi.evaluate(x)
 
 
+def staggered_ladder(
+    p: PhysicalParams, phi: ScalarPotential, spec: GridSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two bands of the doubler-free staggered ladder operator A.
+
+    A maps psi1 on the m = n_points - 2 interior nodes (psi1 is zero on
+    the two boundary nodes) to the m + 1 midpoints j+½:
+
+        (A psi1)_{j+½} = cħ (psi1_{j+1} - psi1_j) / h + ½ (W_j psi1_j + W_{j+1} psi1_{j+1}).
+
+    The (m+1)×m matrix is bidiagonal: the column of interior node j
+    holds ``left = cħ/h + W_j/2`` at midpoint j-½ and
+    ``right = -cħ/h + W_j/2`` at midpoint j+½. Unlike the central
+    difference, AᵀA has no doubled levels (Susskind, Phys. Rev. D 16,
+    3031 (1977)). Returns (left, right), each of length m.
+    """
+    half_w = 0.5 * np.asarray(superpotential(p, phi, spec.points()), dtype=float)[1:-1]
+    coef = p.c * p.hbar / spec.h
+    return coef + half_w, half_w - coef
+
+
 def trapezoid(values: np.ndarray, h: float) -> float:
     """Trapezoidal integral of uniform samples with spacing h."""
     return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))

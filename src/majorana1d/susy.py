@@ -2,7 +2,11 @@
 
 The two-component Majorana equation decouples into partner eigenvalue
 problems H_∓ φ = E² φ with H_- = A†A and H_+ = AA†, where
-A = c ħ d/dx + W and W = m c² + phi. An unbroken configuration has a
+A = c ħ d/dx + W and W = m c² + phi. A is discretized once, as the
+doubler-free staggered A of ``model.staggered_ladder`` that the PDE
+integrator steps with: ``apply_a`` is that A averaged back onto the
+nodes, with the function zero on the two boundary nodes, and
+``apply_a_dagger`` is its transpose. An unbroken configuration has a
 normalizable zero mode exp(∓∫W/cħ) in exactly one sector; when the
 partner pair is shape invariant the whole spectrum follows from the
 reparametrization remainder R.
@@ -31,12 +35,12 @@ from .model import (
     PhysicalParams,
     PoschlTellerPotential,
     ScalarPotential,
-    inner_product,
     norm,
     normalize,
+    staggered_ladder,
     superpotential,
 )
-from .oracle import Eigenpair, Sector
+from .oracle import Sector
 
 # Normalized zero-mode amplitude allowed at the domain ends; separates
 # exponential decay from growth at desk-scale domains.
@@ -48,8 +52,8 @@ REMAINDER_TOL = 1e-10
 # Largest ||A ψ0|| (or ||A† ψ0||) of a sampled zero mode
 ANNIHILATION_TOL = 1e-4
 # Largest sup-norm distance of a sampled zero mode from the closed-form
-# ground state, and largest ||A φ-_n - E_n φ+_n|| of the central-difference
-# ladder on closed-form states
+# ground state, and largest ||A φ-_n - E_n φ+_n|| (A† for a plus-sector
+# host) of the staggered ladder on closed-form states
 ZERO_MODE_TOL = 1e-6
 LADDER_TOL = 1e-3
 
@@ -87,21 +91,28 @@ def oracle_eigenvalues(pair: PartnerPotentials, sector: Sector, k: int) -> np.nd
     return oracle.eigenvalues(oracle.discretize(pair.params, v, sector), k)
 
 
-def _gradient(values: np.ndarray, h: float) -> np.ndarray:
-    # central differences inside, second-order one-sided at the ends
-    return np.gradient(values, h, edge_order=2)
-
-
 def apply_a(p: PhysicalParams, phi: ScalarPotential, f: GridFunction) -> GridFunction:
-    """A f = c ħ f' + W f."""
-    w = superpotential(p, phi, f.x)
-    return GridFunction(f.spec, p.c * p.hbar * _gradient(f.values, f.spec.h) + w * f.values)
+    """A f = c ħ f' + W f: the staggered A of ``staggered_ladder`` applied
+    to the interior nodes of f (f is zero on the two boundary nodes, as
+    in the oracle and the PDE), averaged back onto the nodes. Each
+    boundary node takes its one adjacent midpoint."""
+    left, right = staggered_ladder(p, phi, f.spec)
+    inner = f.values[1:-1]
+    mid = np.concatenate((left * inner, [0.0])) + np.concatenate(([0.0], right * inner))
+    ends = np.concatenate((mid[:1], mid, mid[-1:]))
+    return GridFunction(f.spec, 0.5 * (ends[:-1] + ends[1:]))
 
 
 def apply_a_dagger(p: PhysicalParams, phi: ScalarPotential, f: GridFunction) -> GridFunction:
-    """A† f = -c ħ f' + W f."""
-    w = superpotential(p, phi, f.x)
-    return GridFunction(f.spec, -p.c * p.hbar * _gradient(f.values, f.spec.h) + w * f.values)
+    """A† f = -c ħ f' + W f: the transpose of ``apply_a``. f is averaged
+    onto the midpoints, and Aᵀ maps them onto the interior nodes; the two
+    boundary nodes are zero. Under the trapezoid inner product
+    <A f, g> = <f, A† g> holds to roundoff."""
+    left, right = staggered_ladder(p, phi, f.spec)
+    mid = 0.5 * (f.values[:-1] + f.values[1:])
+    out = np.zeros(f.spec.n_points)
+    out[1:-1] = left * mid[:-1] + right * mid[1:]
+    return GridFunction(f.spec, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,56 +369,3 @@ def compare_spectra(
     # the oracle runs beside a family, or alone when none is asked for
     pair = partner_potentials(p, phi, grid) if family is not None or not algebraic else None
     return SpectrumComparison(pair, n_max, oracle_levels, cls, family, invariance)
-
-
-def state_hierarchy(
-    p: PhysicalParams,
-    fam: ShapeInvariantFamily,
-    grid: GridSpec,
-    n_max: int,
-) -> tuple[list[Eigenpair], list[Eigenpair]]:
-    """Build the eigenstate ladders of both sectors algebraically.
-
-    The n-th minus-sector state at parameter a_1 comes from the zero
-    mode at a_{n+1} pushed up the chain with A†(a_s), renormalizing at
-    every rung; plus-sector states are A(a_1) images of the next minus
-    state. Returned plus states are indexed by their own sector, so
-    plus[n] shares its eigenvalue with minus[n+1].
-    """
-    params_seq = fam.parameters(n_max + 1)
-    modes = {}
-    for a in params_seq:
-        cls = zero_mode(p, fam.potential_at(a), grid)
-        if not cls.unbroken or cls.sector is not Sector.MINUS:
-            raise BrokenSusyError(
-                f"hierarchy needs an unbroken minus-sector zero mode at a={a}; "
-                f"classification was {cls.status}"
-                + (f"/{cls.sector.value}" if cls.sector else "")
-            )
-        modes[a] = cls.zero_mode
-    energies = algebraic_spectrum(fam, n_max)
-
-    minus: list[Eigenpair] = []
-    for n in range(n_max + 1):
-        state = modes[params_seq[n]]
-        for s in range(n - 1, -1, -1):
-            state = normalize(apply_a_dagger(p, fam.potential_at(params_seq[s]), state))
-        minus.append(Eigenpair(float(energies[n] ** 2), state, n, Sector.MINUS))
-
-    plus: list[Eigenpair] = []
-    for n in range(n_max):
-        image = normalize(apply_a(p, fam.potential_at(params_seq[0]), minus[n + 1].eigenfunction))
-        plus.append(Eigenpair(float(energies[n + 1] ** 2), image, n, Sector.PLUS))
-    return minus, plus
-
-
-def gram_matrix(states: list[Eigenpair]) -> np.ndarray:
-    """Pairwise overlaps; the identity for an orthonormal ladder."""
-    k = len(states)
-    out = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            out[i, j] = out[j, i] = inner_product(
-                states[i].eigenfunction, states[j].eigenfunction
-            )
-    return out

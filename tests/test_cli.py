@@ -850,7 +850,7 @@ def test_verify_writes_the_library_check_list(tmp_path, overrides):
     expected = ["coupling_reality_audit", "unbroken_susy", "zero_mode_annihilation",
                 "shape_invariance_spread", "shape_invariance_remainder",
                 "algebraic_vs_oracle_energy_sq", "partner_isospectrality"]
-    if overrides is LINEAR_POS:
+    if overrides is not POSCHL_TELLER:  # the closed forms of either slope
         expected += ["zero_mode_matches_gaussian", "ladder_mapping_residual"]
     assert names == expected
     tols = {check["name"]: check["tol"] for check in written}
@@ -861,9 +861,27 @@ def test_verify_writes_the_library_check_list(tmp_path, overrides):
     assert tols["shape_invariance_remainder"] == 1e-10
     assert tols["algebraic_vs_oracle_energy_sq"] == 1e-3
     assert tols["partner_isospectrality"] == 5e-3
-    if overrides is LINEAR_POS:
+    if overrides is not POSCHL_TELLER:
         assert tols["zero_mode_matches_gaussian"] == 1e-6
         assert tols["ladder_mapping_residual"] == 1e-3
+
+
+def test_verify_negative_slope_checks_the_mirrored_closed_forms(tmp_path):
+    # k < 0 hosts the zero mode in the plus sector: it is the Gaussian of
+    # the mirror slope |k|, and A† maps each host level onto its partner
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        potential={"kind": "linear", "k": -1.0},
+        grid={"x_min": -11.0, "x_max": 13.0, "n_points": 4001},
+        verify={"n_max": 6, "pde": False},
+    )
+    assert run("verify", "--config", cfg, "--out", tmp_path / "out") == 0
+    written = json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]
+    checks = {c["name"]: c for c in written}
+    assert checks["zero_mode_matches_gaussian"]["passed"]
+    assert checks["zero_mode_matches_gaussian"]["residual"] <= 1e-12
+    assert checks["ladder_mapping_residual"]["passed"]
+    assert checks["ladder_mapping_residual"]["residual"] <= 2e-4
 
 
 def test_verify_reads_audit_tol_as_audit_does(tmp_path, capsys):

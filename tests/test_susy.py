@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import majorana1d as mj
+from majorana1d import evolution
+from majorana1d.model import staggered_ladder
 
 from .conftest import l2, sign_align, sup
 
@@ -62,12 +64,47 @@ def test_annihilation_residual_needs_a_zero_mode(params, grid10):
         cls.annihilation_residual(params, mj.LinearPotential(0.0))
 
 
-def test_apply_a_on_constant_with_flat_potential():
-    p = mj.PhysicalParams(mass=1.0)
-    grid = mj.GridSpec(-5.0, 5.0, 101)
-    f = mj.sample(grid, lambda x: np.ones_like(x))
-    out = mj.apply_a(p, mj.LinearPotential(0.0), f)
-    assert np.allclose(out.values, 1.0, atol=1e-13)
+def test_apply_a_is_the_node_average_of_the_staggered_ladder(params, linear_potential):
+    # one discretization of A: the bands the PDE integrator factors
+    assert evolution.staggered_ladder is staggered_ladder
+    grid = mj.GridSpec(-13.0, 11.0, 41)
+    x = grid.points()
+    values = np.exp(-0.1 * x**2) * np.sin(x)
+    values[[0, -1]] = 0.0
+    f = mj.GridFunction(grid, values)
+    left, right = staggered_ladder(params, linear_potential, grid)
+    m = grid.n_points - 2
+    ladder = np.zeros((m + 1, m))
+    ladder[np.arange(m), np.arange(m)] = left
+    ladder[np.arange(1, m + 1), np.arange(m)] = right
+    # nodes -> midpoints by averaging; midpoints -> nodes by averaging,
+    # each boundary node taking its one adjacent midpoint
+    to_mid = 0.5 * (np.eye(m + 2)[:-1] + np.eye(m + 2)[1:])
+    to_nodes = 0.5 * (np.eye(m + 1)[[0, *range(m + 1)]] + np.eye(m + 1)[[*range(m + 1), m]])
+    expected_a = to_nodes @ ladder @ f.values[1:-1]
+    assert sup(mj.apply_a(params, linear_potential, f).values, expected_a) <= 1e-13
+    expected_a_dagger = np.concatenate(([0.0], ladder.T @ to_mid @ f.values, [0.0]))
+    assert sup(mj.apply_a_dagger(params, linear_potential, f).values, expected_a_dagger) <= 1e-13
+
+
+def test_apply_a_ignores_the_boundary_nodes(params, linear_potential, grid10):
+    # Dirichlet ends, as in the oracle and the PDE: the boundary samples
+    # of f do not enter A f
+    values = np.random.default_rng(5).standard_normal(grid10.n_points)
+    moved = values.copy()
+    moved[0], moved[-1] = 3.0, -7.0
+    got = mj.apply_a(params, linear_potential, mj.GridFunction(grid10, values))
+    again = mj.apply_a(params, linear_potential, mj.GridFunction(grid10, moved))
+    assert np.array_equal(got.values, again.values)
+
+
+def test_poschl_teller_zero_mode_annihilation_on_the_staggered_ladder():
+    # the staggered A leaves 2.65e-5 here; the central-difference A left 6.56e-5
+    p = mj.PhysicalParams(mass=0.0)
+    potential = mj.PoschlTellerPotential(5.0, 1.0)
+    cls = mj.zero_mode(p, potential, mj.GridSpec(-20.0, 20.0, 8001))
+    assert cls.sector is mj.Sector.MINUS
+    assert cls.annihilation_residual(p, potential) <= 4e-5
 
 
 def test_factorization_matches_oracle_matrix(params, linear_potential, model, grid10):
@@ -178,42 +215,6 @@ def test_spectrum_monotone_for_positive_remainders(k, n_max):
     fam = mj.linear_family(k, mj.PhysicalParams())
     energies = mj.algebraic_spectrum(fam, n_max)
     assert np.all(np.diff(energies) >= 0)
-
-
-# ---------------------------------------------------------- the hierarchy
-
-
-def test_hierarchy_matches_analytic_states(params, model, grid10):
-    fam = mj.linear_family(1.0, params)
-    minus, plus = mj.state_hierarchy(params, fam, grid10, 5)
-    y = model.y_of_x(grid10.points())
-    for n in range(6):
-        analytic = mj.eigenstate_minus(model, n, y)
-        got = sign_align(minus[n].eigenfunction.values, analytic)
-        assert sup(got, analytic) <= 2e-4
-        assert minus[n].energy_squared == pytest.approx(2.0 * n, abs=1e-12)
-    # first plus state is the nodeless Gaussian paired with E_1
-    gauss = mj.eigenstate_minus(model, 0, y)
-    assert sup(sign_align(plus[0].eigenfunction.values, gauss), gauss) <= 1e-4
-    assert plus[0].energy_squared == pytest.approx(2.0)
-
-
-def test_hierarchy_overlaps_are_orthonormal(params, grid10):
-    fam = mj.linear_family(1.0, params)
-    minus, _ = mj.state_hierarchy(params, fam, grid10, 3)
-    gram = mj.gram_matrix(minus)
-    assert np.max(np.abs(gram - np.eye(4))) <= 1e-4
-
-
-def test_hierarchy_requires_unbroken_minus(params, grid10):
-    fam = mj.ShapeInvariantFamily(
-        potential_at=lambda a: mj.LinearPotential(0.0),
-        next_parameter=lambda a: a,
-        remainder=lambda a: 0.0,
-        a1=1.0,
-    )
-    with pytest.raises(mj.BrokenSusyError):
-        mj.state_hierarchy(params, fam, grid10, 2)
 
 
 def test_ladder_mapping_residuals(params, linear_potential, model, grid10):
