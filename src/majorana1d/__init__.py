@@ -70,13 +70,11 @@ from .model import (
     zero_potential,
 )
 from .oracle import (
-    Eigenpair,
     IsospectralReport,
     Sector,
     TridiagonalOperator,
     discretize,
     eigensolve,
-    eigenvalues,
     energy_from_lambda,
     verify_isospectral,
 )

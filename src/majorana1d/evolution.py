@@ -242,9 +242,9 @@ def require_grid_holds(model: LinearModel, grid: GridSpec, n: int, delta: float)
         )
     if not abs(1.0 - norm) <= NORM_DRIFT_TOL:
         raise ConfigError(
-            f"grid: the level-{n} state has norm {norm:.3e} on the grid, not 1 "
-            f"within {NORM_DRIFT_TOL:.0e}; it lies outside [x_min, x_max] = "
-            f"[{grid.x_min!r}, {grid.x_max!r}] or the grid is too coarse; "
+            f"grid: the level-{n} state has norm {norm:.9g} on the grid, off 1 by "
+            f"{abs(1.0 - norm):.1e}, more than {NORM_DRIFT_TOL:.0e}; it lies outside "
+            f"[x_min, x_max] = [{grid.x_min!r}, {grid.x_max!r}] or the grid is too coarse; "
             f"put the grid around x = {-model.y_shift!r}"
         )
 

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from . import _fork, evolution, linear, model, oracle, susy
+from .errors import ConfigError
 
 # Run tolerance when the config sets none: it bounds the algebraic and
 # oracle energies against each other, and the integrated components
@@ -41,8 +42,10 @@ def verify_checks(
     ``grid`` and name only bound levels of the family), the host sector
     before the partner's, which a child bisects at the same time where
     ``_fork.start`` forks; for phi = k x of either sign, the closed forms
-    (those of the mirror slope |k|, rows exchanged, for k < 0) and, with
-    ``pde``, one period of the integration."""
+    (those of the mirror slope |k|, rows exchanged, for k < 0; each of
+    levels 1..``ladder_levels`` must pass ``evolution.require_grid_holds``
+    on ``grid``, or ConfigError names ``verify.ladder_levels``) and,
+    with ``pde``, one period of the integration."""
     audit = model.majorana_compatible(couplings, grid, audit_tol)
     worst_coupling = max((v for k, v in audit.max_abs.items() if k != "f2"), default=0.0)
     checks = [_check("coupling_reality_audit", worst_coupling, audit_tol, audit.compatible)]
@@ -86,6 +89,15 @@ def verify_checks(
     checks.append(_check("zero_mode_matches_gaussian", error, susy.ZERO_MODE_TOL))
     worst_ladder = 0.0
     for level in range(1, ladder_levels + 1):
+        # a level the grid truncates, or whose closed form overflows, is a
+        # config error, not a ladder residual
+        try:
+            evolution.require_grid_holds(lin, grid, level, math.pi / 2)
+        except ConfigError as err:
+            raise ConfigError(
+                f"verify.ladder_levels = {ladder_levels} compares level {level}, "
+                f"which the grid does not hold: {err}"
+            ) from None
         host_n = model.GridFunction(grid, linear.eigenstate_minus(mirror, level, y))
         target = linear.energy(mirror, level) * linear.eigenstate_plus(mirror, level, y)
         image = ladder(p, phi, host_n).values

@@ -2,21 +2,18 @@
 
 The partner Hamiltonians H_∓ = -(c ħ)^2 d²/dx² + V_∓ are discretized
 with the 3-point Laplacian on the interior points of a uniform grid
-(Dirichlet-zero truncation) and diagonalized with a symmetric
-tridiagonal eigensolver. Everything the algebraic machinery produces is
-checked against these numbers.
+(Dirichlet-zero truncation), and ``eigensolve`` bisects the symmetric
+tridiagonal matrix for its lowest energies² (LAPACK ?stebz; Barth,
+Martin & Wilkinson, Numer. Math. 9, 386 (1967)). Everything the
+algebraic machinery produces is checked against these numbers.
 
-``eigensolve`` bisects for the lowest energies² and leaves the
-eigenfunctions to inverse iteration on their first read, so a caller
-that reads only energies pays for bisection alone; ``eigenvalues``
-returns those energies² as an array. The LAPACK routines come from
-``_lapack.flapack()`` when they are first called, so importing this
-module, and every command that never solves, does without SciPy.
+The LAPACK routine comes from ``_lapack.flapack()`` when it is first
+called, so importing this module, and every command that never solves,
+does without SciPy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -26,7 +23,7 @@ import numpy as np
 
 from ._lapack import flapack
 from .errors import ConfigError, DiscretizationError
-from .model import GridFunction, GridSpec, PhysicalParams, normalize
+from .model import GridFunction, GridSpec, PhysicalParams
 
 # Largest |E+_n - E-_(n+1)| between the two partner spectra that counts
 # as isospectral
@@ -49,8 +46,6 @@ class TridiagonalOperator:
 
     diagonal: np.ndarray = field(repr=False)
     off_diagonal: np.ndarray = field(repr=False)
-    spec: GridSpec
-    sector: Sector
 
     @property
     def dim(self) -> int:
@@ -62,32 +57,8 @@ class TridiagonalOperator:
         out[1:] += self.off_diagonal * v[:-1]
         return out
 
-    def norm_bound(self) -> float:
-        """Max absolute row sum, an upper bound on the spectral norm."""
-        row = np.abs(self.diagonal).astype(float)
-        row[:-1] += np.abs(self.off_diagonal)
-        row[1:] += np.abs(self.off_diagonal)
-        return float(row.max())
 
-
-@dataclass(frozen=True, eq=False)
-class Eigenpair:
-    """One bound level: its energy-squared eigenvalue and eigenfunction
-    (zero at the truncated boundaries, unit trapezoidal norm)."""
-
-    energy_squared: float
-    eigenfunction: GridFunction
-    n: int
-    sector: Sector
-
-    @property
-    def energy(self) -> float:
-        return math.sqrt(max(self.energy_squared, 0.0))
-
-
-def discretize(
-    p: PhysicalParams, v: GridFunction, sector: Sector = Sector.MINUS
-) -> TridiagonalOperator:
+def discretize(p: PhysicalParams, v: GridFunction) -> TridiagonalOperator:
     """3-point discretization of -(c ħ)² d²/dx² + V with Dirichlet-zero
     boundaries; the matrix acts on the n_points - 2 interior values."""
     spec = v.spec
@@ -96,7 +67,7 @@ def discretize(
     kin = (p.c * p.hbar) ** 2 / spec.h**2
     diagonal = 2.0 * kin + v.values[1:-1]
     off_diagonal = np.full(spec.n_points - 3, -kin)
-    return TridiagonalOperator(diagonal, off_diagonal, spec, sector)
+    return TridiagonalOperator(diagonal, off_diagonal)
 
 
 def require_levels(spec: GridSpec, n_max: int, key: str):
@@ -115,83 +86,24 @@ def require_levels(spec: GridSpec, n_max: int, key: str):
         )
 
 
-def _bands(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonals of ``op`` as the float64 LAPACK wrappers take them:
-    their f2py signature refuses the empty off-diagonal of a 1×1 matrix,
-    which LAPACK never reads, so that one gets a placeholder entry."""
-    if op.dim == 1:
-        return op.diagonal, np.zeros(1)
-    return op.diagonal, op.off_diagonal
-
-
-def _bisect(op: TridiagonalOperator, k: int):
-    """The k smallest eigenvalues of ``op`` by LAPACK bisection (?stebz)
-    with the block indices ?stein needs, in the block order it takes:
-    the calls and arguments of ``eigh_tridiagonal(..., select="i")``, so
-    values and vectors keep its bits."""
+def eigensolve(op: TridiagonalOperator, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of ``op`` (energy², ascending) by
+    bisection: the ?stebz call and arguments of ``eigh_tridiagonal(...,
+    select="i")``, so the values keep its bits. Deterministic."""
     if not 1 <= k <= op.dim:
         raise ValueError(f"k must be in [1, {op.dim}], got {k}")
-    d, e = _bands(op)
-    # range 2 = by index; vl, vu unused; il..iu 1-based; abstol 0 = default
-    m, values, iblock, isplit, info = flapack().dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    # the f2py signature refuses the empty off-diagonal of a 1×1 matrix,
+    # which LAPACK never reads, so that one gets a placeholder entry
+    e = op.off_diagonal if op.dim > 1 else np.zeros(1)
+    # range 2 = by index; vl, vu unused; il..iu 1-based; abstol 0 = default;
+    # "B" orders by split-off block, as eigh_tridiagonal asks
+    m, values, _, _, info = flapack().dstebz(op.diagonal, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
     if info != 0:
         raise np.linalg.LinAlgError(f"?stebz failed with info={info}")
-    return values[:m], iblock, isplit
-
-
-def _inverse_iteration(op: TridiagonalOperator, bisection) -> list[GridFunction]:
-    """Eigenfunctions of a ``_bisect`` result by LAPACK inverse iteration
-    (?stein), in ascending order, zero-padded onto the full grid,
-    normalized and sign-fixed."""
-    d, e = _bands(op)
-    values, iblock, isplit = bisection
-    vectors, info = flapack().dstein(d, e, values, iblock, isplit)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"?stein: {info} eigenvectors failed to converge")
-    functions = []
-    for i in np.argsort(values):
-        padded = np.zeros(op.spec.n_points)
-        padded[1:-1] = vectors[:, i]
-        functions.append(normalize(GridFunction(op.spec, padded)))
-    return functions
-
-
-class _Level(Eigenpair):
-    """An ``eigensolve`` level: the eigenvalue is known, the eigenfunction
-    is computed with those of its siblings when the first is read."""
-
-    def __init__(self, energy_squared: float, n: int, sector: Sector, eigenfunctions):
-        object.__setattr__(self, "energy_squared", energy_squared)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sector", sector)
-        object.__setattr__(self, "_eigenfunctions", eigenfunctions)
-
-    @functools.cached_property
-    def eigenfunction(self) -> GridFunction:
-        return self._eigenfunctions()[self.n]
-
-
-def eigensolve(op: TridiagonalOperator, k: int) -> list[Eigenpair]:
-    """The k smallest eigenpairs, by bisection + inverse iteration.
-
-    Deterministic; eigenfunctions are zero-padded onto the full grid,
-    normalized, and sign-fixed. The eigenvalues are bisected here; the
-    inverse iteration runs once, for all k levels, when an eigenfunction
-    is first read, so a caller that reads only energies never pays it.
-    """
-    bisection = _bisect(op, k)
-    values = np.sort(bisection[0])
+    values = np.sort(values[:m])
     if np.any(np.diff(values) <= 0):
         raise DiscretizationError("eigenvalues not strictly increasing")
-    eigenfunctions = functools.cache(lambda: _inverse_iteration(op, bisection))
-    return [_Level(float(values[i]), i, op.sector, eigenfunctions) for i in range(k)]
-
-
-def eigenvalues(op: TridiagonalOperator, k: int) -> np.ndarray:
-    """The k smallest eigenvalues (energy², ascending): the
-    ``energy_squared`` of ``eigensolve(op, k)``, as an array, without
-    ever computing the eigenfunctions."""
-    return np.array([level.energy_squared for level in eigensolve(op, k)])
+    return values
 
 
 def energy_from_lambda(lam: float, tol: float = 1e-9) -> float:
@@ -227,9 +139,9 @@ def verify_isospectral(
     clamp_tol: float = 1e-3,
 ) -> IsospectralReport:
     """Check the partner-spectrum interlacing E+_n = E-_{n+1} for all
-    comparable levels of two ascending energy² sequences (the output of
-    ``eigenvalues``, or the ``energy_squared`` of ``eigensolve`` pairs);
-    energies are taken with ``energy_from_lambda`` at ``clamp_tol``."""
+    comparable levels of two ascending energy² sequences, such as the
+    output of ``eigensolve``; energies are taken with
+    ``energy_from_lambda`` at ``clamp_tol``."""
     diffs = tuple(
         abs(energy_from_lambda(plus[n], clamp_tol) - energy_from_lambda(minus[n + 1], clamp_tol))
         for n in range(min(len(plus), len(minus) - 1))

@@ -85,10 +85,10 @@ def partner_potentials(
 
 def oracle_eigenvalues(pair: PartnerPotentials, sector: Sector, k: int) -> np.ndarray:
     """The k smallest finite-difference energies² of H_∓ for ``sector``:
-    ``oracle.eigenvalues`` of the discretized V_- (MINUS) or V_+ (PLUS)
+    ``oracle.eigensolve`` of the discretized V_- (MINUS) or V_+ (PLUS)
     of ``pair``."""
     v = pair.v_minus if sector is Sector.MINUS else pair.v_plus
-    return oracle.eigenvalues(oracle.discretize(pair.params, v, sector), k)
+    return oracle.eigensolve(oracle.discretize(pair.params, v), k)
 
 
 def apply_a(p: PhysicalParams, phi: ScalarPotential, f: GridFunction) -> GridFunction:

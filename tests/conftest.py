@@ -38,14 +38,12 @@ def partner12(params, linear_potential, grid12):
 
 @pytest.fixture(scope="session")
 def minus_levels12(params, partner12):
-    op = mj.discretize(params, partner12.v_minus, mj.Sector.MINUS)
-    return mj.eigensolve(op, 11)
+    return mj.eigensolve(mj.discretize(params, partner12.v_minus), 11)
 
 
 @pytest.fixture(scope="session")
 def plus_levels12(params, partner12):
-    op = mj.discretize(params, partner12.v_plus, mj.Sector.PLUS)
-    return mj.eigensolve(op, 10)
+    return mj.eigensolve(mj.discretize(params, partner12.v_plus), 10)
 
 
 def sign_align(values: np.ndarray, reference: np.ndarray) -> np.ndarray:

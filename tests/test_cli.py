@@ -905,25 +905,6 @@ def test_verify_reads_audit_tol_as_audit_does(tmp_path, capsys):
     assert "audit_tol must be non-negative" in capsys.readouterr().err
 
 
-def test_spectrum_and_verify_need_no_eigenfunctions(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the CLI reads no oracle eigenfunction")
-
-    monkeypatch.setattr("majorana1d.oracle._inverse_iteration", refuse)
-    cfg = write_config(
-        tmp_path / "cfg.json",
-        grid={"x_min": -11.0, "x_max": 9.0, "n_points": 2001},
-        spectrum={"n_max": 3},
-        verify={"n_max": 3, "pde": False},
-    )
-    assert run("spectrum", "--config", cfg, "--out", tmp_path / "out") == 0
-    assert run("verify", "--config", cfg, "--out", tmp_path / "out") == 0
-    checks = json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]
-    assert {"algebraic_vs_oracle_energy_sq", "partner_isospectrality"} <= {
-        c["name"] for c in checks
-    }
-
-
 def test_verify_isospectrality_compares_a_level_at_n_max_0(tmp_path):
     # partner level 0 pairs with host level 1, so n_max = 0 and 1 compare the same level
     def isospectrality(n_max):
@@ -953,6 +934,43 @@ def test_verify_coarse_grid_flags_residuals(tmp_path, capsys):
     assert flagged
     for check in flagged:
         assert check["residual"] > check["tol"]
+
+
+@pytest.mark.parametrize(
+    "overrides, ladder_levels",
+    [
+        ({}, 60),
+        ({"potential": {"kind": "linear", "k": -1.0},
+          "grid": {"x_min": -11.0, "x_max": 13.0, "n_points": 4001}}, 60),
+        ({"grid": {"x_min": -13.0, "x_max": 11.0, "n_points": 401}}, 400),
+    ],
+    ids=["readme", "negative_slope", "coarse"],
+)
+def test_verify_refuses_ladder_levels_the_grid_does_not_hold(
+    tmp_path, capsys, overrides, ladder_levels
+):
+    # level 58 on these grids has a trapezoid norm off 1 by more than
+    # NORM_DRIFT_TOL, so it is truncated; levels near 400 also overflow
+    cfg = write_config(
+        tmp_path / "cfg.json", verify={"pde": False, "ladder_levels": ladder_levels}, **overrides
+    )
+    capsys.readouterr()
+    assert run("verify", "--config", cfg, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "verify.ladder_levels" in err and "grid" in err
+    assert not (tmp_path / "out" / "verify.json").exists()
+
+
+def test_verify_held_ladder_level_over_tolerance_exits_2(tmp_path, capsys):
+    # level 40 fits the README grid (norm off 1 by about 1e-14), but the
+    # grid is too coarse for its ladder map: a tolerance failure
+    cfg = write_config(tmp_path / "cfg.json", verify={"pde": False, "ladder_levels": 40})
+    capsys.readouterr()
+    assert run("verify", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "ladder_mapping_residual" in capsys.readouterr().err
+    checks = json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]
+    ladder = next(c for c in checks if c["name"] == "ladder_mapping_residual")
+    assert ladder["residual"] > ladder["tol"]
 
 
 def test_verify_incompatible_coupling_flagged(tmp_path):

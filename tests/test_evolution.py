@@ -610,8 +610,7 @@ from majorana1d import _lapack
 model = mj.LinearModel(1.0)
 grid = mj.GridSpec(-11.0, 9.0, 201)
 op = mj.discretize(model.params, mj.GridFunction(grid, grid.points() + 1.0))
-mj.eigenvalues(op, 3)
-mj.eigensolve(op, 2)[1].eigenfunction
+mj.eigensolve(op, 3)
 y = model.y_of_x(grid.points())
 psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
 initial = mj.MajoranaSpinorState(mj.GridFunction(grid, psi1), mj.GridFunction(grid, psi2))
@@ -620,7 +619,7 @@ print("scipy.linalg" in sys.modules)
 
 from scipy.linalg.lapack import get_lapack_funcs
 
-names = ("stebz", "stein", "pttrf", "pttrs")
+names = ("stebz", "pttrf", "pttrs")
 funcs = get_lapack_funcs(names, (np.zeros(1),))
 print(all(f is getattr(_lapack.flapack(), "d" + n) for f, n in zip(funcs, names)))
 """

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 import majorana1d as mj
 
-from .conftest import sign_align, sup
-
 
 # ---------------------------------------------------------------- hermite
 
@@ -187,11 +185,3 @@ def test_negative_slope_states_are_row_exchanged(params):
         a_neg, b_neg = mj.spinor(mj.LinearModel(-1.0, params), n, 0.7, y, 0.3)
         assert np.array_equal(a_neg, b_pos)
         assert np.array_equal(b_neg, a_pos)
-
-
-def test_oracle_agreement_for_analytic_states(params, model, minus_levels12, grid12):
-    y = model.y_of_x(grid12.points())
-    for n in range(6):
-        analytic = mj.eigenstate_minus(model, n, y)
-        oracle = sign_align(minus_levels12[n].eigenfunction.values, analytic)
-        assert sup(oracle, analytic) <= 1e-3
