@@ -48,7 +48,9 @@ def pde_table(model, grids):
     steps = 100
     for n_points in grids:
         grid = mj.default_grid(model, n_points)
-        check = mj.pde_vs_closed_form(model, grid, 1, math.pi / 2, period, period / steps)
+        run = mj.run_length(model, grid, 1, None, 1.0, period / steps)
+        frames = mj.frame_steps(run.n_steps, 50)
+        check = mj.ClosedFormRun(model, grid, 1, math.pi / 2, run.dt, frames)
         error = check.drain().max_component_error
         ratio = "" if previous is None else f"{previous / error:.2f}"
         print(f"{n_points:<8} {steps:<7} {error:<12.3e} {ratio}")

@@ -22,11 +22,13 @@ from .errors import (
     InvalidFamilyError,
     MajoranaSolverError,
     PotentialSyntaxError,
+    ReservedNameError,
     StationaryStateError,
     SusyConsistencyError,
     UnboundLevelError,
 )
 from .evolution import (
+    ClosedFormRun,
     MajoranaSpinorState,
     closed_form_frames,
     density_period,
@@ -34,7 +36,6 @@ from .evolution import (
     frame_steps,
     measure_period,
     pde_frames,
-    pde_vs_closed_form,
     run_length,
     stationarity_metric,
 )

@@ -34,7 +34,7 @@ import operator
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,20 +45,19 @@ from .errors import (
     ConfigError,
     MajoranaSolverError,
     PotentialSyntaxError,
+    ReservedNameError,
     UnboundLevelError,
 )
 from .invariants import DEFAULT_TOL
 from .model import (
+    BUILTIN_POTENTIALS,
     DEFAULT_AUDIT_TOL,
     CouplingSet,
     CustomPotential,
     GridSpec,
     LinearPotential,
     PhysicalParams,
-    PoschlTellerPotential,
-    RosenMorsePotential,
     ScalarPotential,
-    ScarfPotential,
     majorana_compatible,
     zero_potential,
 )
@@ -122,26 +121,24 @@ def build_potential(section, where: str = "potential") -> ScalarPotential:
         raise ConfigError(f"{where!r} must be an object with a 'kind'")
     kind = _need(section, "kind", where)
 
-    def number(key: str, default: float | None = None) -> float:
-        value = _need(section, key, where) if default is None else section.get(key, default)
+    def number(key: str, default=MISSING) -> float:
+        value = _need(section, key, where) if default is MISSING else section.get(key, default)
         return _convert(float, value, f"{where}.{key}")
 
-    if kind == "linear":
-        return LinearPotential(number("k"))
-    if kind == "poschl_teller":
-        return PoschlTellerPotential(number("depth"), number("width", 1.0))
-    if kind == "rosen_morse":
-        return RosenMorsePotential(number("a"), number("b"), number("alpha", 1.0))
-    if kind == "scarf":
-        return ScarfPotential(number("a"), number("b"), number("alpha", 1.0))
+    if isinstance(kind, str) and kind in BUILTIN_POTENTIALS:
+        cls = BUILTIN_POTENTIALS[kind]  # a field without a default is required
+        return cls(**{f.name: number(f.name, f.default) for f in fields(cls)})
     if kind == "custom":
         parameters = section.get("parameters", {})
         if not isinstance(parameters, dict):
             raise ConfigError(f"{where}.parameters must be an object")
-        return CustomPotential(
-            str(_need(section, "expression", where)),
-            {k: _convert(float, v, f"{where}.parameters.{k}") for k, v in parameters.items()},
-        )
+        try:
+            return CustomPotential(
+                str(_need(section, "expression", where)),
+                {k: _convert(float, v, f"{where}.parameters.{k}") for k, v in parameters.items()},
+            )
+        except ReservedNameError as err:
+            raise ConfigError(f"{where}.parameters.{err.name}: {err}") from None
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
@@ -378,9 +375,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     else:
         with _fork.start(write_density_csv, out_dir / "density.csv", cfg.grid, frames) as density:
             try:
-                check = evolution.pde_vs_closed_form(
-                    model, cfg.grid, n, delta, run.t_final, run.dt, stride
-                )
+                check = evolution.ClosedFormRun(model, cfg.grid, n, delta, run.dt, steps)
                 write_density_csv(out_dir / "density_pde.csv", cfg.grid, check)
                 max_err = check.max_component_error
                 summary.update({"max_component_error": max_err, "norm_drift": check.norm_drift})

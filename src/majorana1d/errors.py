@@ -73,5 +73,20 @@ class PotentialSyntaxError(MajoranaSolverError, ValueError):
         return type(self), (self.position, self.message)
 
 
+class ReservedNameError(MajoranaSolverError, ValueError):
+    """A potential parameter is named ``x`` or after a function, which an
+    expression reads as the coordinate or the function instead."""
+
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__(
+            f"parameter {name!r} is reserved: an expression reads it as the "
+            "coordinate x or a function, never as a parameter"
+        )
+
+    def __reduce__(self):
+        return type(self), (self.name,)
+
+
 class ConfigError(MajoranaSolverError, ValueError):
     """A run configuration is malformed or incomplete."""

@@ -12,9 +12,9 @@ midpoints on the way in and out. The step is a Cayley transform of a
 skew-symmetric matrix, so the discrete L2 norm is conserved to roundoff,
 and its Schur complement I + α²AᵀA is tridiagonal, solved with LAPACK
 pttrf/pttrs, taken from ``_lapack.flapack()`` when a run starts.
-Both routes give their densities as a stream of (t, rho) frames:
-``closed_form_frames`` for the closed form, and ``pde_frames``, a
-one-pass ``PdeRun`` that yields each sampled frame as the step loop
+Both routes give their densities as a stream of (t, rho) frames over
+one schedule (dt, steps): ``closed_form_frames`` for the closed form,
+and ``PdeRun``, one pass that yields each frame as the step loop
 reaches it, so a consumer that writes frames out holds one at a time,
 and then holds the norms and the final state. ``stationarity_metric``
 and ``measure_period`` reduce any such stream in one pass. The run
@@ -229,7 +229,18 @@ def require_grid_holds(model: LinearModel, grid: GridSpec, n: int, delta: float)
     closed-form level-``n`` state at t = 0 is 1 within ``NORM_DRIFT_TOL``
     on ``grid``; otherwise the state lies partly outside it, or the grid
     is too coarse for it, or, for a norm that is not finite, its closed
-    form overflows there."""
+    form overflows there. A state whose classical turning points
+    y = ±sqrt((2n+1)/w) are not both on the grid is refused first, at
+    once: the closed form costs O(n) grid passes."""
+    reach = math.sqrt((2 * n + 1) / model.w)
+    if not (model.y_of_x(grid.x_min) <= -reach and reach <= model.y_of_x(grid.x_max)):
+        raise ConfigError(
+            f"grid: the level-{n} state lies partly or wholly outside [x_min, x_max] = "
+            f"[{grid.x_min!r}, {grid.x_max!r}]: its classical turning points "
+            f"x = {float(model.x_of_y(-reach))!r} and {float(model.x_of_y(reach))!r} are "
+            f"not both on the grid, so part of its norm is off it; "
+            f"put the grid around x = {-model.y_shift!r}"
+        )
     # an overflow shows as the norm that is not finite, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         _, rho = next(closed_form_frames(model, grid, n, delta, 0.0, [0]))
@@ -263,7 +274,7 @@ def frame_steps(n_steps: int, stride: int) -> list[int]:
 
 class PdeRun:
     """One pass of the implicit-midpoint integration of the coupled
-    first-order system, made by ``pde_frames``.
+    first-order system over the schedule (dt, steps) of ``closed_form_frames``.
 
     The ladder is the staggered A of ``staggered_ladder``: psi1 lives on
     the m interior nodes and psi2 on the m + 1 midpoints, where it
@@ -285,18 +296,19 @@ class PdeRun:
     at interior nodes and psi2² of the adjacent midpoint at the two
     boundary nodes, so its trapezoid sum is h(Σpsi1² + Σpsi2²), the
     quantity the Cayley step conserves. Iterating the run yields the
-    frames at ``frame_steps(n_steps, stride)`` of the
-    ``time_grid(t_final, dt)`` steps once, each ``rho`` a fresh array,
-    as the loop reaches them (``drain`` runs them out unread). Then
-    ``norms`` holds the trapezoid norm of each frame, ``norm_drift``
-    their relative drift and ``final`` the final state, back on the
-    nodes (interior psi2 averages its two adjacent midpoints, and both
-    components are zero on the boundary nodes); reading any of the
-    three earlier raises RuntimeError.
+    frame (dt * step, rho) at each of ``steps`` once, each ``rho`` a
+    fresh array, as the loop reaches it (``drain`` runs them out
+    unread). Then ``norms`` holds the trapezoid norm of each frame,
+    ``norm_drift`` their relative drift and ``final`` the final state,
+    back on the nodes (interior psi2 averages its two adjacent
+    midpoints, and both components are zero on the boundary nodes);
+    reading any of the three earlier raises RuntimeError.
 
-    An initial state of zero norm, one the grid does not hold, or of
-    non-finite norm (inf or NaN, say from an amplitude whose square
-    overflows) raises DegenerateFunctionError before the first frame.
+    A ``dt`` that is not finite and positive, or ``steps`` that do not
+    start at 0 and strictly increase, raise ValueError. An initial state
+    of zero norm, one the grid does not hold, or of non-finite norm (inf
+    or NaN, say from an amplitude whose square overflows) raises
+    DegenerateFunctionError before the first frame.
     The state is checked for finite values only at the frame steps; the
     steps between them run the step arithmetic alone. When a check
     fails, the steps since the last frame are replayed from the state
@@ -306,8 +318,12 @@ class PdeRun:
     within 100 ``NORM_DRIFT_TOL``, NaN included, raises DivergenceError.
     """
 
-    def __init__(self, initial, p, phi, t_final, dt, stride):
-        self._frames = self._integrate(initial, p, phi, t_final, dt, stride)
+    def __init__(self, initial, p, phi, dt, steps):
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
+        if len(steps) == 0 or steps[0] != 0 or any(b <= a for a, b in zip(steps, steps[1:])):
+            raise ValueError("steps must start at 0 and strictly increase")
+        self._frames = self._integrate(initial, p, phi, dt, steps)
 
     def __iter__(self):
         return self._frames
@@ -324,14 +340,11 @@ class PdeRun:
             pass
         return self
 
-    def _integrate(self, initial, p, phi, t_final, dt, stride):
+    def _integrate(self, initial, p, phi, dt, steps):
         """The step loop: yields the frames, then sets the three results."""
         lapack = flapack()
         spec = initial.spec
         left, right = staggered_ladder(p, phi, spec)
-        if dt is None:
-            dt = default_time_step(p, phi, spec)
-        dt, n_steps = time_grid(t_final, dt)
 
         m = spec.n_points - 2
         alpha = dt / (2.0 * p.hbar)
@@ -357,7 +370,6 @@ class PdeRun:
         # the state at the last step that passed its check, to replay from
         checked1 = np.empty(m)
         checked2 = np.empty(m + 1)
-        steps = frame_steps(n_steps, stride)
         norms = np.empty(len(steps))
 
         def advance(count: int):
@@ -434,7 +446,7 @@ class PdeRun:
         self.norms = norms
         self.norm_drift = _relative_drift(norms)
         self.final = MajoranaSpinorState(
-            GridFunction(spec, psi1), GridFunction(spec, psi2), t=n_steps * dt
+            GridFunction(spec, psi1), GridFunction(spec, psi2), t=steps[-1] * dt
         )
 
 
@@ -446,9 +458,12 @@ def pde_frames(
     dt: float | None = None,
     stride: int = DEFAULT_STRIDE,
 ) -> PdeRun:
-    """Integrate ``initial`` to ``t_final`` with implicit midpoint, as the
-    one-pass ``PdeRun`` described there."""
-    return PdeRun(initial, p, phi, t_final, dt, stride)
+    """The ``PdeRun`` of ``initial`` to ``t_final``: ``dt`` (or
+    ``default_time_step``) rounded by ``time_grid``, at every ``stride``-th step."""
+    if dt is None:
+        dt = default_time_step(p, phi, initial.spec)
+    dt, n_steps = time_grid(t_final, dt)
+    return PdeRun(initial, p, phi, dt, frame_steps(n_steps, stride))
 
 
 def evolve_pde(
@@ -467,14 +482,18 @@ def evolve_pde(
 
 
 class ClosedFormRun(PdeRun):
-    """The ``PdeRun`` of ``pde_vs_closed_form``, with its reference."""
+    """Integrate the closed-form level-``n`` spinor of ``model`` on
+    ``grid`` from t = 0 over the schedule ``(dt, steps)``, as ``PdeRun``
+    does. Once the run is exhausted, ``max_component_error`` holds the
+    larger sup-norm distance of the two final components from the closed
+    form at the final time."""
 
-    def __init__(self, model, grid, n, delta, t_final, dt, stride):
+    def __init__(self, model, grid, n, delta, dt, steps):
         y = model.y_of_x(grid.points())
         self._reference = partial(linear.spinor, model, n, y=y, delta=delta)
         psi1, psi2 = self._reference(0.0)
         initial = MajoranaSpinorState(GridFunction(grid, psi1), GridFunction(grid, psi2))
-        super().__init__(initial, model.params, LinearPotential(model.k), t_final, dt, stride)
+        super().__init__(initial, model.params, LinearPotential(model.k), dt, steps)
 
     @cached_property
     def max_component_error(self) -> float:
@@ -483,20 +502,3 @@ class ClosedFormRun(PdeRun):
             float(np.max(np.abs(self.final.psi1.values - ref1))),
             float(np.max(np.abs(self.final.psi2.values - ref2))),
         )
-
-
-def pde_vs_closed_form(
-    model: LinearModel,
-    grid: GridSpec,
-    n: int,
-    delta: float,
-    t_final: float,
-    dt: float,
-    stride: int = DEFAULT_STRIDE,
-) -> ClosedFormRun:
-    """Integrate the closed-form level-``n`` spinor of ``model`` on
-    ``grid`` from t = 0 to ``t_final``, as ``pde_frames`` does. Once the
-    returned run is exhausted, ``max_component_error`` holds the larger
-    sup-norm distance of the two final components from the closed form
-    at the final time."""
-    return ClosedFormRun(model, grid, n, delta, t_final, dt, stride)

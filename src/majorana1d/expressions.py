@@ -3,7 +3,8 @@
 Grammar (loosest to tightest binding): ``+ -`` < ``* /`` < unary ``-``
 < ``^`` (right associative). The single free variable is ``x``; any
 other identifier must be either a known function name or a declared
-parameter. Whitespace is ignored.
+parameter, and a parameter may not take the name ``x`` or a function's.
+Whitespace is ignored.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import PotentialSyntaxError
+from .errors import PotentialSyntaxError, ReservedNameError
 
 FUNCTIONS = ("sin", "cos", "exp", "tanh", "cosh", "sech")
 
@@ -175,9 +176,13 @@ class _Parser:
 def parse_potential(src: str, parameters: frozenset[str] | tuple[str, ...] = ()) -> Node:
     """Parse ``src`` into an expression tree.
 
-    ``parameters`` lists identifiers (other than ``x``) that may appear;
-    anything else is rejected with its byte offset.
+    ``parameters`` lists identifiers that may appear; anything else is
+    rejected with its byte offset. A parameter named ``x`` or after one of
+    ``FUNCTIONS`` could never be read, and raises ReservedNameError.
     """
+    for name in parameters:
+        if name == "x" or name in FUNCTIONS:
+            raise ReservedNameError(name)
     if not src.strip():
         raise PotentialSyntaxError(0, "empty expression")
     return _Parser(src, frozenset(parameters)).parse()

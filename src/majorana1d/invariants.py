@@ -107,8 +107,8 @@ def verify_checks(
     checks.append(_check("ladder_mapping_residual", worst_ladder, susy.LADDER_TOL))
     if pde:
         one = evolution.run_length(lin, grid, 1, None, 1.0, None)  # evolve's one-period grid
-        check = evolution.pde_vs_closed_form(lin, grid, 1, math.pi / 2.0, one.t_final, one.dt)
-        check.drain()
+        steps = evolution.frame_steps(one.n_steps, evolution.DEFAULT_STRIDE)
+        check = evolution.ClosedFormRun(lin, grid, 1, math.pi / 2.0, one.dt, steps).drain()
         error, drift = check.max_component_error, check.norm_drift
         checks.append(_check("pde_one_period_return", error, evolution.PDE_RETURN_TOL))
         checks.append(_check("pde_norm_drift", drift, evolution.NORM_DRIFT_TOL))

@@ -11,7 +11,7 @@ through the superpotential W(x) = m c^2 + phi(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -113,7 +113,8 @@ class ScalarPotential:
         raise NotImplementedError
 
     def describe(self) -> dict:
-        raise NotImplementedError
+        """The kind and each dataclass field, as ``cli.build_potential`` reads them."""
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -141,9 +142,6 @@ class LinearPotential(ScalarPotential):
     def derivative(self, x, step=None):
         return np.full_like(np.asarray(x, dtype=float), self.k) if np.ndim(x) else self.k
 
-    def describe(self):
-        return {"kind": self.kind, "k": self.k}
-
 
 @dataclass(frozen=True)
 class PoschlTellerPotential(ScalarPotential):
@@ -159,9 +157,6 @@ class PoschlTellerPotential(ScalarPotential):
     def derivative(self, x, step=None):
         z = self.width * np.asarray(x, dtype=float)
         return self.depth * self.width / np.cosh(z) ** 2
-
-    def describe(self):
-        return {"kind": self.kind, "depth": self.depth, "width": self.width}
 
 
 @dataclass(frozen=True)
@@ -180,9 +175,6 @@ class RosenMorsePotential(ScalarPotential):
     def derivative(self, x, step=None):
         z = self.alpha * np.asarray(x, dtype=float)
         return self.a * self.alpha / np.cosh(z) ** 2
-
-    def describe(self):
-        return {"kind": self.kind, "a": self.a, "b": self.b, "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -203,8 +195,12 @@ class ScarfPotential(ScalarPotential):
         sech = 1.0 / np.cosh(z)
         return self.alpha * (self.a * sech**2 - self.b * sech * np.tanh(z))
 
-    def describe(self):
-        return {"kind": self.kind, "a": self.a, "b": self.b, "alpha": self.alpha}
+
+# The built-in kinds by name, each declared once by its dataclass fields
+BUILTIN_POTENTIALS = {
+    cls.kind: cls
+    for cls in (LinearPotential, PoschlTellerPotential, RosenMorsePotential, ScarfPotential)
+}
 
 
 class CustomPotential(ScalarPotential):
@@ -218,7 +214,7 @@ class CustomPotential(ScalarPotential):
 
     def __init__(self, source: str, parameters: dict[str, float] | None = None):
         self.parameters = dict(parameters or {})
-        self.tree = expressions.parse_potential(source, frozenset(self.parameters))
+        self.tree = expressions.parse_potential(source, tuple(self.parameters))
         self.source = expressions.to_source(self.tree)
 
     def evaluate(self, x):

@@ -269,6 +269,23 @@ MALFORMED_VALUES = [
         {"grid": {"x_min": -1e308, "x_max": 1e308, "n_points": 11}},
     ),
     ("physical", "classify", {"physical": [1.0]}),
+    # the expression reads x and sin as the coordinate and the function,
+    # never as these parameters, so naming one is a config error
+    (
+        "potential.parameters.x",
+        "classify",
+        {"potential": {"kind": "custom", "expression": "x", "parameters": {"x": 5.0, "sin": 2.0}}},
+    ),
+    (
+        "potential.parameters.sin",
+        "classify",
+        {"potential": {"kind": "custom", "expression": "2*x", "parameters": {"sin": 2.0}}},
+    ),
+    (
+        "audit.f3.parameters.sin",
+        "audit",
+        {"audit": {"f3": {"kind": "custom", "expression": "0*x", "parameters": {"sin": 2.0}}}},
+    ),
     ("verify", "verify", {"verify": ["n_max", 3]}),
     ("audit", "audit", {"audit": ["f3", {"kind": "custom", "expression": "0.1*sin(x)"}]}),
     # a bound check's message names the key and the bound
@@ -627,8 +644,8 @@ def test_evolve_pde_failure_mid_stream_keeps_target(
     target.write_bytes(b"previous run\n")
     yielded = []
 
-    def diverging(run, initial, p, phi, t_final, dt, stride):
-        for step in (0, stride):
+    def diverging(run, initial, p, phi, dt, steps):
+        for step in steps[:2]:
             yielded.append(step)
             yield step * dt, np.zeros(initial.spec.n_points)
         raise DivergenceError("norm drift after two frames")
@@ -714,6 +731,24 @@ def test_evolve_state_outside_grid_exits_1(tmp_path, capsys, grid, n, flags):
     assert "grid" in err
     assert "norm" in err
     assert "outside [x_min, x_max]" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--pde"]], ids=["closed_form", "pde"])
+def test_evolve_level_beyond_the_grid_exits_1_at_once(tmp_path, capsys, flags):
+    # the closed form of level 1e9 costs 1e9 grid passes; its turning points
+    # x = -1 ± 44721 lie far off the grid, which refuses it first
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"x_min": -13.0, "x_max": 11.0, "n_points": 401},
+        evolve={"n": 10**9},
+    )
+    start = time.perf_counter()
+    assert run("evolve", "--config", cfg, "--out", tmp_path / "out", *flags) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "grid: the level-1000000000 state" in err
+    assert "turning points" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -396,12 +396,12 @@ def test_pde_frames_are_fresh_and_evolve_pde_drains_them(
 
 def test_pde_check_streams_once_then_reports(params, linear_potential, model, grid10):
     T = mj.density_period(model, 1)
-    check = mj.pde_vs_closed_form(model, grid10, 1, math.pi / 2, T, T / 200, stride=20)
+    check = mj.ClosedFormRun(model, grid10, 1, math.pi / 2, T / 200, mj.frame_steps(200, 20))
     with pytest.raises(RuntimeError, match="exhausted"):
         check.norm_drift
     assert len(list(check)) == len(mj.frame_steps(200, 20))
     assert list(check) == []
-    drained = mj.pde_vs_closed_form(model, grid10, 1, math.pi / 2, T, T / 200, stride=20)
+    drained = mj.ClosedFormRun(model, grid10, 1, math.pi / 2, T / 200, mj.frame_steps(200, 20))
     assert drained.drain() is drained
     assert drained.max_component_error == check.max_component_error <= 1e-2
     y = model.y_of_x(grid10.points())
@@ -411,6 +411,30 @@ def test_pde_check_streams_once_then_reports(params, linear_potential, model, gr
     )
     run = mj.evolve_pde(initial, params, linear_potential, T, dt=T / 200, stride=20)
     assert drained.norm_drift == check.norm_drift == run.norm_drift
+
+
+def test_pde_run_takes_an_uneven_schedule(params, linear_potential, model, grid10):
+    initial = scaled_state(model, grid10, 1.0)
+    dt = 0.005
+    every = list(evolution.PdeRun(initial, params, linear_potential, dt, range(11)))
+    run = evolution.PdeRun(initial, params, linear_potential, dt, [0, 3, 10])
+    frames = list(run)
+    assert [t for t, _ in frames] == [0.0, 3 * dt, 10 * dt]
+    assert [rho.tobytes() for _, rho in frames] == [every[s][1].tobytes() for s in (0, 3, 10)]
+    assert run.final.t == 10 * dt
+
+
+@pytest.mark.parametrize(
+    "dt, steps",
+    [(0.0, [0, 1]), (-0.005, [0, 1]), (math.nan, [0, 1]), (math.inf, [0, 1]),
+     (0.005, []), (0.005, [1, 2]), (0.005, [0, 3, 3]), (0.005, [0, 5, 2])],
+    ids=["dt_zero", "dt_negative", "dt_nan", "dt_inf",
+         "steps_empty", "steps_not_from_0", "steps_repeat", "steps_decrease"],
+)
+def test_pde_run_refuses_a_bad_schedule(params, linear_potential, model, grid10, dt, steps):
+    initial = scaled_state(model, grid10, 1.0)
+    with pytest.raises(ValueError, match="dt must be|steps must"):
+        evolution.PdeRun(initial, params, linear_potential, dt, steps)
 
 
 @pytest.mark.parametrize(

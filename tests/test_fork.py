@@ -41,6 +41,7 @@ ERRORS = [
     errors.InstabilityError(3),
     errors.PotentialSyntaxError(4, "unknown identifier 'y'"),
     errors.UnboundLevelError("verify.n_max is 4"),
+    errors.ReservedNameError("x"),
 ]
 
 

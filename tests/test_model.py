@@ -1,4 +1,5 @@
 import math
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis.extra import numpy as npst
 from scipy.integrate import quad
 
 import majorana1d as mj
+from majorana1d.cli import build_potential
+from majorana1d.model import BUILTIN_POTENTIALS
 
 GRID = mj.GridSpec(0.0, 1.0, 33)
 
@@ -193,6 +196,27 @@ def test_rosen_morse_offset():
     pot = mj.RosenMorsePotential(3.0, 0.5, 1.0)
     assert pot.evaluate(0.0) == pytest.approx(0.5)
     assert pot.evaluate(50.0) == pytest.approx(3.5)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_POTENTIALS))
+def test_builtin_potential_describe_round_trips_through_the_config(kind):
+    cls = BUILTIN_POTENTIALS[kind]
+    values = {f.name: 0.5 + i for i, f in enumerate(fields(cls))}
+    pot = cls(**values)
+    assert pot.describe() == {"kind": kind, **values}
+    assert build_potential(pot.describe()) == pot
+    # a field with a default (width, alpha) may be left out
+    required = {f.name: getattr(pot, f.name) for f in fields(cls) if f.default is MISSING}
+    assert build_potential({"kind": kind, **required}) == cls(**required)
+
+
+@pytest.mark.parametrize("name", ["x", "sin", "sech"])
+def test_custom_potential_refuses_a_reserved_parameter_name(name):
+    with pytest.raises(mj.ReservedNameError) as err:
+        mj.CustomPotential("a*x", {"a": 1.0, name: 2.0})
+    assert isinstance(err.value, ValueError)
+    assert err.value.name == name
+    assert repr(name) in str(err.value)
 
 
 def test_custom_potential_requires_step_for_derivative():
