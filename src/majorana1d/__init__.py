@@ -43,12 +43,11 @@ from .invariants import verify_checks
 from .linear import (
     LinearModel,
     default_grid,
-    eigenstate_minus,
-    eigenstate_plus,
     energy,
     hermite,
+    host_state,
+    partner_state,
     spinor,
-    transform_negative_k,
 )
 from .model import (
     CouplingAudit,

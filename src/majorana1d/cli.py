@@ -43,6 +43,7 @@ from . import _fork, evolution, invariants, linear, oracle, susy
 from .errors import (
     BrokenSusyError,
     ConfigError,
+    EvaluationError,
     MajoranaSolverError,
     PotentialSyntaxError,
     ReservedNameError,
@@ -84,8 +85,9 @@ _BOUNDS = {"positive": operator.gt, "non-negative": operator.ge}
 def _convert(kind: type, value, key: str, bound: str | None = None):
     """``kind(value)`` for ``kind`` float or int; a malformed value, a
     boolean, a float that is not finite, a non-integral number where an
-    integer is wanted, or a value that is not ``bound`` ("positive" or
-    "non-negative") raises ConfigError naming ``key``."""
+    integer is wanted, an integer too large for a float, or a value that
+    is not ``bound`` ("positive" or "non-negative") raises ConfigError
+    naming ``key``."""
     expected = "an integer" if kind is int else "a number"
     if isinstance(value, bool):  # int() and float() take a JSON true as 1
         raise ConfigError(f"{key} must be {expected}, got {value!r}")
@@ -95,6 +97,10 @@ def _convert(kind: type, value, key: str, bound: str | None = None):
         raise ConfigError(f"{key} must be {expected}, got {value!r}") from err
     if kind is float and not math.isfinite(result):
         raise ConfigError(f"{key} must be finite, got {value!r}")
+    # every integer meets a float later (a spacing, a period), which overflows
+    if kind is int and abs(result) > sys.float_info.max:
+        bits = result.bit_length()
+        raise ConfigError(f"{key} must fit in a float, got an integer of {bits} bits")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{key} must be {expected}, got {value!r}")
     if bound is not None and not _BOUNDS[bound](result, 0):
@@ -116,18 +122,42 @@ def _flag(section: dict, key: str, where: str) -> bool:
     return value
 
 
+def _build(cls, section, where: str):
+    """``cls`` from the dataclass fields of the object ``section``: a field
+    without a default is required, an ``int`` field must be an integer and
+    any other a finite number, each named ``where.field``; a ValueError
+    from ``cls`` itself raises ConfigError("bad ``where``: ...")."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where!r} must be an object")
+    values = {}
+    for f in fields(cls):
+        value = section.get(f.name, f.default)
+        if value is MISSING:
+            value = _need(section, f.name, where)
+        kind = int if f.type in (int, "int") else float
+        values[f.name] = _convert(kind, value, f"{where}.{f.name}")
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ConfigError(f"bad {where}: {err}") from err
+
+
+def _finite_on(grid: GridSpec, phi: ScalarPotential, where: str) -> ScalarPotential:
+    """``phi``, once it has been evaluated on ``grid``: a potential that is
+    not finite there raises ConfigError naming ``where``."""
+    try:
+        phi.evaluate(grid.points())
+    except EvaluationError as err:
+        raise ConfigError(f"{where} must be finite on the grid: {err}") from None
+    return phi
+
+
 def build_potential(section, where: str = "potential") -> ScalarPotential:
     if not isinstance(section, dict):
         raise ConfigError(f"{where!r} must be an object with a 'kind'")
     kind = _need(section, "kind", where)
-
-    def number(key: str, default=MISSING) -> float:
-        value = _need(section, key, where) if default is MISSING else section.get(key, default)
-        return _convert(float, value, f"{where}.{key}")
-
     if isinstance(kind, str) and kind in BUILTIN_POTENTIALS:
-        cls = BUILTIN_POTENTIALS[kind]  # a field without a default is required
-        return cls(**{f.name: number(f.name, f.default) for f in fields(cls)})
+        return _build(BUILTIN_POTENTIALS[kind], section, where)
     if kind == "custom":
         parameters = section.get("parameters", {})
         if not isinstance(parameters, dict):
@@ -140,32 +170,6 @@ def build_potential(section, where: str = "potential") -> ScalarPotential:
         except ReservedNameError as err:
             raise ConfigError(f"{where}.parameters.{err.name}: {err}") from None
     raise ConfigError(f"unknown potential kind {kind!r}")
-
-
-def build_params(section) -> PhysicalParams:
-    section = {} if section is None else section
-    if not isinstance(section, dict):
-        raise ConfigError("'physical' must be an object")
-    values = {
-        key: _convert(float, section.get(key, 1.0), f"physical.{key}")
-        for key in ("mass", "c", "hbar")
-    }
-    try:
-        return PhysicalParams(**values)
-    except ValueError as err:
-        raise ConfigError(f"bad physical parameters: {err}") from err
-
-
-def build_grid(section) -> GridSpec:
-    if not isinstance(section, dict):
-        raise ConfigError("config needs a 'grid' object")
-    x_min = _convert(float, _need(section, "x_min", "grid"), "grid.x_min")
-    x_max = _convert(float, _need(section, "x_max", "grid"), "grid.x_max")
-    n_points = _convert(int, _need(section, "n_points", "grid"), "grid.n_points")
-    try:
-        return GridSpec(x_min, x_max, n_points)
-    except ValueError as err:
-        raise ConfigError(f"bad grid: {err}") from err
 
 
 @dataclass
@@ -184,18 +188,16 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also an integer past int()'s digit limit
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     tol = _convert(float, raw.get("tol", DEFAULT_TOL), "tol", "positive")
-    return RunConfig(
-        potential=build_potential(_need(raw, "potential", "config")),
-        params=build_params(raw.get("physical")),
-        grid=build_grid(_need(raw, "grid", "config")),
-        tol=tol,
-        raw=raw,
-    )
+    potential = build_potential(_need(raw, "potential", "config"))
+    physical = raw.get("physical")
+    params = _build(PhysicalParams, {} if physical is None else physical, "physical")
+    grid = _build(GridSpec, _need(raw, "grid", "config"), "grid")
+    return RunConfig(_finite_on(grid, potential, "potential"), params, grid, tol, raw)
 
 
 # ------------------------------------------------------------- artifacts
@@ -404,7 +406,7 @@ def _audit_couplings(cfg: RunConfig) -> CouplingSet:
     def coupling(key: str) -> ScalarPotential:
         entry = section.get(key)
         if entry is not None:
-            return build_potential(entry, f"audit.{key}")
+            return _finite_on(cfg.grid, build_potential(entry, f"audit.{key}"), f"audit.{key}")
         return cfg.potential if key == "f2" else zero_potential()
 
     return CouplingSet(*map(coupling, ("f1", "f2", "f3", "f4")))

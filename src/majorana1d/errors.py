@@ -74,14 +74,16 @@ class PotentialSyntaxError(MajoranaSolverError, ValueError):
 
 
 class ReservedNameError(MajoranaSolverError, ValueError):
-    """A potential parameter is named ``x`` or after a function, which an
-    expression reads as the coordinate or the function instead."""
+    """A potential parameter has a name no expression can read as it:
+    ``x`` or a function's, which an expression reads as the coordinate or
+    the function, or a name that is not one identifier."""
 
     def __init__(self, name: str):
         self.name = name
         super().__init__(
-            f"parameter {name!r} is reserved: an expression reads it as the "
-            "coordinate x or a function, never as a parameter"
+            f"parameter {name!r} can never be read: an expression reads x and "
+            "function names as themselves, and a parameter name must be one "
+            "identifier (a letter or _, then letters, digits or _)"
         )
 
     def __reduce__(self):

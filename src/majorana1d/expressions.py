@@ -3,7 +3,8 @@
 Grammar (loosest to tightest binding): ``+ -`` < ``* /`` < unary ``-``
 < ``^`` (right associative). The single free variable is ``x``; any
 other identifier must be either a known function name or a declared
-parameter, and a parameter may not take the name ``x`` or a function's.
+parameter, and a parameter name must be one identifier other than ``x``
+and a function's.
 Whitespace is ignored.
 """
 
@@ -59,9 +60,10 @@ class Binary:
 
 Node = Union[Literal, Variable, Parameter, Unary, Binary]
 
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<name>{_NAME})"
     r"|(?P<op>[-+*/^()]))"
 )
 
@@ -178,10 +180,11 @@ def parse_potential(src: str, parameters: frozenset[str] | tuple[str, ...] = ())
 
     ``parameters`` lists identifiers that may appear; anything else is
     rejected with its byte offset. A parameter named ``x`` or after one of
-    ``FUNCTIONS`` could never be read, and raises ReservedNameError.
+    ``FUNCTIONS``, or whose name is not one identifier (``"a b"``,
+    ``"2c"``), could never be read, and raises ReservedNameError.
     """
     for name in parameters:
-        if name == "x" or name in FUNCTIONS:
+        if name == "x" or name in FUNCTIONS or not re.fullmatch(_NAME, name):
             raise ReservedNameError(name)
     if not src.strip():
         raise PotentialSyntaxError(0, "empty expression")

@@ -41,11 +41,11 @@ def verify_checks(
     the spectra of ``susy.compare_spectra`` (``n_max`` must then fit on
     ``grid`` and name only bound levels of the family), the host sector
     before the partner's, which a child bisects at the same time where
-    ``_fork.start`` forks; for phi = k x of either sign, the closed forms
-    (those of the mirror slope |k|, rows exchanged, for k < 0; each of
-    levels 1..``ladder_levels`` must pass ``evolution.require_grid_holds``
-    on ``grid``, or ConfigError names ``verify.ladder_levels``) and,
-    with ``pde``, one period of the integration."""
+    ``_fork.start`` forks; for phi = k x of either sign, the closed-form
+    host and partner states of ``linear`` (each of levels
+    1..``ladder_levels`` must pass ``evolution.require_grid_holds`` on
+    ``grid``, or ConfigError names ``verify.ladder_levels``) and, with
+    ``pde``, one period of the integration."""
     audit = model.majorana_compatible(couplings, grid, audit_tol)
     worst_coupling = max((v for k, v in audit.max_abs.items() if k != "f2"), default=0.0)
     checks = [_check("coupling_reality_audit", worst_coupling, audit_tol, audit.compatible)]
@@ -79,12 +79,10 @@ def verify_checks(
         return checks
     lin = linear.LinearModel(phi.k, p)
     y = lin.y_of_x(grid.points())
-    # for k < 0 the rows are exchanged: the plus-sector host states are the
-    # minus-sector closed forms of the mirror slope |k|, and A† maps them
-    # onto their partners as A does for k > 0
-    mirror = lin if lin.k > 0 else linear.LinearModel(-lin.k, p)
+    # A maps the minus-sector host states onto their partners for k > 0;
+    # for k < 0 the host is the plus sector, and A† does
     ladder = susy.apply_a if lin.k > 0 else susy.apply_a_dagger
-    gaussian = linear.eigenstate_minus(mirror, 0, y)
+    gaussian = linear.host_state(lin, 0, y)
     error = float(np.max(np.abs(cls.zero_mode.values - gaussian)))
     checks.append(_check("zero_mode_matches_gaussian", error, susy.ZERO_MODE_TOL))
     worst_ladder = 0.0
@@ -98,8 +96,8 @@ def verify_checks(
                 f"verify.ladder_levels = {ladder_levels} compares level {level}, "
                 f"which the grid does not hold: {err}"
             ) from None
-        host_n = model.GridFunction(grid, linear.eigenstate_minus(mirror, level, y))
-        target = linear.energy(mirror, level) * linear.eigenstate_plus(mirror, level, y)
+        host_n = model.GridFunction(grid, linear.host_state(lin, level, y))
+        target = linear.energy(lin, level) * linear.partner_state(lin, level, y)
         image = ladder(p, phi, host_n).values
         if float(np.dot(image, target)) < 0:
             target = -target

@@ -1,10 +1,12 @@
 """Closed-form solutions for the linear scalar potential phi = k x.
 
-In the shifted coordinate y = x + m c²/k the minus-sector problem is a
-harmonic ladder: Hermite-Gaussian eigenfunctions with E_n = sqrt(2cħkn)
-and zero-energy ground state. For k < 0 the normalizable zero mode
-lives in the plus sector instead and every solution is the k > 0 one
-with its two components exchanged.
+In the shifted coordinate y = x + m c²/k the sector that hosts the
+zero mode is a harmonic ladder: Hermite-Gaussian eigenfunctions with
+E_n = sqrt(2cħ|k|n) and a zero-energy ground state. It is the minus
+sector for k > 0 and the plus sector for k < 0 (Cooper, Khare &
+Sukhatme, Phys. Rep. 251, 267 (1995)); ``host_state`` and
+``partner_state`` read only w = |k|/(cħ), so they serve either sign,
+and ``spinor`` alone puts the host state in the psi1 or the psi2 row.
 """
 
 from __future__ import annotations
@@ -59,36 +61,29 @@ def hermite(n: int, z):
     return h if h.ndim else float(h)
 
 
-def _minus_values(n: int, w: float, y) -> np.ndarray:
+def host_state(model: LinearModel, n: int, y):
+    """Level n of the sector that hosts the zero mode (minus for k > 0,
+    plus for k < 0): the Hermite-Gaussian phi_n(y), unit L2 norm on the
+    line. It reads only w = |k|/(cħ), so k and -k give the same bits."""
+    if n < 0:
+        raise ValueError("state index must be non-negative")
     # normalization in log space: 2^(n/2) sqrt(n!) overflows long before
     # the state itself stops being representable
+    w = model.w
     log_norm = 0.25 * math.log(w / math.pi) - 0.5 * (
         n * math.log(2.0) + math.lgamma(n + 1)
     )
     y = np.asarray(y, dtype=float)
-    z = math.sqrt(w) * y
-    return math.exp(log_norm) * np.exp(-0.5 * w * y**2) * hermite(n, z)
+    out = math.exp(log_norm) * np.exp(-0.5 * w * y**2) * hermite(n, math.sqrt(w) * y)
+    return out if y.ndim else float(out)
 
 
-def eigenstate_minus(model: LinearModel, n: int, y):
-    """Minus-sector eigenfunction phi^-_n(y), unit L2 norm on the line."""
-    if n < 0:
-        raise ValueError("state index must be non-negative")
-    if model.k < 0:
-        raise ValueError("closed forms assume k > 0; use the row-exchange transform")
-    out = _minus_values(n, model.w, y)
-    return out if np.ndim(y) else float(out)
-
-
-def eigenstate_plus(model: LinearModel, n: int, y):
-    """Plus-sector partner paired with level n (n >= 1): the same
-    Hermite-Gaussian family one rung lower, phi^+_n = phi^-_{n-1}."""
+def partner_state(model: LinearModel, n: int, y):
+    """Partner of host level n (n >= 1) in the other sector: the same
+    Hermite-Gaussian family one rung lower, host_state(model, n - 1, y)."""
     if n < 1:
-        raise ValueError("the plus sector has no zero mode for k > 0; need n >= 1")
-    if model.k < 0:
-        raise ValueError("closed forms assume k > 0; use the row-exchange transform")
-    out = _minus_values(n - 1, model.w, y)
-    return out if np.ndim(y) else float(out)
+        raise ValueError("the partner sector has no zero mode; need n >= 1")
+    return host_state(model, n - 1, y)
 
 
 def energy(model: LinearModel, n: int) -> float:
@@ -102,31 +97,23 @@ def energy(model: LinearModel, n: int) -> float:
 def spinor(model: LinearModel, n: int, t: float, y, delta: float):
     """Component pair (psi1, psi2) of the level-n solution at time t.
 
-    For n >= 1: psi1 = phi^-_n(y) sin(c sqrt(2wn) t + delta) and
-    psi2 = phi^+_n(y) cos(...); the n = 0 state is (phi^-_0, 0) and has
-    no time dependence. For k < 0 the rows are exchanged and w is built
-    from |k| (the y values are used as given; only the x -> y shift
-    keeps the sign of k).
+    For n >= 1 the host row is host_state(n) sin(c sqrt(2wn) t + delta)
+    and the partner row partner_state(n) cos(...); the n = 0 state is
+    host_state(0) alone and has no time dependence. The host row is
+    psi1 for k > 0 and psi2 for k < 0 (the y values are used as given;
+    only the x -> y shift keeps the sign of k).
     """
     if n < 0:
         raise ValueError("state index must be non-negative")
-    if model.k < 0:
-        mirror = LinearModel(-model.k, model.params)
-        return transform_negative_k(*spinor(mirror, n, t, y, delta))
     y = np.asarray(y, dtype=float)
     if n == 0:
-        return _minus_values(0, model.w, y), np.zeros_like(y)
-    # angular frequency c sqrt(2 w n) = E_n/ħ
-    theta = model.params.c * math.sqrt(2.0 * model.w * n) * t + delta
-    psi1 = _minus_values(n, model.w, y) * math.sin(theta)
-    psi2 = _minus_values(n - 1, model.w, y) * math.cos(theta)
-    return psi1, psi2
-
-
-def transform_negative_k(psi1, psi2):
-    """Row exchange mapping solutions for slope |k| to slope -|k|;
-    applying it twice is the identity."""
-    return psi2, psi1
+        host, partner = host_state(model, 0, y), np.zeros_like(y)
+    else:
+        # angular frequency c sqrt(2 w n) = E_n/ħ
+        theta = model.params.c * math.sqrt(2.0 * model.w * n) * t + delta
+        host = host_state(model, n, y) * math.sin(theta)
+        partner = partner_state(model, n, y) * math.cos(theta)
+    return (host, partner) if model.k > 0 else (partner, host)
 
 
 def default_grid(

@@ -58,7 +58,7 @@ def test_criterion_2_zero_mode(setup):
     grid = mj.default_grid(model)
     cls = mj.zero_mode(params, potential, grid)
     residual = mj.norm(mj.apply_a(params, potential, cls.zero_mode))
-    gaussian = mj.eigenstate_minus(model, 0, model.y_of_x(grid.points()))
+    gaussian = mj.host_state(model, 0, model.y_of_x(grid.points()))
     mismatch = sup(cls.zero_mode.values, gaussian)
     elapsed = time.perf_counter() - start
     report(
@@ -118,9 +118,9 @@ def test_criterion_5_ladder_mapping(setup):
     y = model.y_of_x(grid.points())
     worst = 0.0
     for n in range(1, 6):
-        state = mj.GridFunction(grid, mj.eigenstate_minus(model, n, y))
+        state = mj.GridFunction(grid, mj.host_state(model, n, y))
         image = mj.apply_a(params, potential, state).values
-        target = mj.energy(model, n) * mj.eigenstate_plus(model, n, y)
+        target = mj.energy(model, n) * mj.partner_state(model, n, y)
         image = sign_align(image, target)
         worst = max(worst, l2(grid, image - target))
     report(

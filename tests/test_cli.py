@@ -339,6 +339,41 @@ MALFORMED_VALUES = [
             "verify": {"n_max": 0, "pde": False},
         },
     ),
+    # an integer too large for a float would overflow where it meets one
+    ("evolve.n must fit in a float", "evolve", {"evolve": {"n": 10**400}}),
+    (
+        "grid.n_points must fit in a float",
+        "classify",
+        {"grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 10**400}},
+    ),
+    # a configured potential that is not finite on the grid is bad config
+    (
+        "potential must be finite on the grid",
+        "classify",
+        {
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 201},
+            "potential": {"kind": "custom", "expression": "1/x"},
+        },
+    ),
+    (
+        "audit.f3 must be finite on the grid",
+        "audit",
+        {
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 201},
+            "audit": {"f3": {"kind": "custom", "expression": "1/x"}},
+        },
+    ),
+    # a parameter name the tokenizer cannot read as one identifier
+    (
+        "potential.parameters.a b",
+        "classify",
+        {"potential": {"kind": "custom", "expression": "2*x", "parameters": {"a b": 1.0}}},
+    ),
+    (
+        "potential.parameters.2c",
+        "classify",
+        {"potential": {"kind": "custom", "expression": "2*x", "parameters": {"2c": 3.0}}},
+    ),
 ]
 
 
@@ -352,6 +387,18 @@ def test_malformed_config_value_exits_1(tmp_path, capsys, key, command, override
     )
     assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
     assert key in capsys.readouterr().err
+
+
+def test_integer_past_the_digit_limit_exits_1(tmp_path, capsys):
+    # json.loads refuses an integer of more than 4300 digits with a plain
+    # ValueError where Python limits int() digits; elsewhere _convert does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"potential": {"kind": "linear", "k": 1.0}, '
+        '"grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 1' + "0" * 5000 + "}}"
+    )
+    assert run("classify", "--config", cfg, "--out", tmp_path / "out") == 1
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "abc", "0"])
@@ -903,7 +950,7 @@ def test_verify_writes_the_library_check_list(tmp_path, overrides):
 
 def test_verify_negative_slope_checks_the_mirrored_closed_forms(tmp_path):
     # k < 0 hosts the zero mode in the plus sector: it is the Gaussian of
-    # the mirror slope |k|, and A† maps each host level onto its partner
+    # w = |k|/(cħ), and A† maps each host level onto its partner
     cfg = write_config(
         tmp_path / "cfg.json",
         potential={"kind": "linear", "k": -1.0},

@@ -39,7 +39,7 @@ def frame_at(model, grid, n, t, delta=math.pi / 2):
 def test_assemble_ground_state_with_quarter_phase(model, grid10):
     y = model.y_of_x(grid10.points())
     psi1, psi2 = mj.spinor(model, 0, 3.0, y, math.pi / 2)
-    assert np.allclose(psi1, mj.eigenstate_minus(model, 0, y))
+    assert np.allclose(psi1, mj.host_state(model, 0, y))
     assert np.all(psi2 == 0.0)
 
 
@@ -47,20 +47,20 @@ def test_assemble_zero_phase_starts_in_plus_component(model, grid10):
     y = model.y_of_x(grid10.points())
     psi1, psi2 = mj.spinor(model, 1, 0.0, y, 0.0)
     assert np.allclose(psi1, 0.0, atol=1e-15)
-    assert np.allclose(psi2, mj.eigenstate_plus(model, 1, y))
+    assert np.allclose(psi2, mj.partner_state(model, 1, y))
 
 
 def test_assemble_quarter_period_swaps_components(model, grid10):
     y = model.y_of_x(grid10.points())
     energy = mj.energy(model, 1)
     psi1, psi2 = mj.spinor(model, 1, math.pi / (2 * energy), y, 0.0)
-    assert np.allclose(psi1, mj.eigenstate_minus(model, 1, y))
+    assert np.allclose(psi1, mj.host_state(model, 1, y))
     assert np.allclose(psi2, 0.0, atol=1e-12)
 
 
 def test_assemble_rejects_grid_mismatch(model, grid10):
     y = model.y_of_x(grid10.points())
-    phi_minus = mj.GridFunction(grid10, mj.eigenstate_minus(model, 0, y))
+    phi_minus = mj.GridFunction(grid10, mj.host_state(model, 0, y))
     other = mj.sample(mj.GridSpec(-1.0, 1.0, grid10.n_points), lambda x: x)
     with pytest.raises(mj.GridMismatchError):
         mj.MajoranaSpinorState(phi_minus, other)

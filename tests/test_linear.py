@@ -53,34 +53,34 @@ def test_model_geometry(params):
 
 
 def test_ground_state_peak_value(model):
-    assert mj.eigenstate_minus(model, 0, 0.0) == pytest.approx(math.pi ** -0.25, abs=1e-4)
+    assert mj.host_state(model, 0, 0.0) == pytest.approx(math.pi ** -0.25, abs=1e-4)
 
 
 def test_first_excited_state_is_odd(model):
-    assert mj.eigenstate_minus(model, 1, 0.0) == 0.0
+    assert mj.host_state(model, 1, 0.0) == 0.0
 
 
 def test_eigenstate_norm_by_quadrature(model, grid10):
     y = model.y_of_x(grid10.points())
-    f = mj.GridFunction(grid10, mj.eigenstate_minus(model, 2, y))
+    f = mj.GridFunction(grid10, mj.host_state(model, 2, y))
     assert mj.inner_product(f, f) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_plus_states_shift_the_ladder(model):
-    assert mj.eigenstate_plus(model, 1, 0.0) == pytest.approx(math.pi ** -0.25)
-    assert mj.eigenstate_plus(model, 2, 0.0) == 0.0
+    assert mj.partner_state(model, 1, 0.0) == pytest.approx(math.pi ** -0.25)
+    assert mj.partner_state(model, 2, 0.0) == 0.0
     z = np.linspace(-3, 3, 31)
-    assert np.allclose(mj.eigenstate_plus(model, 4, z), mj.eigenstate_minus(model, 3, z))
+    assert np.allclose(mj.partner_state(model, 4, z), mj.host_state(model, 3, z))
 
 
 def test_plus_sector_has_no_zero_mode_for_positive_slope(model):
     with pytest.raises(ValueError):
-        mj.eigenstate_plus(model, 0, 0.0)
+        mj.partner_state(model, 0, 0.0)
 
 
 def test_orthonormality_of_analytic_states(model, grid10):
     y = model.y_of_x(grid10.points())
-    states = [mj.GridFunction(grid10, mj.eigenstate_minus(model, n, y)) for n in range(6)]
+    states = [mj.GridFunction(grid10, mj.host_state(model, n, y)) for n in range(6)]
     gram = np.array([[mj.inner_product(a, b) for b in states] for a in states])
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-6
 
@@ -107,7 +107,7 @@ def test_eigenvalue_equation_residual(params, linear_potential, model, grid10):
     pair = mj.partner_potentials(params, linear_potential, grid10)
     op = mj.discretize(params, pair.v_minus)
     for n in range(6):
-        v = mj.eigenstate_minus(model, n, y)[1:-1]
+        v = mj.host_state(model, n, y)[1:-1]
         residual = op.matvec(v) - mj.energy(model, n) ** 2 * v
         assert np.linalg.norm(residual) / np.linalg.norm(v) <= 1e-3
 
@@ -119,19 +119,19 @@ def test_spinor_ground_state_is_static(model):
     y = np.linspace(-5, 5, 101)
     for t in (0.0, 0.7, 4.0):
         psi1, psi2 = mj.spinor(model, 0, t, y, 0.3)
-        assert np.allclose(psi1, mj.eigenstate_minus(model, 0, y))
+        assert np.allclose(psi1, mj.host_state(model, 0, y))
         assert np.all(psi2 == 0.0)
 
 
 def test_spinor_phase_quarter_turns(model):
     y = np.linspace(-5, 5, 101)
     psi1, psi2 = mj.spinor(model, 1, 0.0, y, math.pi / 2)
-    assert np.allclose(psi1, mj.eigenstate_minus(model, 1, y), atol=1e-14)
+    assert np.allclose(psi1, mj.host_state(model, 1, y), atol=1e-14)
     assert np.allclose(psi2, 0.0, atol=1e-12)
 
     t_quarter = math.pi / (2.0 * model.params.c * math.sqrt(2.0 * model.w))
     psi1, psi2 = mj.spinor(model, 1, t_quarter, y, 0.0)
-    assert np.allclose(psi1, mj.eigenstate_minus(model, 1, y), atol=1e-12)
+    assert np.allclose(psi1, mj.host_state(model, 1, y), atol=1e-12)
     assert np.allclose(psi2, 0.0, atol=1e-12)
 
 
@@ -159,23 +159,18 @@ def test_negative_slope_ground_state_swaps_components(params):
     y = np.linspace(-5, 5, 101)
     psi1, psi2 = mj.spinor(neg, 0, 0.0, y, 0.0)
     assert np.all(psi1 == 0.0)
-    assert np.allclose(psi2, mj.eigenstate_minus(mj.LinearModel(1.0, params), 0, y))
+    assert np.allclose(psi2, mj.host_state(mj.LinearModel(1.0, params), 0, y))
 
 
-def test_closed_forms_reject_negative_slope(params):
-    neg = mj.LinearModel(-1.0, params)
-    with pytest.raises(ValueError):
-        mj.eigenstate_minus(neg, 0, 0.0)
-    with pytest.raises(ValueError):
-        mj.eigenstate_plus(neg, 1, 0.0)
-
-
-def test_transform_is_an_involution():
-    a = np.array([1.0, 2.0])
-    b = np.array([3.0, 4.0])
-    once = mj.transform_negative_k(a, b)
-    twice = mj.transform_negative_k(*once)
-    assert np.array_equal(twice[0], a) and np.array_equal(twice[1], b)
+def test_closed_forms_are_the_same_bits_for_either_sign(params):
+    # host and partner states read only w = |k|/(cħ)
+    y = np.linspace(-4, 4, 41)
+    pos, neg = mj.LinearModel(1.3, params), mj.LinearModel(-1.3, params)
+    for n in range(5):
+        assert np.array_equal(mj.host_state(neg, n, y), mj.host_state(pos, n, y))
+        assert mj.host_state(neg, n, 0.3) == mj.host_state(pos, n, 0.3)
+    for n in range(1, 5):
+        assert np.array_equal(mj.partner_state(neg, n, y), mj.partner_state(pos, n, y))
 
 
 def test_negative_slope_states_are_row_exchanged(params):

@@ -210,7 +210,7 @@ def test_builtin_potential_describe_round_trips_through_the_config(kind):
     assert build_potential({"kind": kind, **required}) == cls(**required)
 
 
-@pytest.mark.parametrize("name", ["x", "sin", "sech"])
+@pytest.mark.parametrize("name", ["x", "sin", "sech", "a b", "2c"])
 def test_custom_potential_refuses_a_reserved_parameter_name(name):
     with pytest.raises(mj.ReservedNameError) as err:
         mj.CustomPotential("a*x", {"a": 1.0, name: 2.0})

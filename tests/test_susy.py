@@ -43,7 +43,7 @@ def test_partner_gap_is_twice_derivative(params, grid10):
 
 def test_apply_a_annihilates_ground_state(params, linear_potential, model, grid10):
     y = model.y_of_x(grid10.points())
-    ground = mj.GridFunction(grid10, mj.eigenstate_minus(model, 0, y))
+    ground = mj.GridFunction(grid10, mj.host_state(model, 0, y))
     residual = mj.apply_a(params, linear_potential, ground)
     assert mj.norm(residual) <= 1e-4
 
@@ -136,7 +136,7 @@ def test_zero_mode_linear_is_shifted_gaussian(params, linear_potential, model, g
     cls = mj.zero_mode(params, linear_potential, grid10)
     assert cls.unbroken and cls.sector is mj.Sector.MINUS
     y = model.y_of_x(grid10.points())
-    assert sup(cls.zero_mode.values, mj.eigenstate_minus(model, 0, y)) <= 1e-6
+    assert sup(cls.zero_mode.values, mj.host_state(model, 0, y)) <= 1e-6
 
 
 def test_zero_mode_negative_slope_lives_in_plus_sector(params, grid10):
@@ -220,9 +220,9 @@ def test_spectrum_monotone_for_positive_remainders(k, n_max):
 def test_ladder_mapping_residuals(params, linear_potential, model, grid10):
     y = model.y_of_x(grid10.points())
     for n in range(1, 6):
-        state = mj.GridFunction(grid10, mj.eigenstate_minus(model, n, y))
+        state = mj.GridFunction(grid10, mj.host_state(model, n, y))
         image = mj.apply_a(params, linear_potential, state).values
-        target = mj.energy(model, n) * mj.eigenstate_plus(model, n, y)
+        target = mj.energy(model, n) * mj.partner_state(model, n, y)
         image = sign_align(image, target)
         assert l2(grid10, image - target) <= 1e-3
 
