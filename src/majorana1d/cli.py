@@ -184,7 +184,7 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
     try:
         raw = json.loads(text)
@@ -275,9 +275,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     oracle.require_levels(cfg.grid, n_max, "spectrum.n_max")
     algebraic = _flag(section, "algebraic", "spectrum")
 
-    comparison = susy.compare_spectra(
-        cfg.params, cfg.potential, cfg.grid, n_max, n_max + 1, algebraic
-    )
+    comparison = susy.compare_spectra(cfg.params, cfg.potential, cfg.grid, n_max, algebraic)
     invariance = None
     if algebraic:
         if not comparison.classification.unbroken:

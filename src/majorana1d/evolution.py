@@ -64,6 +64,8 @@ STEPS_PER_PERIOD = 2000
 GROUND_STATE_T_FINAL = 5.0
 # most frames one run samples: its frame schedule and CSVs grow with them
 MAX_FRAMES = 10**6
+# a density return is a local minimum of r(t) below this share of its largest value
+RETURN_REL_TOL = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +124,10 @@ def stationarity_metric(frames) -> float:
     return float(np.max(r[1:], initial=0.0))
 
 
-def measure_period(frames, rel_tol: float = 0.05) -> float:
+def measure_period(frames) -> float:
     """First return time of the density over a stream of (t, rho) frames:
     the earliest local minimum of ||rho(t)-rho(0)||_inf that drops below
-    rel_tol of the excursion, refined with a three-point parabola.
+    ``RETURN_REL_TOL`` of the excursion, refined with a three-point parabola.
 
     This is the density return time, half of ``density_period``: rho is
     built from sin² and cos², so it returns twice per turn of the
@@ -137,7 +139,7 @@ def measure_period(frames, rel_tol: float = 0.05) -> float:
         raise ValueError("too few frames to locate a return")
     if not r.any():
         raise StationaryStateError("the density is stationary and has no period")
-    threshold = rel_tol * r.max()
+    threshold = RETURN_REL_TOL * r.max()
     for i in range(1, len(r) - 1):
         if r[i] <= r[i - 1] and r[i] <= r[i + 1] and r[i] <= threshold:
             denom = r[i - 1] - 2.0 * r[i] + r[i + 1]

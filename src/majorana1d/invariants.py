@@ -50,8 +50,7 @@ def verify_checks(
     worst_coupling = max((v for k, v in audit.max_abs.items() if k != "f2"), default=0.0)
     checks = [_check("coupling_reality_audit", worst_coupling, audit_tol, audit.compatible)]
 
-    # one host level above the partner's, so n_max = 0 still compares a level
-    comparison = susy.compare_spectra(p, phi, grid, n_max, max(n_max, 1) + 1)
+    comparison = susy.compare_spectra(p, phi, grid, n_max)
     cls = comparison.classification
     checks.append(_check("unbroken_susy", 0.0 if cls.unbroken else 1.0, FLAG_TOL, cls.unbroken))
     if cls.unbroken:

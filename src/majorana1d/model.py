@@ -25,6 +25,9 @@ from .errors import (
 # Unit-norm snap threshold: functions whose squared norm is already this
 # close to 1 are returned unscaled, which makes normalize() idempotent.
 _UNIT_NORM_SNAP = 1e-12
+# most points one grid holds: a command keeps about 100 bytes per point,
+# so this caps it near 1 GB
+MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,11 @@ class GridSpec:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_points < 3:
             raise ValueError(f"need at least 3 grid points, got {self.n_points}")
+        if self.n_points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid.n_points must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}, "
+                f"got {self.n_points}"
+            )
         if not math.isfinite(self.h):  # x_max - x_min overflows, or a bound is infinite
             raise ValueError(
                 f"need a finite spacing (x_max - x_min) / (n_points - 1), got {self.h}"
@@ -94,10 +102,6 @@ class GridFunction:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.spec.points()
-
 
 class ScalarPotential:
     """Base class for the static scalar coupling phi(x)."""
@@ -107,17 +111,14 @@ class ScalarPotential:
     def evaluate(self, x):
         raise NotImplementedError
 
-    def derivative(self, x, step: float | None = None):
-        """d(phi)/dx; analytic for built-ins, central difference for
-        expression-defined potentials (step = grid spacing)."""
+    def derivative(self, x):
+        """d(phi)/dx; analytic for built-ins, finite differences on the
+        grid ``x`` for expression-defined potentials."""
         raise NotImplementedError
 
     def describe(self) -> dict:
         """The kind and each dataclass field, as ``cli.build_potential`` reads them."""
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def _check(self, x, values):
         values = np.asarray(values, dtype=float)
@@ -139,7 +140,7 @@ class LinearPotential(ScalarPotential):
     def evaluate(self, x):
         return self._check(x, self.k * np.asarray(x, dtype=float))
 
-    def derivative(self, x, step=None):
+    def derivative(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.k) if np.ndim(x) else self.k
 
 
@@ -154,7 +155,7 @@ class PoschlTellerPotential(ScalarPotential):
     def evaluate(self, x):
         return self._check(x, self.depth * np.tanh(self.width * np.asarray(x, dtype=float)))
 
-    def derivative(self, x, step=None):
+    def derivative(self, x):
         z = self.width * np.asarray(x, dtype=float)
         return self.depth * self.width / np.cosh(z) ** 2
 
@@ -172,7 +173,7 @@ class RosenMorsePotential(ScalarPotential):
         z = self.alpha * np.asarray(x, dtype=float)
         return self._check(x, self.a * np.tanh(z) + self.b)
 
-    def derivative(self, x, step=None):
+    def derivative(self, x):
         z = self.alpha * np.asarray(x, dtype=float)
         return self.a * self.alpha / np.cosh(z) ** 2
 
@@ -190,7 +191,7 @@ class ScarfPotential(ScalarPotential):
         z = self.alpha * np.asarray(x, dtype=float)
         return self._check(x, self.a * np.tanh(z) + self.b / np.cosh(z))
 
-    def derivative(self, x, step=None):
+    def derivative(self, x):
         z = self.alpha * np.asarray(x, dtype=float)
         sech = 1.0 / np.cosh(z)
         return self.alpha * (self.a * sech**2 - self.b * sech * np.tanh(z))
@@ -206,8 +207,8 @@ BUILTIN_POTENTIALS = {
 class CustomPotential(ScalarPotential):
     """Potential defined by a parsed expression tree.
 
-    No symbolic differentiation: the derivative is a central difference
-    whose step must be supplied by the caller (use the grid spacing).
+    No symbolic differentiation: the derivative is a finite difference
+    on the uniform grid it is given, at that grid's spacing.
     """
 
     kind = "custom"
@@ -220,11 +221,18 @@ class CustomPotential(ScalarPotential):
     def evaluate(self, x):
         return self._check(x, expressions.evaluate(self.tree, x, self.parameters))
 
-    def derivative(self, x, step: float | None = None):
-        if step is None or step <= 0:
-            raise ValueError("custom potentials need an explicit finite-difference step")
+    def derivative(self, x):
+        """Central differences at the spacing of the uniform grid ``x``, one-sided
+        ones of on-grid samples at its two ends: phi is never sampled past the grid."""
         xp = np.asarray(x, dtype=float)
-        return (self.evaluate(xp + step) - self.evaluate(xp - step)) / (2.0 * step)
+        if xp.ndim != 1 or len(xp) < 3:
+            raise ValueError("a custom potential differentiates on a grid of at least 3 points")
+        h = (xp[-1] - xp[0]) / (len(xp) - 1)
+        lo, hi = self.evaluate(xp[:3]), self.evaluate(xp[-3:])
+        inner = (self.evaluate(xp[1:-1] + h) - self.evaluate(xp[1:-1] - h)) / (2.0 * h)
+        first = (4.0 * lo[1] - 3.0 * lo[0] - lo[2]) / (2.0 * h)
+        last = (3.0 * hi[2] - 4.0 * hi[1] + hi[0]) / (2.0 * h)
+        return np.concatenate(([first], inner, [last]))
 
     def describe(self):
         out = {"kind": self.kind, "expression": self.source}

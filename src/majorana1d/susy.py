@@ -65,7 +65,6 @@ class PartnerPotentials:
     v_minus: GridFunction
     v_plus: GridFunction
     params: PhysicalParams
-    potential: ScalarPotential
 
 
 def partner_potentials(
@@ -73,13 +72,12 @@ def partner_potentials(
 ) -> PartnerPotentials:
     x = grid.points()
     w = superpotential(p, phi, x)
-    dphi = np.asarray(phi.derivative(x, step=grid.h), dtype=float)
+    dphi = np.asarray(phi.derivative(x), dtype=float)
     shift = p.c * p.hbar * dphi
     return PartnerPotentials(
         v_minus=GridFunction(grid, w**2 - shift),
         v_plus=GridFunction(grid, w**2 + shift),
         params=p,
-        potential=phi,
     )
 
 
@@ -206,7 +204,7 @@ class ShapeInvariantFamily:
 def linear_family(k: float, p: PhysicalParams) -> ShapeInvariantFamily:
     """phi(a, x) = a x with the identity reparametrization; R = 2 c ħ a."""
     if k <= 0:
-        raise InvalidFamilyError("the linear family needs k > 0 (mirror k < 0 first)")
+        raise InvalidFamilyError("the linear family needs k > 0 (take |k| for k < 0)")
     return ShapeInvariantFamily(
         potential_at=lambda a: LinearPotential(a),
         next_parameter=lambda a: a,
@@ -241,8 +239,8 @@ def poschl_teller_family(
 
 
 def builtin_family(p: PhysicalParams, phi: ScalarPotential) -> ShapeInvariantFamily | None:
-    """The built-in shape-invariant family of ``phi`` under ``p``, mirrored
-    onto the zero-mode-hosting sector (a slope, depth or width of either
+    """The built-in shape-invariant family of ``phi`` under ``p``, taken
+    on the zero-mode-hosting sector (a slope, depth or width of either
     sign gives the family of its magnitude), or None when it has none.
     Only the linear potential with k != 0 and the massless Pöschl–Teller
     well with depth and width != 0 have one (Cooper, Khare & Sukhatme,
@@ -312,7 +310,6 @@ class SpectrumComparison:
 
     pair: PartnerPotentials | None
     n_max: int
-    oracle_levels: int
     classification: SusyClassification
     family: ShapeInvariantFamily | None
     invariance: ShapeInvarianceResult | None
@@ -328,13 +325,14 @@ class SpectrumComparison:
 
     @functools.cached_property
     def host(self) -> np.ndarray:
-        """The ``oracle_levels`` lowest oracle energies² of ``sector``."""
-        return oracle_eigenvalues(self.pair, self.sector, self.oracle_levels)
+        """The max(n_max, 1) + 1 lowest oracle energies² of ``sector``: one
+        level above the partner's, so n_max = 0 still compares a level."""
+        return oracle_eigenvalues(self.pair, self.sector, max(self.n_max, 1) + 1)
 
     @functools.cached_property
     def partner(self) -> np.ndarray:
         """One level fewer of the other sector: level n pairs with host level n + 1."""
-        return oracle_eigenvalues(self.pair, self.sector.partner, self.oracle_levels - 1)
+        return oracle_eigenvalues(self.pair, self.sector.partner, max(self.n_max, 1))
 
     def levels(self, tol: float) -> list[dict]:
         """The level records of ``spectrum``, each oracle energy taken
@@ -356,16 +354,13 @@ def compare_spectra(
     phi: ScalarPotential,
     grid: GridSpec,
     n_max: int,
-    oracle_levels: int,
     algebraic: bool = True,
 ) -> SpectrumComparison:
     """Classify the zero mode of ``phi`` and, when ``algebraic`` and SUSY
-    is unbroken, measure the shape invariance of its built-in family.
-    Bisection bits depend on the level count, so ``spectrum`` asks for
-    ``oracle_levels`` = n_max + 1 and ``verify`` for max(n_max, 1) + 1."""
+    is unbroken, measure the shape invariance of its built-in family."""
     cls = zero_mode(p, phi, grid)
     family = builtin_family(p, phi) if algebraic and cls.unbroken else None
     invariance = None if family is None else check_shape_invariance(family, p, grid)
     # the oracle runs beside a family, or alone when none is asked for
     pair = partner_potentials(p, phi, grid) if family is not None or not algebraic else None
-    return SpectrumComparison(pair, n_max, oracle_levels, cls, family, invariance)
+    return SpectrumComparison(pair, n_max, cls, family, invariance)

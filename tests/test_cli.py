@@ -184,6 +184,51 @@ def test_spectrum_oracle_only_other_kinds(tmp_path):
         assert run("spectrum", "--config", cfg, "--out", tmp_path / "out") == 0
 
 
+def test_spectrum_mismatch_exits_2_and_still_writes_the_levels(tmp_path, capsys):
+    # level 6 is off by about 7e-6 at 8001 points; a tol of 2e-6 stays above
+    # |lambda_0|, so the mismatch, not energy_from_lambda's clamp, trips
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"x_min": -13.0, "x_max": 11.0, "n_points": 8001},
+        spectrum={"n_max": 6},
+    )
+    assert run("spectrum", "--config", cfg, "--out", tmp_path / "out", "--tol", "2e-6") == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"spectrum: algebraic/oracle mismatch \S+ exceeds tol 2\.0e-06\n", err)
+    levels = json.loads((tmp_path / "out" / "spectrum.json").read_text())["levels"]
+    assert max(level["abs_diff"] for level in levels) > 2e-6
+
+
+def test_spectrum_failed_shape_invariance_exits_2_without_artifact(tmp_path, capsys):
+    # at depth 1e5, roundoff in W² ~ 1e10 spreads V_+(a1) - V_-(a2) past the tolerance
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        potential={"kind": "poschl_teller", "depth": 1e5},
+        physical={"mass": 0.0},
+        grid={"x_min": -20.0, "x_max": 20.0, "n_points": 2001},
+        spectrum={"n_max": 0},
+    )
+    assert run("spectrum", "--config", cfg, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"spectrum: shape-invariance check failed \(spread \S+\)\n", err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_without_a_builtin_family_exits_1(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        potential={"kind": "rosen_morse", "a": 4.0, "b": 1.0},
+        physical={"mass": 0.0},
+        grid={"x_min": -20.0, "x_max": 20.0, "n_points": 2001},
+        spectrum={"n_max": 2},
+    )
+    assert run("spectrum", "--config", cfg, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "no built-in shape-invariant family for potential kind 'rosen_morse'" in err
+    assert "set spectrum.algebraic to false" in err
+    assert not (tmp_path / "out").exists()
+
+
 LINEAR_POS = {"potential": {"kind": "linear", "k": 1.0}}
 LINEAR_NEG = {
     "potential": {"kind": "linear", "k": -1.0},
@@ -204,7 +249,7 @@ def test_spectrum_levels_are_the_library_comparison(tmp_path, overrides):
     assert run("spectrum", "--config", cfg, "--out", tmp_path / "out") == 0
     data = json.loads((tmp_path / "out" / "spectrum.json").read_text())
     loaded = cli.load_config(str(cfg))
-    comparison = susy.compare_spectra(loaded.params, loaded.potential, loaded.grid, 2, 3)
+    comparison = susy.compare_spectra(loaded.params, loaded.potential, loaded.grid, 2)
     assert data["levels"] == comparison.levels(loaded.tol)
     assert data["sector"] == comparison.sector.value
     assert data["shape_invariance"]["r_declared"] == comparison.invariance.r_declared
@@ -374,6 +419,21 @@ MALFORMED_VALUES = [
         "classify",
         {"potential": {"kind": "custom", "expression": "2*x", "parameters": {"2c": 3.0}}},
     ),
+    # a section, key or object the config leaves out or gives the wrong shape
+    ("config needs a 'spectrum' object with 'n_max'", "spectrum", {}),
+    ("config needs an 'evolve' object with 'n'", "evolve", {}),
+    ("missing 'n_max' in spectrum", "spectrum", {"spectrum": {"algebraic": False}}),
+    ("missing 'n' in evolve", "evolve", {"evolve": {"stride": 5}}),
+    ("missing 'n_points' in grid", "classify", {"grid": {"x_min": -11.0, "x_max": 9.0}}),
+    ("missing 'k' in potential", "classify", {"potential": {"kind": "linear"}}),
+    ("missing 'kind' in potential", "classify", {"potential": {"k": 1.0}}),
+    ("unknown potential kind 'harmonic'", "classify", {"potential": {"kind": "harmonic"}}),
+    ("'potential' must be an object with a 'kind'", "classify", {"potential": "linear"}),
+    (
+        "potential.parameters must be an object",
+        "classify",
+        {"potential": {"kind": "custom", "expression": "a*x", "parameters": ["a", 1.0]}},
+    ),
 ]
 
 
@@ -399,6 +459,21 @@ def test_integer_past_the_digit_limit_exits_1(tmp_path, capsys):
     )
     assert run("classify", "--config", cfg, "--out", tmp_path / "out") == 1
     assert "config error" in capsys.readouterr().err
+
+
+ROOT_ERRORS = [
+    ('{"grid": {"x_min": -11.0, "x_max": 9.0, "n_points": 101}}', "missing 'potential' in config"),
+    ('{"potential": {"kind": "linear", "k": 1.0}}', "missing 'grid' in config"),
+    ('[{"kind": "linear", "k": 1.0}]', "config root must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("text, message", ROOT_ERRORS, ids=[case[1] for case in ROOT_ERRORS])
+def test_config_root_of_the_wrong_shape_exits_1(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run("classify", "--config", cfg, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"majorana1d: config error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "abc", "0"])
@@ -589,7 +664,10 @@ def test_evolve_ground_state_rows_identical(tmp_path, capsys):
 def test_evolve_ground_state_period_request_warns(tmp_path, capsys):
     cfg = evolve_config(tmp_path, n=0, periods=1.0, dt=0.01)
     assert run("evolve", "--config", cfg, "--out", tmp_path / "out") == 0
-    assert "stationary" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "evolve: the ground state is stationary and has no period; "
+        f"falling back to t_final={evolution.GROUND_STATE_T_FINAL}\n"
+    )
     summary = json.loads((tmp_path / "out" / "evolve_summary.json").read_text())
     assert summary["t_final"] == pytest.approx(5.0)
 
@@ -815,6 +893,23 @@ def test_evolve_non_finite_state_norm_exits_1(tmp_path, capsys, flags):
     assert err[0].startswith("majorana1d: config error: grid: the level-200 state has norm nan")
     assert "not finite" in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_evolve_pde_mismatch_exits_2_and_writes_every_artifact(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"x_min": -13.0, "x_max": 11.0, "n_points": 801},
+        evolve={"n": 1, "stride": 500},
+    )
+    argv = ["--config", cfg, "--out", tmp_path / "out", "--pde", "--tol", "1e-12"]
+    assert run("evolve", *argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"evolve: PDE/analytic mismatch \S+ exceeds tol 1\.0e-12\n", err)
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "density.csv", "density_pde.csv", "evolve_summary.json"
+    ]
+    summary = json.loads((tmp_path / "out" / "evolve_summary.json").read_text())
+    assert summary["max_component_error"] > 1e-12
 
 
 def test_evolve_pde_frames_share_the_closed_form_times(tmp_path):
@@ -1201,3 +1296,132 @@ def test_cli_loads_no_process_pool(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
     assert (tmp_path / "out" / "density.csv").exists()
+
+
+# ------------------------------------------------ exit codes, separate process
+
+
+README_LINEAR = {
+    "potential": {"kind": "linear", "k": 1.0},
+    "physical": {"mass": 1.0},
+    "grid": {"x_min": -13.0, "x_max": 11.0, "n_points": 4001},
+}
+LINEAR_401 = {**README_LINEAR, "grid": {**README_LINEAR["grid"], "n_points": 401}}
+GRID_20 = {"x_min": -10.0, "x_max": 10.0, "n_points": 201}
+POLE_PAST_X_MAX = {
+    "potential": {"kind": "custom", "expression": "1/(x-10.1)"},
+    "grid": GRID_20,
+    "spectrum": {"n_max": 2, "algebraic": False},
+}
+# the level-200 closed form of k = 10 overflows on this grid: its norm is NaN
+NAN_NORM = {
+    **LINEAR_401,
+    "potential": {"kind": "linear", "k": 10.0},
+    "evolve": {"n": 200, "periods": 0.01, "stride": 1000},
+}
+# each row: command, config (a JSON value, or raw bytes), flags, exit code,
+# parts of stderr, and every artifact written with parts of its text
+SEPARATE_PROCESS = [
+    pytest.param("verify", README_LINEAR, [], 0, [], {"verify.json": []}, id="readme_verify"),
+    # k < 0 hosts the zero mode in the plus sector: verify checks it and the
+    # A† ladder against the closed-form host and partner states
+    pytest.param(
+        "verify",
+        {**README_LINEAR, "potential": {"kind": "linear", "k": -1.0},
+         "grid": {"x_min": -11.0, "x_max": 13.0, "n_points": 4001}, "verify": {"n_max": 6}},
+        [], 0, [], {"verify.json": ['"zero_mode_matches_gaussian"', '"ladder_mapping_residual"']},
+        id="negative_slope_verify",
+    ),
+    # the README grid truncates ladder level 58: a config error, not a residual
+    pytest.param(
+        "verify", {**README_LINEAR, "verify": {"pde": False, "ladder_levels": 60}}, [], 1,
+        ["verify.ladder_levels"], {}, id="ladder_levels_off_the_grid",
+    ),
+    pytest.param(
+        "audit", README_LINEAR, ["--tol", "nan"], 1, ["--tol must be finite"], {}, id="nan_tol"
+    ),
+    pytest.param(
+        "spectrum",
+        {**README_LINEAR, "potential": {"kind": "linear", "k": 0.0},
+         "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 801}, "spectrum": {"n_max": 3}},
+        [], 3, ["SUSY is broken"], {}, id="broken_susy",
+    ),
+    pytest.param(
+        "evolve", {**LINEAR_401, "evolve": {"n": 1, "t_final": 1e300, "dt": 1e-300}}, [], 1,
+        ["evolve.t_final / evolve.dt"], {}, id="overflowing_step_count",
+    ),
+    pytest.param(
+        "evolve", {**LINEAR_401, "evolve": {"n": 1, "t_final": 1e10, "dt": 1e-10}}, [], 1,
+        ["MAX_FRAMES"], {}, id="too_many_frames",
+    ),
+    # level 1e9 has its turning points far off the grid: refused before its
+    # closed form of 1e9 grid passes, well inside the timeout
+    pytest.param(
+        "evolve", {**README_LINEAR, "evolve": {"n": 10**9}}, [], 1, ["turning points"], {},
+        id="far_level",
+    ),
+    pytest.param(
+        "classify",
+        {"potential": {"kind": "custom", "expression": "x", "parameters": {"x": 5.0}},
+         "grid": GRID_20},
+        [], 1, ["potential.parameters.x"], {}, id="reserved_parameter",
+    ),
+    pytest.param(
+        "classify", {**README_LINEAR, "grid": {**GRID_20, "n_points": 10**400}}, [], 1,
+        ["grid.n_points must fit in a float"], {}, id="n_points_past_a_float",
+    ),
+    pytest.param(
+        "classify", {**README_LINEAR, "grid": {**GRID_20, "n_points": 10**12}}, [], 1,
+        ["grid.n_points must be at most MAX_GRID_POINTS"], {}, id="n_points_past_memory",
+    ),
+    pytest.param(
+        "classify", {"potential": {"kind": "custom", "expression": "1/x"}, "grid": GRID_20},
+        [], 1, ["potential must be finite on the grid"], {}, id="pole_on_grid",
+    ),
+    pytest.param(
+        "classify", b'{"potential": {"kind": "linear", "k": 1.0}, "note": "\xff"}', [], 1,
+        ["cannot read config", "can't decode byte 0xff"], {}, id="not_utf8",
+    ),
+    # the custom derivative is one-sided at the grid ends, so a pole one
+    # spacing past x_max is never sampled
+    pytest.param(
+        "spectrum", POLE_PAST_X_MAX, [], 0, [], {"spectrum.json": []}, id="pole_past_x_max",
+    ),
+    pytest.param(
+        "classify", POLE_PAST_X_MAX, [], 0, [], {"classify.json": []},
+        id="pole_past_x_max_classify",
+    ),
+    pytest.param(
+        "evolve", NAN_NORM, [], 1, ["the level-200 state has norm nan"], {}, id="nan_norm"
+    ),
+    pytest.param(
+        "evolve", NAN_NORM, ["--pde"], 1, ["the level-200 state has norm nan"], {},
+        id="nan_norm_pde",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, config, flags, code, err_parts, written", SEPARATE_PROCESS)
+def test_exit_code_from_a_separate_process(
+    tmp_path, command, config, flags, code, err_parts, written
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "majorana1d", command, "--config", cfg, "--out", out, *flags],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=30,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 1:
+        assert proc.stderr.startswith("majorana1d: config error: ")
+    assert all(part in proc.stderr for part in err_parts)
+    assert sorted(os.listdir(out) if out.exists() else []) == sorted(written)
+    for name, parts in written.items():
+        text = (out / name).read_text()
+        assert all(part in text for part in parts)

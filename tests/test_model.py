@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import majorana1d as mj
 from majorana1d.cli import build_potential
-from majorana1d.model import BUILTIN_POTENTIALS
+from majorana1d.model import BUILTIN_POTENTIALS, MAX_GRID_POINTS
 
 GRID = mj.GridSpec(0.0, 1.0, 33)
 
@@ -31,6 +31,8 @@ def test_grid_spec_validation():
         mj.GridSpec(1.0, 0.0, 11)
     with pytest.raises(ValueError):
         mj.GridSpec(0.0, 1.0, 2)
+    with pytest.raises(ValueError, match="grid.n_points must be at most MAX_GRID_POINTS"):
+        mj.GridSpec(0.0, 1.0, MAX_GRID_POINTS + 1)
     assert mj.GridSpec(0.0, 1.0, 11).h == pytest.approx(0.1)
 
 
@@ -219,11 +221,26 @@ def test_custom_potential_refuses_a_reserved_parameter_name(name):
     assert repr(name) in str(err.value)
 
 
-def test_custom_potential_requires_step_for_derivative():
-    pot = mj.CustomPotential("x^2")
-    with pytest.raises(ValueError):
-        pot.derivative(1.0)
-    assert pot.derivative(1.0, step=1e-5) == pytest.approx(2.0, abs=1e-8)
+def test_custom_potential_derivative_is_a_grid_difference():
+    spec = mj.GridSpec(-10.0, 10.0, 201)
+    x, h = spec.points(), spec.h
+    pot = mj.CustomPotential("a*sin(x) + x^3", {"a": 1.5})
+    d = pot.derivative(x)
+    # the interior keeps the central difference at the grid spacing, bit for bit
+    central = (pot.evaluate(x + h) - pot.evaluate(x - h)) / (2.0 * h)
+    assert np.array_equal(d[1:-1], central[1:-1])
+    # the ends are one-sided differences of on-grid samples
+    v = pot.evaluate(x)
+    assert d[0] == (4.0 * v[1] - 3.0 * v[0] - v[2]) / (2.0 * h)
+    assert d[-1] == (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    exact = 1.5 * np.cos(x) + 3.0 * x**2
+    assert np.max(np.abs(d - exact)) < 1e-2 * np.max(np.abs(exact))
+    # so a pole one step past x_max is never sampled
+    pole = mj.CustomPotential("1/(x-10.1)")
+    assert np.all(np.isfinite(pole.derivative(x)))
+    for short in (1.0, x[:2]):
+        with pytest.raises(ValueError):
+            pole.derivative(short)
 
 
 # ----------------------------------------------------------- reality audit
