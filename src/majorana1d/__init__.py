@@ -28,21 +28,19 @@ from .errors import (
     UnboundLevelError,
 )
 from .evolution import (
-    ClosedFormRun,
     MajoranaSpinorState,
-    closed_form_frames,
-    density_period,
     evolve_pde,
     frame_steps,
     measure_period,
     pde_frames,
-    run_length,
     stationarity_metric,
 )
-from .invariants import verify_checks
+from .invariants import ClosedFormRun, compare_spectra, run_length, verify_checks
 from .linear import (
     LinearModel,
+    closed_form_frames,
     default_grid,
+    density_period,
     energy,
     hermite,
     host_state,
@@ -61,21 +59,21 @@ from .model import (
     RosenMorsePotential,
     ScalarPotential,
     ScarfPotential,
+    Sector,
     inner_product,
     majorana_compatible,
     norm,
     normalize,
-    sample,
     superpotential,
     zero_potential,
 )
 from .oracle import (
     IsospectralReport,
-    Sector,
     TridiagonalOperator,
     discretize,
     eigensolve,
     energy_from_lambda,
+    oracle_eigenvalues,
     verify_isospectral,
 )
 from .susy import (
@@ -87,9 +85,7 @@ from .susy import (
     apply_a_dagger,
     builtin_family,
     check_shape_invariance,
-    compare_spectra,
     linear_family,
-    oracle_eigenvalues,
     partner_potentials,
     poschl_teller_family,
     zero_mode,

@@ -3,10 +3,11 @@ serializes what it returns.
 
 One JSON config document drives every subcommand. A command holds each
 config number to its bound in one ``_convert`` call and calls one
-library report: ``susy.compare_spectra`` (``spectrum``),
-``evolution.run_length`` and the frame streams (``evolve``),
+library report, which decides its verdicts: ``invariants.spectrum_report``
+(``spectrum``), ``invariants.evolve_run`` (``evolve``),
 ``invariants.verify_checks`` (``verify``), ``susy.zero_mode``
-(``classify``) or ``majorana_compatible`` (``audit``). Artifacts are
+(``classify``) or ``majorana_compatible`` (``audit``). A verdict is
+printed after the command's name. Artifacts are
 written atomically with deterministic field order and shortest
 round-trip floats, so identical configs give byte-identical outputs.
 
@@ -39,11 +40,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _fork, evolution, invariants, linear, oracle, susy
+from . import _fork, evolution, invariants, susy
 from .errors import (
     BrokenSusyError,
     ConfigError,
     EvaluationError,
+    InvalidFamilyError,
     MajoranaSolverError,
     PotentialSyntaxError,
     ReservedNameError,
@@ -56,7 +58,6 @@ from .model import (
     CouplingSet,
     CustomPotential,
     GridSpec,
-    LinearPotential,
     PhysicalParams,
     ScalarPotential,
     majorana_compatible,
@@ -267,71 +268,29 @@ def _describe_common(cfg: RunConfig) -> dict:
 # -------------------------------------------------------------- commands
 
 
+def _fail(command: str, failure, code: int = EXIT_TOLERANCE) -> int:
+    """``code``, once a verdict on ``command``'s run is printed after its name."""
+    print(f"{command}: {failure}", file=sys.stderr)
+    return code
+
+
 def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     section = cfg.raw.get("spectrum")
     if not isinstance(section, dict):
         raise ConfigError("config needs a 'spectrum' object with 'n_max'")
     n_max = _convert(int, _need(section, "n_max", "spectrum"), "spectrum.n_max", "non-negative")
-    oracle.require_levels(cfg.grid, n_max, "spectrum.n_max")
     algebraic = _flag(section, "algebraic", "spectrum")
-
-    comparison = susy.compare_spectra(cfg.params, cfg.potential, cfg.grid, n_max, algebraic)
-    invariance = None
-    if algebraic:
-        if not comparison.classification.unbroken:
-            print(
-                "spectrum: SUSY is broken for this configuration (no normalizable "
-                "zero mode); the algebraic shape-invariance spectrum does not exist. "
-                "Set spectrum.algebraic to false for an oracle-only run.",
-                file=sys.stderr,
-            )
-            return EXIT_PHYSICS
-        if comparison.family is None:
-            raise ConfigError(
-                "no built-in shape-invariant family for potential kind "
-                f"{cfg.potential.kind!r} with these physical parameters; "
-                "set spectrum.algebraic to false"
-            )
-        comparison.family.require_bound(n_max, "spectrum.n_max")
-        invariance = {"family": comparison.family.label, **asdict(comparison.invariance)}
-        if not comparison.invariance.is_invariant:
-            print(
-                "spectrum: shape-invariance check failed "
-                f"(spread {comparison.invariance.spread:.3e})",
-                file=sys.stderr,
-            )
-            return EXIT_TOLERANCE
-
-    levels = comparison.levels(cfg.tol)
-    payload = _describe_common(cfg)
-    payload.update(
-        {
-            "sector": comparison.sector.value,
-            "tolerance": cfg.tol,
-            "shape_invariance": invariance,
-            "levels": levels,
-        }
+    fields, failure = invariants.spectrum_report(
+        cfg.params, cfg.potential, cfg.grid, n_max, algebraic, cfg.tol
     )
-    write_json(out_dir / "spectrum.json", payload)
-    worst = max(level["abs_diff"] or 0.0 for level in levels)
-    if worst > cfg.tol:
-        print(
-            f"spectrum: algebraic/oracle mismatch {worst:.3e} exceeds tol {cfg.tol:.1e}",
-            file=sys.stderr,
-        )
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    write_json(out_dir / "spectrum.json", {**_describe_common(cfg), **fields})
+    return EXIT_OK if failure is None else _fail("spectrum", failure)
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     section = cfg.raw.get("evolve")
     if not isinstance(section, dict):
         raise ConfigError("config needs an 'evolve' object with 'n'")
-    if not isinstance(cfg.potential, LinearPotential) or cfg.potential.k == 0:
-        raise ConfigError(
-            "evolve uses the closed-form linear-potential states; "
-            "configure a linear potential with k != 0"
-        )
     n = _convert(int, _need(section, "n", "evolve"), "evolve.n", "non-negative")
     delta = _convert(float, section.get("delta", math.pi / 2.0), "evolve.delta")
     stride = _convert(
@@ -344,17 +303,10 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
         periods = _convert(float, section.get("periods", 1.0), "evolve.periods", "positive")
     dt = _positive(section.get("dt"), "evolve.dt")
 
-    model = linear.LinearModel(cfg.potential.k, cfg.params)
-    run = evolution.run_length(model, cfg.grid, n, t_final, periods, dt)
-    if run.fallback:
-        print(
-            "evolve: the ground state is stationary and has no period; "
-            f"falling back to t_final={run.t_final}",
-            file=sys.stderr,
-        )
-    steps = evolution.frame_steps(run.n_steps, stride)
-    frames = evolution.closed_form_frames(model, cfg.grid, n, delta, run.dt, steps)
-    evolution.require_grid_holds(model, cfg.grid, n, delta)
+    run, frames, integrate = invariants.evolve_run(
+        cfg.params, cfg.potential, cfg.grid, n, delta, stride, t_final, periods, dt,
+        warn=lambda message: print(f"evolve: {message}", file=sys.stderr),
+    )
     summary = _describe_common(cfg)
     summary.update(
         {
@@ -375,16 +327,13 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
     else:
         with _fork.start(write_density_csv, out_dir / "density.csv", cfg.grid, frames) as density:
             try:
-                check = evolution.ClosedFormRun(model, cfg.grid, n, delta, run.dt, steps)
+                check = integrate()
                 write_density_csv(out_dir / "density_pde.csv", cfg.grid, check)
                 max_err = check.max_component_error
                 summary.update({"max_component_error": max_err, "norm_drift": check.norm_drift})
-                if max_err > cfg.tol:
-                    status = EXIT_TOLERANCE
-                    print(
-                        f"evolve: PDE/analytic mismatch {max_err:.3e} exceeds tol {cfg.tol:.1e}",
-                        file=sys.stderr,
-                    )
+                failure = check.mismatch(cfg.tol)
+                if failure is not None:
+                    status = _fail("evolve", failure)
             finally:
                 # joined, not killed, when the PDE fails: a density.csv error
                 # raised here replaces a PDE error, and the file is still written
@@ -433,12 +382,11 @@ def cmd_audit(cfg: RunConfig, out_dir: Path, tol_override: float | None) -> int:
     write_json(out_dir / "audit.json", payload)
     if not report.compatible:
         names = ", ".join(name for name, _ in report.offending)
-        print(
-            f"audit: couplings [{names}] violate the reality constraint "
-            "(a Majorana fermion admits only a scalar potential)",
-            file=sys.stderr,
+        failure = (
+            f"couplings [{names}] violate the reality constraint "
+            "(a Majorana fermion admits only a scalar potential)"
         )
-        return EXIT_PHYSICS
+        return _fail("audit", failure, EXIT_PHYSICS)
     return EXIT_OK
 
 
@@ -488,8 +436,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     write_json(out_dir / "verify.json", payload)
     if not passed:
         failed = ", ".join(e["name"] for e in checks if not e["passed"])
-        print(f"verify: failed checks: {failed}", file=sys.stderr)
-        return EXIT_TOLERANCE
+        return _fail("verify", f"failed checks: {failed}")
     return EXIT_OK
 
 
@@ -550,7 +497,12 @@ def main(argv=None) -> int:
     except (ConfigError, PotentialSyntaxError) as err:
         print(f"majorana1d: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BrokenSusyError, UnboundLevelError) as err:
+    # a report's verdict on the run it was given names the command
+    except BrokenSusyError as err:
+        return _fail(args.command, err, EXIT_PHYSICS)
+    except InvalidFamilyError as err:
+        return _fail(args.command, err)
+    except UnboundLevelError as err:
         print(f"majorana1d: {err}", file=sys.stderr)
         return EXIT_PHYSICS
     except MajoranaSolverError as err:

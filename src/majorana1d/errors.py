@@ -29,7 +29,8 @@ class BrokenSusyError(MajoranaSolverError):
 
 class InvalidFamilyError(MajoranaSolverError):
     """A shape-invariant family is inconsistent (e.g. a negative
-    partial remainder sum, no real spectrum)."""
+    partial remainder sum, no real spectrum, or partner potentials that
+    are not shape invariant on the grid)."""
 
 
 class UnboundLevelError(MajoranaSolverError):

@@ -13,8 +13,8 @@ skew-symmetric matrix, so the discrete L2 norm is conserved to roundoff,
 and its Schur complement I + α²AᵀA is tridiagonal, solved with LAPACK
 pttrf/pttrs, taken from ``_lapack.flapack()`` when a run starts.
 Both routes give their densities as a stream of (t, rho) frames over
-one schedule (dt, steps): ``closed_form_frames`` for the closed form,
-and ``PdeRun``, one pass that yields each frame as the step loop
+one schedule (dt, steps): ``linear.closed_form_frames`` for the closed
+form, and ``PdeRun``, one pass that yields each frame as the step loop
 reaches it, so a consumer that writes frames out holds one at a time,
 and then holds the norms and the final state. ``stationarity_metric``
 and ``measure_period`` reduce any such stream in one pass. The run
@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
 
 import numpy as np
 
-from . import linear
 from ._lapack import flapack
 from .errors import (
     ConfigError,
@@ -42,11 +40,9 @@ from .errors import (
     InstabilityError,
     StationaryStateError,
 )
-from .linear import LinearModel
 from .model import (
     GridFunction,
     GridSpec,
-    LinearPotential,
     PhysicalParams,
     ScalarPotential,
     staggered_ladder,
@@ -90,18 +86,6 @@ def _relative_drift(norms: np.ndarray) -> float:
     return float(np.max(np.abs(norms - norms[0])) / abs(norms[0]))
 
 
-def density_period(model: LinearModel, n: int) -> float:
-    """Repeat time sqrt(2) π / (c sqrt(w n)) of the level-n solution.
-
-    This equals 2πħ/E_n, one full turn of the component phase; the
-    density, built from sin² and cos², already returns to itself at half
-    this value. The ground state is stationary and has no period.
-    """
-    if n < 1:
-        raise StationaryStateError("the ground state density has no period")
-    return math.sqrt(2.0) * math.pi / (model.params.c * math.sqrt(model.w * n))
-
-
 def _excursions(frames) -> tuple[np.ndarray, np.ndarray]:
     """The times t and the sup-norm distances r(t) = max|rho(t) - rho(0)|
     of a stream of (t, rho) frames, read in one pass that keeps rho(0)
@@ -118,7 +102,7 @@ def _excursions(frames) -> tuple[np.ndarray, np.ndarray]:
 
 def stationarity_metric(frames) -> float:
     """max_t of the sup-norm distance between rho(t) and rho(0) over a
-    stream of (t, rho) frames, such as ``closed_form_frames`` or a
+    stream of (t, rho) frames, such as ``linear.closed_form_frames`` or a
     ``PdeRun``; zero for a stationary state or a single frame."""
     _, r = _excursions(frames)
     return float(np.max(r[1:], initial=0.0))
@@ -129,7 +113,7 @@ def measure_period(frames) -> float:
     the earliest local minimum of ||rho(t)-rho(0)||_inf that drops below
     ``RETURN_REL_TOL`` of the excursion, refined with a three-point parabola.
 
-    This is the density return time, half of ``density_period``: rho is
+    This is the density return time, half of ``linear.density_period``: rho is
     built from sin² and cos², so it returns twice per turn of the
     component phase. Fewer than three frames raise ValueError, and
     frames that all equal the first, a stationary state, raise
@@ -151,18 +135,6 @@ def measure_period(frames) -> float:
     raise ValueError("no density return found in the sampled window")
 
 
-def closed_form_frames(
-    model: LinearModel, grid: GridSpec, n: int, delta: float, dt: float, steps
-):
-    """Lazily yield the closed-form level-``n`` frame (t, rho) of
-    ``model`` on ``grid`` at each t = step * dt, one ``linear.spinor``
-    call per frame."""
-    y = model.y_of_x(grid.points())
-    for step in steps:
-        psi1, psi2 = linear.spinor(model, n, step * dt, y, delta)
-        yield step * dt, psi1**2 + psi2**2
-
-
 def default_time_step(p: PhysicalParams, phi: ScalarPotential, grid: GridSpec) -> float:
     """Fallback step when no period is known: resolve both the grid
     crossing time and the fastest local phase, set by max|W| on ``grid``."""
@@ -181,87 +153,6 @@ def time_grid(t_final: float, dt: float) -> tuple[float, int]:
     return t_final / n_steps, n_steps
 
 
-@dataclass(frozen=True)
-class RunLength:
-    """The time grid of one ``evolve`` run; ``fallback`` tells whether
-    ``t_final`` fell back to ``GROUND_STATE_T_FINAL``."""
-
-    period: float | None
-    t_final: float
-    dt: float
-    n_steps: int
-    fallback: bool
-
-
-def run_length(
-    model: LinearModel,
-    grid: GridSpec,
-    n: int,
-    t_final: float | None,
-    periods: float | None,
-    dt: float | None,
-) -> RunLength:
-    """The time grid of a level-``n`` run of ``model`` on ``grid``. Without
-    ``t_final`` it lasts ``periods`` density periods, or for the
-    stationary n = 0 ``GROUND_STATE_T_FINAL``; without ``dt`` the step is
-    the period over ``STEPS_PER_PERIOD``, or for n = 0
-    ``default_time_step``. ``time_grid`` then rounds the step."""
-    period = density_period(model, n) if n >= 1 else None
-    fallback = t_final is None and period is None
-    if t_final is None:
-        t_final = GROUND_STATE_T_FINAL if fallback else periods * period
-    if not math.isfinite(t_final):  # a multiple of the period can overflow
-        raise ConfigError(f"evolve.t_final must be finite, got {t_final!r}")
-    if dt is None and period is not None:
-        dt = period / STEPS_PER_PERIOD
-    elif dt is None:
-        dt = default_time_step(model.params, LinearPotential(model.k), grid)
-    try:
-        dt, n_steps = time_grid(t_final, dt)
-    except OverflowError as err:  # t_final / dt rounds from inf
-        raise ConfigError(
-            f"evolve.t_final / evolve.dt must give a finite step count, "
-            f"got {t_final!r} / {dt!r}"
-        ) from err
-    return RunLength(period, t_final, dt, n_steps, fallback)
-
-
-def require_grid_holds(model: LinearModel, grid: GridSpec, n: int, delta: float):
-    """ConfigError naming ``grid`` unless the trapezoid norm of the
-    closed-form level-``n`` state at t = 0 is 1 within ``NORM_DRIFT_TOL``
-    on ``grid``; otherwise the state lies partly outside it, or the grid
-    is too coarse for it, or, for a norm that is not finite, its closed
-    form overflows there. A state whose classical turning points
-    y = ±sqrt((2n+1)/w) are not both on the grid is refused first, at
-    once: the closed form costs O(n) grid passes."""
-    reach = math.sqrt((2 * n + 1) / model.w)
-    if not (model.y_of_x(grid.x_min) <= -reach and reach <= model.y_of_x(grid.x_max)):
-        raise ConfigError(
-            f"grid: the level-{n} state lies partly or wholly outside [x_min, x_max] = "
-            f"[{grid.x_min!r}, {grid.x_max!r}]: its classical turning points "
-            f"x = {float(model.x_of_y(-reach))!r} and {float(model.x_of_y(reach))!r} are "
-            f"not both on the grid, so part of its norm is off it; "
-            f"put the grid around x = {-model.y_shift!r}"
-        )
-    # an overflow shows as the norm that is not finite, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, rho = next(closed_form_frames(model, grid, n, delta, 0.0, [0]))
-        norm = trapezoid(rho, grid.h)
-    if not math.isfinite(norm):
-        raise ConfigError(
-            f"grid: the level-{n} state has norm {norm!r} on the grid, which is not "
-            f"finite; its closed form overflows in floating point on "
-            f"[x_min, x_max] = [{grid.x_min!r}, {grid.x_max!r}]"
-        )
-    if not abs(1.0 - norm) <= NORM_DRIFT_TOL:
-        raise ConfigError(
-            f"grid: the level-{n} state has norm {norm:.9g} on the grid, off 1 by "
-            f"{abs(1.0 - norm):.1e}, more than {NORM_DRIFT_TOL:.0e}; it lies outside "
-            f"[x_min, x_max] = [{grid.x_min!r}, {grid.x_max!r}] or the grid is too coarse; "
-            f"put the grid around x = {-model.y_shift!r}"
-        )
-
-
 def frame_steps(n_steps: int, stride: int) -> list[int]:
     """The steps at which a run of ``n_steps`` is sampled: every
     ``stride``-th one from 0, and the last; more than ``MAX_FRAMES`` of
@@ -276,7 +167,8 @@ def frame_steps(n_steps: int, stride: int) -> list[int]:
 
 class PdeRun:
     """One pass of the implicit-midpoint integration of the coupled
-    first-order system over the schedule (dt, steps) of ``closed_form_frames``.
+    first-order system over the schedule (dt, steps) of
+    ``linear.closed_form_frames``.
 
     The ladder is the staggered A of ``staggered_ladder``: psi1 lives on
     the m interior nodes and psi2 on the m + 1 midpoints, where it
@@ -481,26 +373,3 @@ def evolve_pde(
     what ``pde_frames`` raises. The benchmark tracer,
     ``perfbench/tracer.py``, times the PDE under this name."""
     return pde_frames(initial, p, phi, t_final, dt, stride).drain()
-
-
-class ClosedFormRun(PdeRun):
-    """Integrate the closed-form level-``n`` spinor of ``model`` on
-    ``grid`` from t = 0 over the schedule ``(dt, steps)``, as ``PdeRun``
-    does. Once the run is exhausted, ``max_component_error`` holds the
-    larger sup-norm distance of the two final components from the closed
-    form at the final time."""
-
-    def __init__(self, model, grid, n, delta, dt, steps):
-        y = model.y_of_x(grid.points())
-        self._reference = partial(linear.spinor, model, n, y=y, delta=delta)
-        psi1, psi2 = self._reference(0.0)
-        initial = MajoranaSpinorState(GridFunction(grid, psi1), GridFunction(grid, psi2))
-        super().__init__(initial, model.params, LinearPotential(model.k), dt, steps)
-
-    @cached_property
-    def max_component_error(self) -> float:
-        ref1, ref2 = self._reference(self.final.t)
-        return max(
-            float(np.max(np.abs(self.final.psi1.values - ref1))),
-            float(np.max(np.abs(self.final.psi2.values - ref2))),
-        )

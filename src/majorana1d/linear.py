@@ -7,6 +7,8 @@ sector for k > 0 and the plus sector for k < 0 (Cooper, Khare &
 Sukhatme, Phys. Rep. 251, 267 (1995)); ``host_state`` and
 ``partner_state`` read only w = |k|/(cħ), so they serve either sign,
 and ``spinor`` alone puts the host state in the psi1 or the psi2 row.
+``closed_form_frames`` streams its density over a schedule (dt, steps),
+the frame stream the integration in ``evolution`` yields too.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import StationaryStateError
 from .model import GridSpec, PhysicalParams
 
 
@@ -114,6 +117,30 @@ def spinor(model: LinearModel, n: int, t: float, y, delta: float):
         host = host_state(model, n, y) * math.sin(theta)
         partner = partner_state(model, n, y) * math.cos(theta)
     return (host, partner) if model.k > 0 else (partner, host)
+
+
+def density_period(model: LinearModel, n: int) -> float:
+    """Repeat time sqrt(2) π / (c sqrt(w n)) of the level-n solution.
+
+    This equals 2πħ/E_n, one full turn of the component phase; the
+    density, built from sin² and cos², already returns to itself at half
+    this value. The ground state is stationary and has no period.
+    """
+    if n < 1:
+        raise StationaryStateError("the ground state density has no period")
+    return math.sqrt(2.0) * math.pi / (model.params.c * math.sqrt(model.w * n))
+
+
+def closed_form_frames(
+    model: LinearModel, grid: GridSpec, n: int, delta: float, dt: float, steps
+):
+    """Lazily yield the closed-form level-``n`` frame (t, rho) of
+    ``model`` on ``grid`` at each t = step * dt, one ``spinor`` call per
+    frame."""
+    y = model.y_of_x(grid.points())
+    for step in steps:
+        psi1, psi2 = spinor(model, n, step * dt, y, delta)
+        yield step * dt, psi1**2 + psi2**2
 
 
 def default_grid(

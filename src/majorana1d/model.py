@@ -1,5 +1,6 @@
-"""Core model: physical constants, scalar potentials, grids and the
-reality audit for external couplings.
+"""Core model: physical constants, scalar potentials, grids, the pieces
+every route shares (``Sector``, ``superpotential``, ``staggered_ladder``,
+``trapezoid``) and the reality audit for external couplings.
 
 A Majorana fermion in 1+1 dimensions is a two-component *real* spinor.
 Hermiticity plus reality of the Hamiltonian force three of the four
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from enum import Enum
 
 import numpy as np
 
@@ -44,6 +46,15 @@ class PhysicalParams:
             raise ValueError(f"mass must be non-negative, got {self.mass}")
         if self.c <= 0 or self.hbar <= 0:
             raise ValueError("c and hbar must be positive")
+        try:
+            rest_energy = self.rest_energy
+        except OverflowError:  # c**2 past the largest float
+            rest_energy = math.inf
+        if not math.isfinite(rest_energy):
+            raise ValueError(
+                f"the rest energy mass * c**2 must be a finite float, "
+                f"got mass = {self.mass!r} and c = {self.c!r}"
+            )
 
     @property
     def rest_energy(self) -> float:
@@ -79,6 +90,16 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
+
+
+class Sector(str, Enum):
+    MINUS = "minus"
+    PLUS = "plus"
+
+    @property
+    def partner(self) -> Sector:
+        """The other sector: H_+ partners H_- and vice versa."""
+        return Sector.PLUS if self is Sector.MINUS else Sector.MINUS
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,13 +265,6 @@ class CustomPotential(ScalarPotential):
 def zero_potential() -> LinearPotential:
     """The identically zero coupling, built in: nothing to parse."""
     return LinearPotential(0.0)
-
-
-def sample(spec: GridSpec, f) -> GridFunction:
-    """Sample a potential or plain callable on a grid."""
-    x = spec.points()
-    values = f.evaluate(x) if isinstance(f, ScalarPotential) else f(x)
-    return GridFunction(spec, np.asarray(values, dtype=float))
 
 
 def superpotential(p: PhysicalParams, phi: ScalarPotential, x):

@@ -4,8 +4,9 @@ The partner Hamiltonians H_∓ = -(c ħ)^2 d²/dx² + V_∓ are discretized
 with the 3-point Laplacian on the interior points of a uniform grid
 (Dirichlet-zero truncation), and ``eigensolve`` bisects the symmetric
 tridiagonal matrix for its lowest energies² (LAPACK ?stebz; Barth,
-Martin & Wilkinson, Numer. Math. 9, 386 (1967)). Everything the
-algebraic machinery produces is checked against these numbers.
+Martin & Wilkinson, Numer. Math. 9, 386 (1967)); ``oracle_eigenvalues``
+does both for one sector of a partner pair. ``invariants`` checks what
+the algebraic machinery produces against these numbers.
 
 The LAPACK routine comes from ``_lapack.flapack()`` when it is first
 called, so importing this module, and every command that never solves,
@@ -17,27 +18,16 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from ._lapack import flapack
 from .errors import ConfigError, DiscretizationError
-from .model import GridFunction, GridSpec, PhysicalParams
+from .model import GridFunction, GridSpec, PhysicalParams, Sector
 
 # Largest |E+_n - E-_(n+1)| between the two partner spectra that counts
 # as isospectral
 ISOSPECTRAL_TOL = 5e-3
-
-
-class Sector(str, Enum):
-    MINUS = "minus"
-    PLUS = "plus"
-
-    @property
-    def partner(self) -> Sector:
-        """The other sector: H_+ partners H_- and vice versa."""
-        return Sector.PLUS if self is Sector.MINUS else Sector.MINUS
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +94,15 @@ def eigensolve(op: TridiagonalOperator, k: int) -> np.ndarray:
     if np.any(np.diff(values) <= 0):
         raise DiscretizationError("eigenvalues not strictly increasing")
     return values
+
+
+def oracle_eigenvalues(pair, sector: Sector, k: int) -> np.ndarray:
+    """The k smallest finite-difference energies² of H_∓ for ``sector``:
+    ``eigensolve`` of the discretized V_- (MINUS) or V_+ (PLUS) of
+    ``pair``, which holds them as ``v_minus`` and ``v_plus`` beside its
+    ``params``, as ``susy.partner_potentials`` returns them."""
+    v = pair.v_minus if sector is Sector.MINUS else pair.v_plus
+    return eigensolve(discretize(pair.params, v), k)
 
 
 def energy_from_lambda(lam: float, tol: float = 1e-9) -> float:

@@ -9,19 +9,18 @@ nodes, with the function zero on the two boundary nodes, and
 ``apply_a_dagger`` is its transpose. An unbroken configuration has a
 normalizable zero mode exp(∓∫W/cħ) in exactly one sector; when the
 partner pair is shape invariant the whole spectrum follows from the
-reparametrization remainder R.
+reparametrization remainder R; ``invariants.compare_spectra`` sets it
+beside the oracle's.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import oracle
 from .errors import (
     BrokenSusyError,
     InvalidFamilyError,
@@ -35,12 +34,12 @@ from .model import (
     PhysicalParams,
     PoschlTellerPotential,
     ScalarPotential,
+    Sector,
     norm,
     normalize,
     staggered_ladder,
     superpotential,
 )
-from .oracle import Sector
 
 # Normalized zero-mode amplitude allowed at the domain ends; separates
 # exponential decay from growth at desk-scale domains.
@@ -79,14 +78,6 @@ def partner_potentials(
         v_plus=GridFunction(grid, w**2 + shift),
         params=p,
     )
-
-
-def oracle_eigenvalues(pair: PartnerPotentials, sector: Sector, k: int) -> np.ndarray:
-    """The k smallest finite-difference energies² of H_∓ for ``sector``:
-    ``oracle.eigensolve`` of the discretized V_- (MINUS) or V_+ (PLUS)
-    of ``pair``."""
-    v = pair.v_minus if sector is Sector.MINUS else pair.v_plus
-    return oracle.eigensolve(oracle.discretize(pair.params, v), k)
 
 
 def apply_a(p: PhysicalParams, phi: ScalarPotential, f: GridFunction) -> GridFunction:
@@ -298,69 +289,3 @@ def algebraic_spectrum(fam: ShapeInvariantFamily, n_max: int) -> np.ndarray:
             )
         energies.append(float(np.sqrt(total)))
     return np.array(energies)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumComparison:
-    """One run of the shape-invariance chain beside the oracle, from
-    ``compare_spectra``. ``family`` and ``invariance`` are None where the
-    chain stops, and ``pair`` where the oracle does not run. The energies
-    are solved when first read, so a caller that stops at a failed
-    precondition never solves."""
-
-    pair: PartnerPotentials | None
-    n_max: int
-    classification: SusyClassification
-    family: ShapeInvariantFamily | None
-    invariance: ShapeInvarianceResult | None
-
-    @property
-    def sector(self) -> Sector:
-        """The sector hosting the zero mode; MINUS when SUSY is broken."""
-        return self.classification.sector or Sector.MINUS
-
-    @functools.cached_property
-    def algebraic(self) -> np.ndarray | None:
-        return None if self.family is None else algebraic_spectrum(self.family, self.n_max)
-
-    @functools.cached_property
-    def host(self) -> np.ndarray:
-        """The max(n_max, 1) + 1 lowest oracle energies² of ``sector``: one
-        level above the partner's, so n_max = 0 still compares a level."""
-        return oracle_eigenvalues(self.pair, self.sector, max(self.n_max, 1) + 1)
-
-    @functools.cached_property
-    def partner(self) -> np.ndarray:
-        """One level fewer of the other sector: level n pairs with host level n + 1."""
-        return oracle_eigenvalues(self.pair, self.sector.partner, max(self.n_max, 1))
-
-    def levels(self, tol: float) -> list[dict]:
-        """The level records of ``spectrum``, each oracle energy taken
-        with ``oracle.energy_from_lambda`` at ``tol``."""
-        algebraic = self.algebraic
-        records = []
-        for n in range(self.n_max + 1):
-            e_orc = oracle.energy_from_lambda(self.host[n], tol)
-            e_alg = None if algebraic is None else float(algebraic[n])
-            diff = None if e_alg is None else abs(e_alg - e_orc)
-            records.append(
-                {"n": n, "energy_algebraic": e_alg, "energy_oracle": e_orc, "abs_diff": diff}
-            )
-        return records
-
-
-def compare_spectra(
-    p: PhysicalParams,
-    phi: ScalarPotential,
-    grid: GridSpec,
-    n_max: int,
-    algebraic: bool = True,
-) -> SpectrumComparison:
-    """Classify the zero mode of ``phi`` and, when ``algebraic`` and SUSY
-    is unbroken, measure the shape invariance of its built-in family."""
-    cls = zero_mode(p, phi, grid)
-    family = builtin_family(p, phi) if algebraic and cls.unbroken else None
-    invariance = None if family is None else check_shape_invariance(family, p, grid)
-    # the oracle runs beside a family, or alone when none is asked for
-    pair = partner_potentials(p, phi, grid) if family is not None or not algebraic else None
-    return SpectrumComparison(pair, n_max, cls, family, invariance)

@@ -46,6 +46,11 @@ def plus_levels12(params, partner12):
     return mj.eigensolve(mj.discretize(params, partner12.v_plus), 10)
 
 
+def sample(spec: mj.GridSpec, f) -> mj.GridFunction:
+    """The callable ``f`` sampled on the points of ``spec``."""
+    return mj.GridFunction(spec, f(spec.points()))
+
+
 def sign_align(values: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Flip the overall sign so `values` overlaps `reference` positively;
     eigen-solvers and the largest-entry convention leave the sign of

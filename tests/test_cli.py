@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from majorana1d import _floatrepr, _fork, cli, evolution, invariants, susy
+from majorana1d import _floatrepr, _fork, cli, evolution, invariants, oracle
 from majorana1d.cli import main, write_density_csv
 from majorana1d.errors import DiscretizationError, DivergenceError
 from majorana1d.model import DEFAULT_AUDIT_TOL, GridSpec
@@ -249,7 +249,7 @@ def test_spectrum_levels_are_the_library_comparison(tmp_path, overrides):
     assert run("spectrum", "--config", cfg, "--out", tmp_path / "out") == 0
     data = json.loads((tmp_path / "out" / "spectrum.json").read_text())
     loaded = cli.load_config(str(cfg))
-    comparison = susy.compare_spectra(loaded.params, loaded.potential, loaded.grid, 2)
+    comparison = invariants.compare_spectra(loaded.params, loaded.potential, loaded.grid, 2)
     assert data["levels"] == comparison.levels(loaded.tol)
     assert data["sector"] == comparison.sector.value
     assert data["shape_invariance"]["r_declared"] == comparison.invariance.r_declared
@@ -1178,13 +1178,13 @@ VERIFY_CASES = [
 )
 def test_verify_forked_partner_matches_in_process(tmp_path, monkeypatch, two_cpus, overrides, code):
     sectors = []
-    solve = susy.oracle_eigenvalues
+    solve = oracle.oracle_eigenvalues
 
     def recording(pair, sector, k):
         sectors.append(sector)
         return solve(pair, sector, k)
 
-    monkeypatch.setattr(susy, "oracle_eigenvalues", recording)
+    monkeypatch.setattr(oracle, "oracle_eigenvalues", recording)
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert run("verify", "--config", cfg, "--out", tmp_path / "forked") == code
     [host] = sectors  # the partner sector was bisected in the child
@@ -1206,14 +1206,14 @@ def test_verify_forked_partner_matches_in_process(tmp_path, monkeypatch, two_cpu
 def test_verify_host_sector_error_wins(
     tmp_path, monkeypatch, capsys, two_cpus, platform, failing, shown
 ):
-    solve = susy.oracle_eigenvalues
+    solve = oracle.oracle_eigenvalues
 
     def solve_or_fail(pair, sector, k):
         if sector.value in failing:
             raise DiscretizationError(f"{sector.value} sector failed")
         return solve(pair, sector, k)
 
-    monkeypatch.setattr(susy, "oracle_eigenvalues", solve_or_fail)
+    monkeypatch.setattr(oracle, "oracle_eigenvalues", solve_or_fail)
     monkeypatch.setattr(sys, "platform", platform)
     cfg = write_config(tmp_path / "cfg.json", **SMALL_LINEAR, verify={"n_max": 3, "pde": False})
     capsys.readouterr()
@@ -1239,7 +1239,7 @@ def test_verify_host_failure_kills_the_running_partner_child(
             time.sleep(0.01)
         raise DiscretizationError("host bisection failed")
 
-    monkeypatch.setattr(susy, "oracle_eigenvalues", slow_partner_failing_host)
+    monkeypatch.setattr(oracle, "oracle_eigenvalues", slow_partner_failing_host)
     cfg = write_config(tmp_path / "cfg.json", **SMALL_LINEAR, verify={"n_max": 3, "pde": False})
     capsys.readouterr()
     began = time.monotonic()
@@ -1397,6 +1397,24 @@ SEPARATE_PROCESS = [
     pytest.param(
         "evolve", NAN_NORM, ["--pde"], 1, ["the level-200 state has norm nan"], {},
         id="nan_norm_pde",
+    ),
+    # a rest energy m c² that overflows, or is past the largest float, names physical
+    pytest.param(
+        "classify", {**README_LINEAR, "physical": {"mass": 1.0, "c": 1e200}}, [], 1,
+        ["bad physical", "rest energy"], {}, id="c_squared_overflows",
+    ),
+    pytest.param(
+        "spectrum",
+        {**README_LINEAR, "physical": {"mass": 0.0, "c": 1e160}, "spectrum": {"n_max": 2}},
+        [], 1, ["bad physical", "rest energy"], {}, id="massless_c_squared_overflows",
+    ),
+    pytest.param(
+        "verify", {**README_LINEAR, "physical": {"mass": 1e300, "c": 1e10}}, [], 1,
+        ["bad physical", "rest energy"], {}, id="infinite_rest_energy",
+    ),
+    pytest.param(
+        "evolve", {**LINEAR_401, "physical": {"mass": 1.0, "c": 1e200}, "evolve": {"n": 1}},
+        ["--pde"], 1, ["bad physical", "rest energy"], {}, id="c_squared_overflows_pde",
     ),
 ]
 

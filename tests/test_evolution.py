@@ -17,7 +17,7 @@ from majorana1d import evolution
 from majorana1d.evolution import staggered_ladder, time_grid
 from majorana1d.model import trapezoid
 
-from .conftest import sup
+from .conftest import sample, sup
 
 
 def linear_frames(model, grid, n, t_final, samples=481, delta=math.pi / 2):
@@ -61,7 +61,7 @@ def test_assemble_quarter_period_swaps_components(model, grid10):
 def test_assemble_rejects_grid_mismatch(model, grid10):
     y = model.y_of_x(grid10.points())
     phi_minus = mj.GridFunction(grid10, mj.host_state(model, 0, y))
-    other = mj.sample(mj.GridSpec(-1.0, 1.0, grid10.n_points), lambda x: x)
+    other = sample(mj.GridSpec(-1.0, 1.0, grid10.n_points), lambda x: x)
     with pytest.raises(mj.GridMismatchError):
         mj.MajoranaSpinorState(phi_minus, other)
 

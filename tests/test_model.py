@@ -12,6 +12,8 @@ import majorana1d as mj
 from majorana1d.cli import build_potential
 from majorana1d.model import BUILTIN_POTENTIALS, MAX_GRID_POINTS
 
+from .conftest import sample
+
 GRID = mj.GridSpec(0.0, 1.0, 33)
 
 
@@ -57,7 +59,7 @@ def test_physical_params_validation():
 
 
 def test_grid_function_is_immutable():
-    f = mj.sample(GRID, lambda x: x)
+    f = sample(GRID, lambda x: x)
     with pytest.raises(ValueError):
         f.values[0] = 7.0
 
@@ -95,14 +97,14 @@ def test_superpotential_propagates_evaluation_error():
 
 def test_inner_product_constants_exact():
     spec = mj.GridSpec(0.0, 1.0, 11)
-    one = mj.sample(spec, lambda x: np.ones_like(x))
+    one = sample(spec, lambda x: np.ones_like(x))
     assert mj.inner_product(one, one) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_inner_product_linear_exact():
     spec = mj.GridSpec(0.0, 1.0, 101)
-    f = mj.sample(spec, lambda x: x)
-    g = mj.sample(spec, lambda x: np.ones_like(x))
+    f = sample(spec, lambda x: x)
+    g = sample(spec, lambda x: np.ones_like(x))
     assert mj.inner_product(f, g) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -111,14 +113,14 @@ def test_inner_product_gaussian_ground_state():
     w = 1.0
     oracle, _ = quad(lambda t: math.sqrt(w / math.pi) * math.exp(-w * t * t), -np.inf, np.inf)
     spec = mj.GridSpec(-10.0, 10.0, 2001)
-    f = mj.sample(spec, lambda x: (w / np.pi) ** 0.25 * np.exp(-0.5 * w * x**2))
+    f = sample(spec, lambda x: (w / np.pi) ** 0.25 * np.exp(-0.5 * w * x**2))
     assert oracle == pytest.approx(1.0, abs=1e-12)
     assert mj.inner_product(f, f) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_inner_product_grid_mismatch():
-    f = mj.sample(mj.GridSpec(0.0, 1.0, 11), lambda x: x)
-    g = mj.sample(mj.GridSpec(0.0, 2.0, 11), lambda x: x)
+    f = sample(mj.GridSpec(0.0, 1.0, 11), lambda x: x)
+    g = sample(mj.GridSpec(0.0, 2.0, 11), lambda x: x)
     with pytest.raises(mj.GridMismatchError):
         mj.inner_product(f, g)
 
@@ -143,13 +145,13 @@ def test_inner_product_bilinear(a, b, c, alpha, beta):
 
 def test_normalize_constant():
     spec = mj.GridSpec(0.0, 1.0, 11)
-    f = mj.sample(spec, lambda x: np.full_like(x, 2.0))
+    f = sample(spec, lambda x: np.full_like(x, 2.0))
     assert np.allclose(mj.normalize(f).values, 1.0)
 
 
 def test_normalize_sign_convention():
     spec = mj.GridSpec(0.0, 1.0, 11)
-    f = mj.sample(spec, lambda x: np.full_like(x, -3.0))
+    f = sample(spec, lambda x: np.full_like(x, -3.0))
     assert np.allclose(mj.normalize(f).values, 1.0)
 
 
@@ -161,7 +163,7 @@ def test_normalize_hermite_gaussian(model, grid10):
 
 
 def test_normalize_zero_function_raises():
-    f = mj.sample(GRID, lambda x: 0.0 * x)
+    f = sample(GRID, lambda x: 0.0 * x)
     with pytest.raises(mj.DegenerateFunctionError):
         mj.normalize(f)
 

@@ -6,6 +6,8 @@ from scipy.linalg import eigh_tridiagonal
 
 import majorana1d as mj
 
+from .conftest import sample
+
 
 # ------------------------------------------------------------- discretize
 
@@ -14,7 +16,7 @@ def test_stencil_free_particle():
     # h = 1 on [0, 4], V = 0: the classic (-1, 2, -1)/h^2 interior matrix
     p = mj.PhysicalParams(mass=0.0)
     spec = mj.GridSpec(0.0, 4.0, 5)
-    op = mj.discretize(p, mj.sample(spec, lambda x: 0.0 * x))
+    op = mj.discretize(p, sample(spec, lambda x: 0.0 * x))
     assert np.allclose(op.diagonal, [2.0, 2.0, 2.0])
     assert np.allclose(op.off_diagonal, [-1.0, -1.0])
 
@@ -22,7 +24,7 @@ def test_stencil_free_particle():
 def test_stencil_adds_potential_on_diagonal():
     p = mj.PhysicalParams(mass=0.0)
     spec = mj.GridSpec(0.0, 4.0, 5)
-    op = mj.discretize(p, mj.sample(spec, lambda x: x**2))
+    op = mj.discretize(p, sample(spec, lambda x: x**2))
     assert np.allclose(op.diagonal, 2.0 + np.array([1.0, 2.0, 3.0]) ** 2)
 
 
@@ -30,7 +32,7 @@ def test_discretize_needs_five_points():
     p = mj.PhysicalParams()
     spec = mj.GridSpec(0.0, 1.0, 4)
     with pytest.raises(ValueError):
-        mj.discretize(p, mj.sample(spec, lambda x: 0.0 * x))
+        mj.discretize(p, sample(spec, lambda x: 0.0 * x))
 
 
 def test_linear_minus_ground_level_near_zero(params, linear_potential, model):
@@ -72,7 +74,7 @@ def test_dirichlet_box_spectrum():
     # independent closed form: lambda_n = (c hbar n pi / L)^2
     p = mj.PhysicalParams(mass=1.0)
     spec = mj.GridSpec(0.0, 1.0, 2001)
-    op = mj.discretize(p, mj.sample(spec, lambda x: 0.0 * x))
+    op = mj.discretize(p, sample(spec, lambda x: 0.0 * x))
     levels = mj.eigensolve(op, 3)
     for n in (1, 2, 3):
         exact = (n * np.pi) ** 2
