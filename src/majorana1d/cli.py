@@ -329,8 +329,14 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
             try:
                 check = integrate()
                 write_density_csv(out_dir / "density_pde.csv", cfg.grid, check)
-                max_err = check.max_component_error
-                summary.update({"max_component_error": max_err, "norm_drift": check.norm_drift})
+                summary.update(
+                    {
+                        "max_component_error": check.max_component_error,
+                        "norm_drift": check.norm_drift,
+                        "pde_jump_steps": check.jump_steps,
+                        "pde_solves": check.solves,
+                    }
+                )
                 failure = check.mismatch(cfg.tol)
                 if failure is not None:
                     status = _fail("evolve", failure)

@@ -4,24 +4,32 @@ States assembled from the separation ansatz psi1 = phi^- sin(Et/ħ + δ),
 psi2 = phi^+ cos(Et/ħ + δ) carry a density rho = psi1² + psi2² that
 oscillates for every excited level — only an unbroken ground state is
 stationary. The coupled first-order system ħ ∂t psi1 = A† psi2,
-ħ ∂t psi2 = -A psi1 is also integrated directly with an implicit
-midpoint step as an independent dynamical check. It runs on a staggered
-grid, psi1 on the nodes and psi2 on the midpoints, where the two-point
-ladder A has no fermion doublers; states are averaged between nodes and
-midpoints on the way in and out. The step is a Cayley transform of a
-skew-symmetric matrix, so the discrete L2 norm is conserved to roundoff,
-and its Schur complement I + α²AᵀA is tridiagonal, solved with LAPACK
-pttrf/pttrs, taken from ``_lapack.flapack()`` when a run starts.
+ħ ∂t psi2 = -A psi1 is also integrated directly as an independent
+dynamical check. It runs on a staggered grid, psi1 on the nodes and
+psi2 on the midpoints, where the two-point ladder A has no fermion
+doublers; states are averaged between nodes and midpoints on the way in
+and out. The integration advances in jumps of q steps, each the
+fourth-order triple jump of three implicit-midpoint (Cayley) substeps
+(Yoshida, Phys. Lett. A 150, 262 (1990)). Each substep is a Cayley
+transform of a skew-symmetric matrix, so the discrete L2 norm is
+conserved to roundoff, and its Schur complement I + α²AᵀA is
+tridiagonal, solved with LAPACK pttrs against the two pttrf
+factorizations a run makes, taken from ``_lapack.flapack()`` when it
+starts. q is the longest jump whose leading phase error per unit time
+is at most half the midpoint step's at the caller's step, at the
+state's own energy; frames off a multiple of q are reached by a side
+jump from a copy, so the schedule and the frames are the caller's.
 Both routes give their densities as a stream of (t, rho) frames over
 one schedule (dt, steps): ``linear.closed_form_frames`` for the closed
-form, and ``PdeRun``, one pass that yields each frame as the step loop
+form, and ``PdeRun``, one pass that yields each frame as the jump loop
 reaches it, so a consumer that writes frames out holds one at a time,
-and then holds the norms and the final state. ``stationarity_metric``
-and ``measure_period`` reduce any such stream in one pass. The run
-tests the state for inf and NaN only at those frames; on a failed test
-it replays the steps since the last frame, each one tested, to name the
-step that failed. An initial state of zero or non-finite norm, and a
-sampled norm drift that is NaN or too large, raise.
+and then holds the norms, the final state, q and its solve count.
+``stationarity_metric`` and ``measure_period`` reduce any such stream
+in one pass. The run tests the state for inf and NaN only at those
+frames; on a failed test it replays the jumps since the last frame,
+each one tested, to name the step where the first failing jump ends.
+An initial state of zero or non-finite norm, and a sampled norm drift
+that is NaN or too large, raise.
 """
 
 from __future__ import annotations
@@ -62,6 +70,13 @@ GROUND_STATE_T_FINAL = 5.0
 MAX_FRAMES = 10**6
 # a density return is a local minimum of r(t) below this share of its largest value
 RETURN_REL_TOL = 0.05
+# Yoshida's triple jump: Cayley substeps of W1, W0, W1 times a jump make
+# one fourth-order step (2·W1 + W0 = 1 and 2·W1³ + W0³ = 0)
+W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+W0 = 1.0 - 2.0 * W1
+# q·sqrt(θ) at most this makes a jump's leading phase error per unit time,
+# |2·W1⁵ + W0⁵|(qθ)⁵/80 per jump, at most half the midpoint step's θ³/12 per step
+JUMP_RATIO = ((1.0 / 12.0) / (2.0 * abs(2.0 * W1**5 + W0**5) / 80.0)) ** 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,16 +181,16 @@ def frame_steps(n_steps: int, stride: int) -> list[int]:
 
 
 class PdeRun:
-    """One pass of the implicit-midpoint integration of the coupled
-    first-order system over the schedule (dt, steps) of
-    ``linear.closed_form_frames``.
+    """One pass of the integration of the coupled first-order system
+    over the schedule (dt, steps) of ``linear.closed_form_frames``, in
+    fourth-order triple jumps of implicit-midpoint (Cayley) substeps.
 
     The ladder is the staggered A of ``staggered_ladder``: psi1 lives on
     the m interior nodes and psi2 on the m + 1 midpoints, where it
     starts as the average of the two adjacent nodes of
     ``initial.psi2``. With u = (psi1, psi2) the system is ħ ∂t u = G u
-    with the skew-symmetric G = [[0, Aᵀ], [-A, 0]]. Each step is the
-    Cayley transform u ← (I - αG)⁻¹(I + αG) u, α = dt/2ħ, applied as
+    with the skew-symmetric G = [[0, Aᵀ], [-A, 0]]. A Cayley substep of
+    length τ is u ← (I - αG)⁻¹(I + αG) u, α = τ/2ħ, applied as
     2(I - αG)⁻¹u - u. The solve eliminates psi2, which leaves the
     symmetric positive definite tridiagonal Schur complement
     S = I + α²AᵀA for psi1:
@@ -183,20 +198,46 @@ class PdeRun:
         S v1 = u1 + αAᵀu2,   v2 = u2 - αA v1.
 
     S has diagonal 1 + α²(left_j² + right_j²) and off-diagonal
-    α²·right_j·left_{j+1}; it is factored once with LAPACK ``pttrf``
-    (LDLᵀ) and solved each step with ``pttrs``.
+    α²·right_j·left_{j+1}; it is factored with LAPACK ``pttrf`` (LDLᵀ)
+    and solved with ``pttrs``. A jump of q steps is the triple jump of
+    substeps ``W1``·q·dt, ``W0``·q·dt, ``W1``·q·dt (Yoshida, Phys. Lett.
+    A 150, 262 (1990)): fourth order, and still a product of Cayley
+    transforms, so the norm is conserved to roundoff. It costs three
+    ``pttrs`` solves against two factorizations, S for ``W1`` and for
+    the negative ``W0``, both made once per run.
 
-    The sampled density is rho_j = psi1_j² + ½(psi2_{j-½}² + psi2_{j+½}²)
-    at interior nodes and psi2² of the adjacent midpoint at the two
-    boundary nodes, so its trapezoid sum is h(Σpsi1² + Σpsi2²), the
-    quantity the Cayley step conserves. Iterating the run yields the
-    frame (dt * step, rho) at each of ``steps`` once, each ``rho`` a
-    fresh array, as the loop reaches it (``drain`` runs them out
-    unread). Then ``norms`` holds the trapezoid norm of each frame,
-    ``norm_drift`` their relative drift and ``final`` the final state,
-    back on the nodes (interior psi2 averages its two adjacent
-    midpoints, and both components are zero on the boundary nodes);
-    reading any of the three earlier raises RuntimeError.
+    q is worked out from the run, not configured: with the state's own
+    energy E = ‖G u₀‖ / ‖u₀‖ and θ = E·dt/ħ, q = ⌊``JUMP_RATIO``/√θ⌋,
+    at least 1 and at most ``steps[-1]``, the longest jump whose leading
+    phase error per unit time, |2W1⁵ + W0⁵|(qθ)⁵/80 per jump, is at most
+    half the θ³/12 per step of the midpoint step at ``dt``. At
+    ``STEPS_PER_PERIOD`` steps per component period q is 15, and a run
+    costs about a fifth of the solves of one per step. A jump costs
+    three solves, so a run costs more solves than one midpoint step per
+    step when q ≤ 2: at θ > ``JUMP_RATIO``²/9 ≈ 0.088, fewer than about
+    71 steps per component period, and three times as many at q = 1,
+    θ > ``JUMP_RATIO``²/4 ≈ 0.198. Frames closer together than q cost
+    more too: each one off a multiple of q adds a side jump of three
+    solves and two factorizations, so at q = 15 a frame every step or
+    every other step takes more solves than one per step, and with the
+    factorizations a frame every 5 steps or fewer takes longer.
+
+    The state advances in whole jumps from step 0; a frame step that is
+    not a multiple of q is reached by one side jump of the remainder,
+    taken on a copy of the state and factored for that jump alone. So
+    the frame at a step has the same bits whatever the other frame
+    steps are. The sampled density is rho_j = psi1_j² + ½(psi2_{j-½}²
+    + psi2_{j+½}²) at interior nodes and psi2² of the adjacent midpoint
+    at the two boundary nodes, so its trapezoid sum is h(Σpsi1² +
+    Σpsi2²), the quantity each substep conserves. Iterating the run
+    yields the frame (dt * step, rho) at each of ``steps`` once, each
+    ``rho`` a fresh array, as the loop reaches it (``drain`` runs them
+    out unread). Then ``norms`` holds the trapezoid norm of each frame,
+    ``norm_drift`` their relative drift, ``final`` the final state, back
+    on the nodes (interior psi2 averages its two adjacent midpoints, and
+    both components are zero on the boundary nodes), ``jump_steps`` q
+    and ``solves`` the number of ``pttrs`` solves; reading any of the
+    five earlier raises RuntimeError.
 
     A ``dt`` that is not finite and positive, or ``steps`` that do not
     start at 0 and strictly increase, raise ValueError. An initial state
@@ -204,12 +245,14 @@ class PdeRun:
     or NaN, say from an amplitude whose square overflows) raises
     DegenerateFunctionError before the first frame.
     The state is checked for finite values only at the frame steps; the
-    steps between them run the step arithmetic alone. When a check
-    fails, the steps since the last frame are replayed from the state
-    that passed there, each one checked, and the first step that leaves
-    a non-finite value raises InstabilityError(step): the same step a
-    check after every step would name. A sampled norm whose drift is not
-    within 100 ``NORM_DRIFT_TOL``, NaN included, raises DivergenceError.
+    jumps between them run the step arithmetic alone. When a check
+    fails, the jumps since the last frame are replayed from the state
+    that passed there, each one checked, and the first jump (or side
+    jump) that leaves a non-finite value raises InstabilityError(step)
+    with the step that jump ends on: step 1 whenever q = 1, the same
+    step a check after every step would name. A sampled norm whose
+    drift is not within 100 ``NORM_DRIFT_TOL``, NaN included, raises
+    DivergenceError.
     """
 
     def __init__(self, initial, p, phi, dt, steps):
@@ -223,8 +266,8 @@ class PdeRun:
         return self._frames
 
     def __getattr__(self, name: str):
-        # reached for these three only until the step loop sets them
-        if name in ("norms", "norm_drift", "final"):
+        # reached for these five only until the step loop sets them
+        if name in ("norms", "norm_drift", "final", "jump_steps", "solves"):
             raise RuntimeError("the PDE run is read before its frames are exhausted")
         raise AttributeError(name)
 
@@ -235,113 +278,160 @@ class PdeRun:
         return self
 
     def _integrate(self, initial, p, phi, dt, steps):
-        """The step loop: yields the frames, then sets the three results."""
+        """The jump loop: yields the frames, then sets the five results."""
         lapack = flapack()
         spec = initial.spec
         left, right = staggered_ladder(p, phi, spec)
-
         m = spec.n_points - 2
-        alpha = dt / (2.0 * p.hbar)
-        a_left = alpha * left
-        a_right = alpha * right
-        # the LAPACK wrapper wants an off-diagonal of length >= 1, also for m = 1
-        off = np.zeros(max(m - 1, 1))
-        off[: m - 1] = a_right[:-1] * a_left[1:]
-        diag, off, info = lapack.dpttrf(1.0 + a_left * a_left + a_right * a_right, off)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"pttrf failed on the Schur complement (info={info})")
-        a2_left = 2.0 * a_left
-        a2_right = 2.0 * a_right
-        dpttrs = lapack.dpttrs
+        dpttrf, dpttrs = lapack.dpttrf, lapack.dpttrs
+
+        def substep_factors(weight: float, count: int):
+            """The bands αA and the factored S of a substep of weight·count·dt."""
+            alpha = weight * count * dt / (2.0 * p.hbar)
+            a_left = alpha * left
+            a_right = alpha * right
+            # the LAPACK wrapper wants an off-diagonal of length >= 1, also for m = 1
+            off = np.zeros(max(m - 1, 1))
+            off[: m - 1] = a_right[:-1] * a_left[1:]
+            diag, off, info = dpttrf(1.0 + a_left * a_left + a_right * a_right, off)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"pttrf failed on the Schur complement (info={info})")
+            return a_left, a_right, diag, off
 
         u1 = initial.psi1.values[1:-1].copy()
         u2 = 0.5 * (initial.psi2.values[:-1] + initial.psi2.values[1:])
         rhs = np.empty(m)
         tmp = np.empty(m)
         a_v1 = np.empty(m + 1)
-        u2_lo, u2_hi = u2[:-1], u2[1:]
         a_v1_lo, a_v1_hi = a_v1[:-1], a_v1[1:]
-        # the state at the last step that passed its check, to replay from
-        checked1 = np.empty(m)
-        checked2 = np.empty(m + 1)
+        # the state at the last frame that passed its check, to replay from,
+        # and the copy a side jump takes
+        checked1, checked2 = np.empty(m), np.empty(m + 1)
+        side1, side2 = np.empty(m), np.empty(m + 1)
         norms = np.empty(len(steps))
+        solves = 0
 
-        def advance(count: int):
-            """Take ``count`` steps in place, without checking the state."""
+        def jump(s1, s2, outer, inner):
+            """Take the substeps ``outer``, ``inner``, ``outer`` of one jump
+            on the state (s1, s2) in place, without checking it."""
+            nonlocal solves
             multiply, add, subtract = np.multiply, np.add, np.subtract
-            for _ in range(count):
-                # S v1 = u1 + αAᵀu2; then u1 ← 2v1 - u1 and u2 ← 2v2 - u2 = u2 - 2αA v1
-                multiply(a_left, u2_lo, out=rhs)
-                multiply(a_right, u2_hi, out=tmp)
+            s2_lo, s2_hi = s2[:-1], s2[1:]
+            for a_left, a_right, diag, off in (outer, inner, outer):
+                # S v1 = s1 + αAᵀs2; then s1 ← 2v1 - s1 and s2 ← 2v2 - s2 = s2 - 2αA v1
+                multiply(a_left, s2_lo, out=rhs)
+                multiply(a_right, s2_hi, out=tmp)
                 add(rhs, tmp, out=rhs)
-                add(rhs, u1, out=rhs)
+                add(rhs, s1, out=rhs)
                 v1, _ = dpttrs(diag, off, rhs, overwrite_b=True)
-                multiply(a2_left, v1, out=a_v1_lo)
+                multiply(v1, 2.0, out=v1)
+                multiply(a_left, v1, out=a_v1_lo)
                 a_v1[-1] = 0.0
-                multiply(a2_right, v1, out=tmp)
+                multiply(a_right, v1, out=tmp)
                 add(a_v1_hi, tmp, out=a_v1_hi)
-                subtract(u2, a_v1, out=u2)
-                multiply(v1, 2.0, out=tmp)
-                subtract(tmp, u1, out=u1)
+                subtract(s2, a_v1, out=s2)
+                subtract(v1, s1, out=s1)
+            solves += 3
 
-        def finite() -> bool:
-            return bool(np.all(np.isfinite(u1)) and np.all(np.isfinite(u2)))
+        def finite(s1, s2) -> bool:
+            return bool(np.all(np.isfinite(s1)) and np.all(np.isfinite(s2)))
 
-        def snapshot(frame: int) -> np.ndarray:
-            sq2 = u2**2
+        def snapshot(frame: int, s1, s2) -> np.ndarray:
+            sq2 = s2**2
             rho = np.empty(spec.n_points)
-            rho[1:-1] = u1**2 + 0.5 * (sq2[:-1] + sq2[1:])
+            rho[1:-1] = s1**2 + 0.5 * (sq2[:-1] + sq2[1:])
             rho[0] = sq2[0]
             rho[-1] = sq2[-1]
             norms[frame] = trapezoid(rho, spec.h)
             return rho
 
-        rho = snapshot(0)
+        rho = snapshot(0, u1, u2)
         if norms[0] == 0:
             raise DegenerateFunctionError("the initial state has zero norm on the grid")
         if not math.isfinite(norms[0]):
             raise DegenerateFunctionError(f"the initial state has norm {norms[0]} on the grid")
+        q = _jump_steps(_energy(left, right, u1, u2) * dt / p.hbar, steps[-1])
+        whole = substep_factors(W1, q), substep_factors(W0, q)
         yield 0.0, rho
 
-        step = 0
+        step = 0  # the step the state u1, u2 has reached, a multiple of q
+        s1, s2 = u1, u2
         for frame in range(1, len(steps)):
             np.copyto(checked1, u1)
             np.copyto(checked2, u2)
-            # silent here: the replay below warns for the failing step alone
+            start = step
+            # silent here: the replay below warns for the failing jump alone
             with np.errstate(over="ignore", invalid="ignore"):
-                advance(steps[frame] - step)
-            # Checked at frames only. A step that leaves an inf or NaN leaves
-            # one in every later step: the next pttrs sweep spreads it to all
-            # of v1 (0·inf is NaN too), and nothing in the step divides by
-            # state values. The arithmetic is deterministic, so replaying
-            # from the last checked state, one checked step at a time, stops
-            # at the first step that left a non-finite value.
-            if not finite():
+                while step + q <= steps[frame]:
+                    jump(u1, u2, *whole)
+                    step += q
+                s1, s2 = u1, u2
+                if step < steps[frame]:
+                    s1, s2 = side1, side2
+                    np.copyto(s1, u1)
+                    np.copyto(s2, u2)
+                    rest = steps[frame] - step
+                    jump(s1, s2, substep_factors(W1, rest), substep_factors(W0, rest))
+            # Checked at frames only. A substep that leaves an inf or NaN
+            # leaves one in every later one: the next pttrs sweep spreads it
+            # to all of v1 (0·inf is NaN too), and nothing in a substep
+            # divides by state values. The arithmetic is deterministic, so
+            # replaying from the last checked state, one checked jump at a
+            # time, stops at the first jump that left a non-finite value;
+            # when every whole jump passes, the side jump failed.
+            if not finite(s1, s2):
                 np.copyto(u1, checked1)
                 np.copyto(u2, checked2)
-                while step < steps[frame] and finite():
-                    advance(1)
-                    step += 1
-                raise InstabilityError(step)
-            step = steps[frame]
-            rho = snapshot(frame)
+                step = start
+                while step + q <= steps[frame]:
+                    jump(u1, u2, *whole)
+                    step += q
+                    if not finite(u1, u2):
+                        raise InstabilityError(step)
+                raise InstabilityError(steps[frame])
+            rho = snapshot(frame, s1, s2)
             drift = abs(norms[frame] - norms[0]) / abs(norms[0])
             if not drift <= 100.0 * NORM_DRIFT_TOL:
                 raise DivergenceError(
-                    f"norm drift {drift:.3e} at step {step} "
+                    f"norm drift {drift:.3e} at step {steps[frame]} "
                     f"exceeds {100.0 * NORM_DRIFT_TOL:.1e}"
                 )
-            yield step * dt, rho
+            yield steps[frame] * dt, rho
 
         psi1 = np.zeros(spec.n_points)
         psi2 = np.zeros(spec.n_points)
-        psi1[1:-1] = u1
-        psi2[1:-1] = 0.5 * (u2[:-1] + u2[1:])
+        psi1[1:-1] = s1
+        psi2[1:-1] = 0.5 * (s2[:-1] + s2[1:])
         self.norms = norms
         self.norm_drift = _relative_drift(norms)
         self.final = MajoranaSpinorState(
             GridFunction(spec, psi1), GridFunction(spec, psi2), t=steps[-1] * dt
         )
+        self.jump_steps = q
+        self.solves = solves
+
+
+def _energy(left: np.ndarray, right: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> float:
+    """The Rayleigh energy ‖G u‖ / ‖u‖ of the staggered state u = (u1, u2)
+    under G = [[0, Aᵀ], [-A, 0]] with A the bands (left, right) of
+    ``staggered_ladder``; inf or NaN where the product overflows."""
+    with np.errstate(all="ignore"):
+        a_u1 = np.zeros(len(u2))
+        a_u1[:-1] = left * u1
+        a_u1[1:] += right * u1
+        at_u2 = left * u2[:-1] + right * u2[1:]
+        return float(np.sqrt((at_u2 @ at_u2 + a_u1 @ a_u1) / (u1 @ u1 + u2 @ u2)))
+
+
+def _jump_steps(theta: float, n_steps: int) -> int:
+    """The jump length q of ``PdeRun`` at the phase θ = E·dt/ħ per step:
+    ⌊``JUMP_RATIO``/√θ⌋ within [1, ``n_steps``]; one jump for θ = 0,
+    and q = 1 for a θ that is not finite."""
+    if theta == 0.0:
+        return max(1, n_steps)
+    if not math.isfinite(theta):
+        return 1
+    return max(1, min(n_steps, math.floor(JUMP_RATIO / math.sqrt(theta))))
 
 
 def pde_frames(

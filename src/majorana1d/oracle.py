@@ -50,10 +50,23 @@ class TridiagonalOperator:
 
 def discretize(p: PhysicalParams, v: GridFunction) -> TridiagonalOperator:
     """3-point discretization of -(c ħ)² d²/dx² + V with Dirichlet-zero
-    boundaries; the matrix acts on the n_points - 2 interior values."""
+    boundaries; the matrix acts on the n_points - 2 interior values. A
+    matrix too large for ``eigensolve`` to bisect raises ConfigError
+    naming the keys that set its scale."""
     spec = v.spec
     if spec.n_points < 5:
         raise ValueError("discretization needs at least 5 grid points")
+    # ?stebz multiplies neighbouring diagonal entries and squares the
+    # off-diagonal ones, so its Gershgorin bound must square to a finite float
+    scale = p.c * p.hbar / spec.h
+    bound = 4.0 * scale * scale + float(np.max(np.abs(v.values[1:-1])))
+    if not math.isfinite(bound * bound):
+        raise ConfigError(
+            f"physical.c, physical.hbar and grid give the finite-difference spectrum "
+            f"the kinetic scale (c*hbar/h)^2 = {scale * scale:.3g}, too large to bisect: "
+            f"its Gershgorin bound 4 (c*hbar/h)^2 + max|V| = {bound:.3g} squares past "
+            f"the largest float; lower c * hbar or coarsen the grid (h = {spec.h!r})"
+        )
     kin = (p.c * p.hbar) ** 2 / spec.h**2
     diagonal = 2.0 * kin + v.values[1:-1]
     off_diagonal = np.full(spec.n_points - 3, -kin)

@@ -920,7 +920,14 @@ def test_evolve_pde_frames_share_the_closed_form_times(tmp_path):
     pde = read_density(tmp_path / "out" / "density_pde.csv")
     assert list(pde) == list(closed)
     summary = json.loads((tmp_path / "out" / "evolve_summary.json").read_text())
-    assert len(closed) == len(evolution.frame_steps(summary["steps"], 7))
+    frames = evolution.frame_steps(summary["steps"], 7)
+    assert len(closed) == len(frames)
+    # θ = 2π/2000 per step gives jumps of 15 steps, three solves each; a
+    # frame off a multiple of 15 adds one side jump
+    q = summary["pde_jump_steps"]
+    assert q == 15
+    side = sum(1 for step in frames if step % q)
+    assert summary["pde_solves"] == 3 * (summary["steps"] // q + side)
 
 
 # ------------------------------------------------------------------- audit
@@ -1415,6 +1422,15 @@ SEPARATE_PROCESS = [
     pytest.param(
         "evolve", {**LINEAR_401, "physical": {"mass": 1.0, "c": 1e200}, "evolve": {"n": 1}},
         ["--pde"], 1, ["bad physical", "rest energy"], {}, id="c_squared_overflows_pde",
+    ),
+    # mass 0 has no rest energy to overflow, but the oracle's (c hbar/h)^2 does
+    pytest.param(
+        "spectrum",
+        {"potential": {"kind": "linear", "k": 1.0}, "physical": {"mass": 0.0, "c": 1e150},
+         "grid": {"x_min": -1e-8, "x_max": 1e-8, "n_points": 2001},
+         "spectrum": {"n_max": 2, "algebraic": False}},
+        [], 1, ["physical.c", "physical.hbar", "grid", "too large to bisect"], {},
+        id="kinetic_scale_overflows",
     ),
 ]
 

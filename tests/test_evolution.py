@@ -535,13 +535,17 @@ def test_pde_error_shrinks_with_joint_refinement(params, linear_potential, model
 
 
 def block_cayley_reference(initial, p, phi, t_final, dt, stride):
-    """The implicit-midpoint step solved on the full (2m+1)-unknown
+    """The triple-jump integration solved on the full (2m+1)-unknown
     generator G = [[0, Aᵀ], [-A, 0]] with SuperLU, where A is the
     (m+1)×m bidiagonal staggered ladder from interior nodes to
-    midpoints. psi2 enters as the midpoint average of the nodes and
-    leaves as the node average of the midpoints; norms are sampled on
-    the same schedule as ``evolve_pde``. Returns (norms, psi1, psi2)
-    with psi1, psi2 on the interior nodes."""
+    midpoints. A jump of q steps is three Cayley solves of w₁q·dt,
+    w₀q·dt and w₁q·dt, with q = ⌊R/√θ⌋ in [1, n_steps] at the Rayleigh
+    phase θ = ‖G u₀‖/‖u₀‖·dt/ħ. The state advances in whole jumps from
+    step 0, and a frame off a multiple of q is reached by one side jump
+    of the remainder from a copy. psi2 enters as the midpoint average of
+    the nodes and leaves as the node average of the midpoints; norms are
+    sampled on the same schedule as ``evolve_pde``. Returns (q, norms,
+    psi1, psi2) with psi1, psi2 on the interior nodes."""
     spec = initial.spec
     w = np.asarray(mj.superpotential(p, phi, spec.points()), dtype=float)[1:-1]
     n_steps = max(1, round(t_final / dt))
@@ -552,23 +556,39 @@ def block_cayley_reference(initial, p, phi, t_final, dt, stride):
         [coef + 0.5 * w, -coef + 0.5 * w], offsets=[0, -1], shape=(m + 1, m), format="csr"
     )
     gen = sparse.bmat([[None, a_mat.T], [-a_mat, None]], format="csr")
-    alpha = dt / (2.0 * p.hbar)
     eye = sparse.identity(2 * m + 1, format="csr")
-    stepper = splu((eye - alpha * gen).tocsc())
-    forward = (eye + alpha * gen).tocsr()
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    w0 = 1.0 - 2.0 * w1
+    ratio = ((1.0 / 12.0) / (2.0 * abs(2.0 * w1**5 + w0**5) / 80.0)) ** 0.25
+
+    def cayley(tau):
+        alpha = tau / (2.0 * p.hbar)
+        solve = splu((eye - alpha * gen).tocsc()).solve
+        forward = (eye + alpha * gen).tocsr()
+        return lambda u: solve(forward @ u)
+
+    def jump(count):
+        outer, inner = cayley(w1 * count * dt), cayley(w0 * count * dt)
+        return lambda u: outer(inner(outer(u)))
 
     psi2 = initial.psi2.values
     u = np.concatenate([initial.psi1.values[1:-1], 0.5 * (psi2[:-1] + psi2[1:])])
 
-    def norm():
-        return spec.h * float(np.sum(u**2))
+    def norm(v):
+        return spec.h * float(np.sum(v**2))
 
-    norms = [norm()]
-    for step in range(1, n_steps + 1):
-        u = stepper.solve(forward @ u)
-        if step % stride == 0 or step == n_steps:
-            norms.append(norm())
-    return np.array(norms), u[:m], 0.5 * (u[m:-1] + u[m + 1 :])
+    theta = np.linalg.norm(gen @ u) / np.linalg.norm(u) * dt / p.hbar
+    q = max(1, min(n_steps, math.floor(ratio / math.sqrt(theta))))
+    whole = jump(q)
+    norms = [norm(u)]
+    state, step = u, 0
+    for target in [*range(stride, n_steps, stride), n_steps]:
+        while step + q <= target:
+            u = whole(u)
+            step += q
+        state = u if step == target else jump(target - step)(u)
+        norms.append(norm(state))
+    return q, np.array(norms), state[:m], 0.5 * (state[m:-1] + state[m + 1 :])
 
 
 @pytest.mark.parametrize("n_points", [3, 4, 2001])
@@ -582,13 +602,102 @@ def test_pde_matches_block_cayley_reference(params, linear_potential, model, n_p
     )
     T = mj.density_period(model, 1)
     run = mj.evolve_pde(initial, params, linear_potential, T, dt=T / 2000, stride=50)
-    norms, psi1, psi2 = block_cayley_reference(
+    q, norms, psi1, psi2 = block_cayley_reference(
         initial, params, linear_potential, T, T / 2000, stride=50
     )
+    assert run.jump_steps == q
     assert sup(run.final.psi1.values[1:-1], psi1) <= 1e-10
     assert sup(run.final.psi2.values[1:-1], psi2) <= 1e-10
     assert len(run.norms) == len(norms)
     assert sup(run.norms, norms) <= 1e-10
+
+
+def test_pde_jump_is_fourth_order_on_three_points(params, linear_potential):
+    # one interior node: A is one column a, G has the one singular value
+    # σ = |a|, and the exact solution turns (u1, a·u2/σ) by σt/ħ while the
+    # part of u2 across a stays put
+    grid = mj.GridSpec(-1.0, 1.0, 3)
+    initial = mj.MajoranaSpinorState(
+        mj.GridFunction(grid, np.array([0.0, 0.8, 0.0])),
+        mj.GridFunction(grid, np.array([0.3, -0.2, 0.5])),
+    )
+    left, right = staggered_ladder(params, linear_potential, grid)
+    a = np.array([left[0], right[0]])
+    sigma = float(np.linalg.norm(a))
+    u1 = 0.8
+    u2 = 0.5 * (initial.psi2.values[:-1] + initial.psi2.values[1:])
+    along = float(a @ u2) / sigma
+
+    def jump_error(dt):
+        # steps [0, 1]: one jump of the whole dt
+        run = evolution.PdeRun(initial, params, linear_potential, dt, [0, 1]).drain()
+        assert (run.jump_steps, run.solves) == (1, 3)
+        turn = sigma * dt / params.hbar
+        exact1 = u1 * math.cos(turn) + along * math.sin(turn)
+        exact2 = u2 + (along * math.cos(turn) - u1 * math.sin(turn) - along) * a / sigma
+        return max(
+            abs(run.final.psi1.values[1] - exact1),
+            abs(run.final.psi2.values[1] - 0.5 * (exact2[0] + exact2[1])),
+        )
+
+    dt = 0.5 / sigma  # a jump of half a radian
+    errors = [jump_error(dt), jump_error(dt / 2), jump_error(dt / 4)]
+    assert errors[0] > 1e-6
+    assert errors[0] / errors[1] >= 12.0
+    assert errors[1] / errors[2] >= 12.0
+
+
+class _PoisonedLapack:
+    """``_lapack.flapack()`` whose ``dpttrs`` returns NaN from call ``first`` on."""
+
+    def __init__(self, first):
+        self.first = first
+        self.calls = 0
+        self.dpttrf = mj._lapack.flapack().dpttrf
+
+    def dpttrs(self, diag, off, rhs, overwrite_b=False):
+        self.calls += 1
+        x, info = mj._lapack.flapack().dpttrs(diag, off, rhs, overwrite_b=overwrite_b)
+        if self.calls >= self.first:
+            x[:] = math.nan
+        return x, info
+
+
+@pytest.mark.parametrize(
+    "first, step",
+    # q = 10 at a stride of 7, counted in solves: frame 7 is a side jump of
+    # 7 (solves 1-3); frame 14 the whole jump to 10 (4-6) and a side jump of
+    # 4 (7-9); frame 21 the whole jump to 20 (10-12) and a side jump of 1
+    # (13-15); frame 28 a side jump of 8 from 20 (16-18). The poison stays,
+    # so the replay fails at the first whole jump it retakes, if any.
+    [(1, 7), (5, 10), (11, 20), (16, 28)],
+    ids=["side_jump_first", "whole_jump", "later_whole_jump", "later_side_jump"],
+)
+def test_pde_replay_names_the_end_of_the_failing_jump(
+    monkeypatch, params, linear_potential, model, grid10, first, step
+):
+    poisoned = _PoisonedLapack(first)
+    monkeypatch.setattr(evolution, "flapack", lambda: poisoned)
+    initial = scaled_state(model, grid10, 1.0)
+    run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    with pytest.raises(mj.InstabilityError) as err:
+        run.drain()
+    assert err.value.step == step
+
+
+def test_pde_reports_its_jump_length_and_solves(params, linear_potential, model, grid10):
+    # θ = E·dt/ħ = √2·0.005 gives q = 10; the 100 steps take 10 whole jumps,
+    # and the 13 frames that are not multiples of 10 one side jump each
+    initial = scaled_state(model, grid10, 1.0)
+    run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    with pytest.raises(RuntimeError, match="exhausted"):
+        run.jump_steps
+    with pytest.raises(RuntimeError, match="exhausted"):
+        run.solves
+    run.drain()
+    off_jump = [s for s in mj.frame_steps(100, 7) if s % 10]
+    assert run.jump_steps == 10
+    assert run.solves == 3 * (10 + len(off_jump))
 
 
 def test_staggered_ladder_has_no_doublers(params, linear_potential, grid12):
