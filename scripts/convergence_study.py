@@ -4,12 +4,14 @@
 Tabulates finite-difference eigenvalue errors against the closed-form
 spectrum E_n^2 = 2 c hbar k n under grid halving, and the one-period
 integration error under joint grid/step halving. Both should shrink by
-~4x per level: the stencils are second order, and the fourth-order
-triple jump of the integration keeps its time error below the
-second-order space error. Each PDE row also gives the jump length q the
-run worked out from its step, and its count of tridiagonal solves; q is
-a whole number, so one halving can shrink the error by less (about 2x
-from 501 to 1001 points, where q goes from 3 to 5).
+~4x per level. The stencils are second order. The integration's time
+error comes from its jumps: sixth-order long jumps held to 1/50 of the
+midpoint step's phase error per unit time, and fourth-order triple
+jumps towards the frames. That keeps the time part of the error below
+the second-order space part, so the ratio stays near 4 at every
+halving. Each PDE row also gives the long and short jump lengths q_L
+and q_S the run worked out from its step, and its count of tridiagonal
+solves.
 """
 
 import math
@@ -48,7 +50,7 @@ def eigenvalue_table(params, potential, model, grids, levels):
 def pde_table(model, grids):
     period = mj.density_period(model, 1)
     print("one-period integration error (n = 1, dt = T/steps)")
-    print("points   steps   q     solves   error        ratio")
+    print("points   steps   q_L   q_S   solves   error        ratio")
     previous = None
     steps = 100
     for n_points in grids:
@@ -58,8 +60,9 @@ def pde_table(model, grids):
         check = mj.ClosedFormRun(model, grid, 1, math.pi / 2, run.dt, frames).drain()
         error = check.max_component_error
         ratio = "" if previous is None else f"{previous / error:.2f}"
+        q_long, q_short = check.jump_steps
         print(
-            f"{n_points:<8} {steps:<7} {check.jump_steps:<5} {check.solves:<8} "
+            f"{n_points:<8} {steps:<7} {q_long:<5} {q_short:<5} {check.solves:<8} "
             f"{error:<12.3e} {ratio}"
         )
         previous = error

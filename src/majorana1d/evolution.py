@@ -8,28 +8,33 @@ stationary. The coupled first-order system ħ ∂t psi1 = A† psi2,
 dynamical check. It runs on a staggered grid, psi1 on the nodes and
 psi2 on the midpoints, where the two-point ladder A has no fermion
 doublers; states are averaged between nodes and midpoints on the way in
-and out. The integration advances in jumps of q steps, each the
-fourth-order triple jump of three implicit-midpoint (Cayley) substeps
-(Yoshida, Phys. Lett. A 150, 262 (1990)). Each substep is a Cayley
-transform of a skew-symmetric matrix, so the discrete L2 norm is
-conserved to roundoff, and its Schur complement I + α²AᵀA is
-tridiagonal, solved with LAPACK pttrs against the two pttrf
-factorizations a run makes, taken from ``_lapack.flapack()`` when it
-starts. q is the longest jump whose leading phase error per unit time
-is at most half the midpoint step's at the caller's step, at the
-state's own energy; frames off a multiple of q are reached by a side
-jump from a copy, so the schedule and the frames are the caller's.
+and out. The integration is a composition of implicit-midpoint (Cayley)
+substeps at two levels: long jumps of q_L steps, each a sixth-order
+composition of seven substeps whose weights meet the odd power-sum
+conditions of commuting substeps (McLachlan, SIAM J. Sci. Comput. 16,
+151 (1995)), carry the run, and short jumps of q_S steps, each the
+fourth-order triple jump of three substeps (Yoshida, Phys. Lett. A 150,
+262 (1990)), carry it from the last long jump towards a frame. Each
+substep is a Cayley transform of a skew-symmetric matrix, so the
+discrete L2 norm is conserved to roundoff, and its Schur complement
+I + α²AᵀA is tridiagonal, solved with LAPACK pttrs against pttrf
+factorizations made once per run, five, and two per side jump, taken
+from ``_lapack.flapack()`` when the run starts. q_S and q_L, a multiple of q_S, are the longest jumps whose
+leading phase error per unit time stays within a set share of the
+midpoint step's at the caller's step, at the state's own energy; a frame
+off a multiple of q_S is reached by a side jump from a copy, so the
+schedule and the frames are the caller's.
 Both routes give their densities as a stream of (t, rho) frames over
 one schedule (dt, steps): ``linear.closed_form_frames`` for the closed
 form, and ``PdeRun``, one pass that yields each frame as the jump loop
 reaches it, so a consumer that writes frames out holds one at a time,
-and then holds the norms, the final state, q and its solve count.
-``stationarity_metric`` and ``measure_period`` reduce any such stream
-in one pass. The run tests the state for inf and NaN only at those
-frames; on a failed test it replays the jumps since the last frame,
-each one tested, to name the step where the first failing jump ends.
-An initial state of zero or non-finite norm, and a sampled norm drift
-that is NaN or too large, raise.
+and then holds the norms, the final state, the jump lengths and the
+solve count. ``stationarity_metric`` and ``measure_period`` reduce any
+such stream in one pass. The run tests the state for inf and NaN only
+at those frames; on a failed test it replays the jumps since the last
+frame, each one tested, to name the step where the first failing jump
+ends. An initial state of zero or non-finite norm, and a sampled norm
+drift that is NaN or too large, raise.
 """
 
 from __future__ import annotations
@@ -77,6 +82,16 @@ W0 = 1.0 - 2.0 * W1
 # q·sqrt(θ) at most this makes a jump's leading phase error per unit time,
 # |2·W1⁵ + W0⁵|(qθ)⁵/80 per jump, at most half the midpoint step's θ³/12 per step
 JUMP_RATIO = ((1.0 / 12.0) / (2.0 * abs(2.0 * W1**5 + W0**5) / 80.0)) ** 0.25
+# A long jump: Cayley substeps of these weights times the jump. Substeps
+# of one generator commute, so Σw = 1, Σw³ = 0 and Σw⁵ = 0 make it sixth
+# order (McLachlan, SIAM J. Sci. Comput. 16, 151 (1995)); of the real
+# solutions for the pattern b, a, b, c, b, a, b this has the least |Σw⁷|
+_LONG_A, _LONG_B, _LONG_C = -0.8341605550808648, 0.43117553188395996, 0.9436189826258898
+LONG_WEIGHTS = (_LONG_B, _LONG_A, _LONG_B, _LONG_C, _LONG_B, _LONG_A, _LONG_B)
+# the share of the midpoint step's phase error per unit time a long jump
+# may make: small enough that the time error stays below the space error
+# of the stencil under joint refinement of the grid and the step
+LONG_ERROR_SHARE = 0.02
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +198,9 @@ def frame_steps(n_steps: int, stride: int) -> list[int]:
 class PdeRun:
     """One pass of the integration of the coupled first-order system
     over the schedule (dt, steps) of ``linear.closed_form_frames``, in
-    fourth-order triple jumps of implicit-midpoint (Cayley) substeps.
+    jumps composed of implicit-midpoint (Cayley) substeps at two levels:
+    sixth-order long jumps carry the run, fourth-order short jumps carry
+    it on to the frames.
 
     The ladder is the staggered A of ``staggered_ladder``: psi1 lives on
     the m interior nodes and psi2 on the m + 1 midpoints, where it
@@ -199,60 +216,83 @@ class PdeRun:
 
     S has diagonal 1 + α²(left_j² + right_j²) and off-diagonal
     α²·right_j·left_{j+1}; it is factored with LAPACK ``pttrf`` (LDLᵀ)
-    and solved with ``pttrs``. A jump of q steps is the triple jump of
-    substeps ``W1``·q·dt, ``W0``·q·dt, ``W1``·q·dt (Yoshida, Phys. Lett.
-    A 150, 262 (1990)): fourth order, and still a product of Cayley
-    transforms, so the norm is conserved to roundoff. It costs three
-    ``pttrs`` solves against two factorizations, S for ``W1`` and for
-    the negative ``W0``, both made once per run.
+    and solved with ``pttrs``, and a run keeps only α and the factors of
+    each distinct substep, applying A through the shared bands. All
+    substeps are functions of the one G, so they commute: substeps of
+    weights w_i times a jump of q steps turn a mode of G of singular
+    value σ by Σ 2·atan(w_i x/2) = xΣw_i - x³Σw_i³/12 + x⁵Σw_i⁵/80
+    - x⁷Σw_i⁷/448 + ..., x = σ·q·dt/ħ, so the order conditions are the
+    odd power sums alone (McLachlan, SIAM J. Sci. Comput. 16, 151
+    (1995)). Every jump is a product of Cayley transforms, so the norm
+    is conserved to roundoff.
 
-    q is worked out from the run, not configured: with the state's own
-    energy E = ‖G u₀‖ / ‖u₀‖ and θ = E·dt/ħ, q = ⌊``JUMP_RATIO``/√θ⌋,
-    at least 1 and at most ``steps[-1]``, the longest jump whose leading
-    phase error per unit time, |2W1⁵ + W0⁵|(qθ)⁵/80 per jump, is at most
-    half the θ³/12 per step of the midpoint step at ``dt``. At
-    ``STEPS_PER_PERIOD`` steps per component period q is 15, and a run
-    costs about a fifth of the solves of one per step. A jump costs
-    three solves, so a run costs more solves than one midpoint step per
-    step when q ≤ 2: at θ > ``JUMP_RATIO``²/9 ≈ 0.088, fewer than about
-    71 steps per component period, and three times as many at q = 1,
-    θ > ``JUMP_RATIO``²/4 ≈ 0.198. Frames closer together than q cost
-    more too: each one off a multiple of q adds a side jump of three
-    solves and two factorizations, so at q = 15 a frame every step or
-    every other step takes more solves than one per step, and with the
-    factorizations a frame every 5 steps or fewer takes longer.
+    - A long jump of q_L steps is the seven substeps ``LONG_WEIGHTS``
+      times q_L·dt, with Σw = 1 and Σw³ = Σw⁵ = 0: sixth order, seven
+      solves against three factorizations, one per distinct weight.
+    - A short jump of q_S steps is the triple jump of substeps
+      ``W1``·q_S·dt, ``W0``·q_S·dt, ``W1``·q_S·dt (Yoshida, Phys. Lett.
+      A 150, 262 (1990)): fourth order, three solves against two
+      factorizations.
 
-    The state advances in whole jumps from step 0; a frame step that is
-    not a multiple of q is reached by one side jump of the remainder,
-    taken on a copy of the state and factored for that jump alone. So
-    the frame at a step has the same bits whatever the other frame
-    steps are. The sampled density is rho_j = psi1_j² + ½(psi2_{j-½}²
-    + psi2_{j+½}²) at interior nodes and psi2² of the adjacent midpoint
-    at the two boundary nodes, so its trapezoid sum is h(Σpsi1² +
-    Σpsi2²), the quantity each substep conserves. Iterating the run
-    yields the frame (dt * step, rho) at each of ``steps`` once, each
-    ``rho`` a fresh array, as the loop reaches it (``drain`` runs them
-    out unread). Then ``norms`` holds the trapezoid norm of each frame,
-    ``norm_drift`` their relative drift, ``final`` the final state, back
-    on the nodes (interior psi2 averages its two adjacent midpoints, and
-    both components are zero on the boundary nodes), ``jump_steps`` q
-    and ``solves`` the number of ``pttrs`` solves; reading any of the
-    five earlier raises RuntimeError.
+    The five factorizations, two when q_L = q_S, are made once per run.
+    q_S and q_L are worked out from the run, not configured: with the
+    state's own energy E = ‖G u₀‖ / ‖u₀‖ and θ = E·dt/ħ,
+    q_S = ⌊``JUMP_RATIO``/√θ⌋, the
+    longest triple jump whose leading phase error per unit time,
+    |2W1⁵ + W0⁵|(q_Sθ)⁵/80 per jump, is at most half the θ³/12 per step
+    of the midpoint step at ``dt``; and q_L = q_S·⌊R₆θ^(-2/3)/q_S⌋, with
+    C₆ = |Σw⁷|/448 and R₆ = (``LONG_ERROR_SHARE``/(12·C₆))^(1/6) ≈ 1.366,
+    the longest multiple of q_S whose leading phase error per unit time,
+    C₆(q_Lθ)⁷ per jump, is at most ``LONG_ERROR_SHARE`` of the midpoint
+    step's. Both are at least 1 and at most ``steps[-1]``. When q_L
+    would be less than 2·q_S, at fewer than about 12 steps per component
+    period, the long level is dropped: q_L = q_S and the run takes the
+    triple jump alone. At ``STEPS_PER_PERIOD`` steps per component
+    period q_S is 15 and q_L is 60, and whole long jumps cost 7 solves
+    per 60 steps where whole triple jumps cost 12. Where q_L = 2·q_S a
+    long jump costs 7 solves where two triple jumps cost 6: it buys
+    accuracy alone. Below about 107 steps per component period whole
+    jumps cost more than one solve per step, up to 3 at q_L = 1.
+
+    The state advances in long jumps from step 0. A frame step f is
+    reached from the long state at L = q_L·⌊f/q_L⌋: a second state,
+    copied from the long one at L and carried on to the later frames
+    until the long state passes it, takes the short jumps up to
+    S = q_S·⌊f/q_S⌋, and a frame off a multiple of q_S takes one side
+    jump of f - S, the triple jump of the remainder, on a copy and
+    factored for that jump alone. q_L is a multiple of q_S, so the short
+    jumps stay on multiples of q_S, and the frame at a step has the same
+    bits whatever the other frame steps are. A side jump costs three
+    solves and two factorizations, so frames closer together than q_S
+    cost more than whole jumps; at a frame every 10 steps or fewer the
+    side jumps take half the run or more. The sampled density is
+    rho_j = psi1_j² + ½(psi2_{j-½}² + psi2_{j+½}²) at interior nodes and
+    psi2² of the adjacent midpoint at the two boundary nodes, so its
+    trapezoid sum is h(Σpsi1² + Σpsi2²), the quantity each substep
+    conserves. Iterating the run yields the frame (dt * step, rho) at
+    each of ``steps`` once, each ``rho`` a fresh array, as the loop
+    reaches it (``drain`` runs them out unread). Then ``norms`` holds
+    the trapezoid norm of each frame, ``norm_drift`` their relative
+    drift, ``final`` the final state, back on the nodes (interior psi2
+    averages its two adjacent midpoints, and both components are zero
+    on the boundary nodes), ``jump_steps`` the pair (q_L, q_S) and
+    ``solves`` the number of ``pttrs`` solves; reading any of the five
+    earlier raises RuntimeError.
 
     A ``dt`` that is not finite and positive, or ``steps`` that do not
     start at 0 and strictly increase, raise ValueError. An initial state
     of zero norm, one the grid does not hold, or of non-finite norm (inf
     or NaN, say from an amplitude whose square overflows) raises
     DegenerateFunctionError before the first frame.
-    The state is checked for finite values only at the frame steps; the
-    jumps between them run the step arithmetic alone. When a check
-    fails, the jumps since the last frame are replayed from the state
-    that passed there, each one checked, and the first jump (or side
-    jump) that leaves a non-finite value raises InstabilityError(step)
-    with the step that jump ends on: step 1 whenever q = 1, the same
-    step a check after every step would name. A sampled norm whose
-    drift is not within 100 ``NORM_DRIFT_TOL``, NaN included, raises
-    DivergenceError.
+    The states are checked for finite values only at the frame steps;
+    the jumps between them run the step arithmetic alone. When a check
+    fails, the long and the short state are restored to those that
+    passed at the last frame, and the long, short and side jumps since
+    are retaken one at a time, each one checked; the first that leaves
+    a non-finite value raises InstabilityError(step) with the step that
+    jump ends on: step 1 whenever q_L = 1, the same step a check after
+    every step would name. A sampled norm whose drift is not within 100
+    ``NORM_DRIFT_TOL``, NaN included, raises DivergenceError.
     """
 
     def __init__(self, initial, p, phi, dt, steps):
@@ -285,18 +325,29 @@ class PdeRun:
         m = spec.n_points - 2
         dpttrf, dpttrs = lapack.dpttrf, lapack.dpttrs
 
-        def substep_factors(weight: float, count: int):
-            """The bands αA and the factored S of a substep of weight·count·dt."""
-            alpha = weight * count * dt / (2.0 * p.hbar)
-            a_left = alpha * left
-            a_right = alpha * right
-            # the LAPACK wrapper wants an off-diagonal of length >= 1, also for m = 1
-            off = np.zeros(max(m - 1, 1))
-            off[: m - 1] = a_right[:-1] * a_left[1:]
-            diag, off, info = dpttrf(1.0 + a_left * a_left + a_right * a_right, off)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"pttrf failed on the Schur complement (info={info})")
-            return a_left, a_right, diag, off
+        # the bands of AᵀA; S = I + α²AᵀA for every substep. The LAPACK
+        # wrapper wants an off-diagonal of length >= 1, also for m = 1
+        ata_diag = left * left + right * right
+        ata_off = np.zeros(max(m - 1, 1))
+        ata_off[: m - 1] = right[:-1] * left[1:]
+
+        def substeps(weights, count: int):
+            """α and the factored S of each substep of weight·count·dt,
+            factored once per distinct weight."""
+            factors = {}
+            for weight in set(weights):
+                alpha = weight * count * dt / (2.0 * p.hbar)
+                diag = np.multiply(ata_diag, alpha * alpha)
+                diag += 1.0
+                diag, off, info = dpttrf(
+                    diag, ata_off * (alpha * alpha), overwrite_d=True, overwrite_e=True
+                )
+                if info != 0:
+                    raise np.linalg.LinAlgError(
+                        f"pttrf failed on the Schur complement (info={info})"
+                    )
+                factors[weight] = alpha, diag, off
+            return tuple(factors[weight] for weight in weights)
 
         u1 = initial.psi1.values[1:-1].copy()
         u2 = 0.5 * (initial.psi2.values[:-1] + initial.psi2.values[1:])
@@ -304,34 +355,38 @@ class PdeRun:
         tmp = np.empty(m)
         a_v1 = np.empty(m + 1)
         a_v1_lo, a_v1_hi = a_v1[:-1], a_v1[1:]
-        # the state at the last frame that passed its check, to replay from,
-        # and the copy a side jump takes
-        checked1, checked2 = np.empty(m), np.empty(m + 1)
+        # the short state, the copy a side jump takes, and the long and
+        # short states at the last frame that passed its check, to replay from
+        short1, short2 = np.empty(m), np.empty(m + 1)
         side1, side2 = np.empty(m), np.empty(m + 1)
+        checked1, checked2 = np.empty(m), np.empty(m + 1)
+        checked_short1, checked_short2 = np.empty(m), np.empty(m + 1)
         norms = np.empty(len(steps))
         solves = 0
 
-        def jump(s1, s2, outer, inner):
-            """Take the substeps ``outer``, ``inner``, ``outer`` of one jump
-            on the state (s1, s2) in place, without checking it."""
+        def jump(s1, s2, factors):
+            """Take the substeps ``factors`` of one jump on the state
+            (s1, s2) in place, without checking it."""
             nonlocal solves
             multiply, add, subtract = np.multiply, np.add, np.subtract
             s2_lo, s2_hi = s2[:-1], s2[1:]
-            for a_left, a_right, diag, off in (outer, inner, outer):
+            for alpha, diag, off in factors:
                 # S v1 = s1 + αAᵀs2; then s1 ← 2v1 - s1 and s2 ← 2v2 - s2 = s2 - 2αA v1
-                multiply(a_left, s2_lo, out=rhs)
-                multiply(a_right, s2_hi, out=tmp)
+                multiply(left, s2_lo, out=rhs)
+                multiply(right, s2_hi, out=tmp)
                 add(rhs, tmp, out=rhs)
+                multiply(rhs, alpha, out=rhs)
                 add(rhs, s1, out=rhs)
                 v1, _ = dpttrs(diag, off, rhs, overwrite_b=True)
                 multiply(v1, 2.0, out=v1)
-                multiply(a_left, v1, out=a_v1_lo)
+                subtract(v1, s1, out=s1)
+                multiply(v1, alpha, out=v1)
+                multiply(left, v1, out=a_v1_lo)
                 a_v1[-1] = 0.0
-                multiply(a_right, v1, out=tmp)
+                multiply(right, v1, out=tmp)
                 add(a_v1_hi, tmp, out=a_v1_hi)
                 subtract(s2, a_v1, out=s2)
-                subtract(v1, s1, out=s1)
-            solves += 3
+            solves += len(factors)
 
         def finite(s1, s2) -> bool:
             return bool(np.all(np.isfinite(s1)) and np.all(np.isfinite(s2)))
@@ -350,44 +405,72 @@ class PdeRun:
             raise DegenerateFunctionError("the initial state has zero norm on the grid")
         if not math.isfinite(norms[0]):
             raise DegenerateFunctionError(f"the initial state has norm {norms[0]} on the grid")
-        q = _jump_steps(_energy(left, right, u1, u2) * dt / p.hbar, steps[-1])
-        whole = substep_factors(W1, q), substep_factors(W0, q)
+        q_long, q_short = _jump_steps(_energy(left, right, u1, u2) * dt / p.hbar, steps[-1])
+        triple = (W1, W0, W1)
+        short_factors = substeps(triple, q_short)
+        long_factors = (
+            substeps(LONG_WEIGHTS, q_long) if q_long > q_short else short_factors
+        )
         yield 0.0, rho
 
-        step = 0  # the step the state u1, u2 has reached, a multiple of q
+        # the steps the long state u1, u2 and the short state short1, short2
+        # have reached; the short state is the long one's only while at >= step
+        step, at = 0, -1
+
+        def advance(target: int, checked: bool):
+            """Take the long, short and side jumps to ``target`` and return
+            the state there; with ``checked``, the first jump that leaves a
+            non-finite value raises InstabilityError at the step it ends on."""
+            nonlocal step, at
+
+            def take(s1, s2, factors, end):
+                jump(s1, s2, factors)
+                if checked and not finite(s1, s2):
+                    raise InstabilityError(end)
+
+            while step + q_long <= target:
+                take(u1, u2, long_factors, step + q_long)
+                step += q_long
+            s1, s2, reached = u1, u2, step
+            if target - step >= q_short:
+                if at < step:
+                    np.copyto(short1, u1)
+                    np.copyto(short2, u2)
+                    at = step
+                while at + q_short <= target:
+                    take(short1, short2, short_factors, at + q_short)
+                    at += q_short
+                s1, s2, reached = short1, short2, at
+            if reached < target:
+                np.copyto(side1, s1)
+                np.copyto(side2, s2)
+                take(side1, side2, substeps(triple, target - reached), target)
+                s1, s2 = side1, side2
+            return s1, s2
+
         s1, s2 = u1, u2
         for frame in range(1, len(steps)):
             np.copyto(checked1, u1)
             np.copyto(checked2, u2)
-            start = step
+            np.copyto(checked_short1, short1)
+            np.copyto(checked_short2, short2)
+            start = step, at
             # silent here: the replay below warns for the failing jump alone
             with np.errstate(over="ignore", invalid="ignore"):
-                while step + q <= steps[frame]:
-                    jump(u1, u2, *whole)
-                    step += q
-                s1, s2 = u1, u2
-                if step < steps[frame]:
-                    s1, s2 = side1, side2
-                    np.copyto(s1, u1)
-                    np.copyto(s2, u2)
-                    rest = steps[frame] - step
-                    jump(s1, s2, substep_factors(W1, rest), substep_factors(W0, rest))
+                s1, s2 = advance(steps[frame], checked=False)
             # Checked at frames only. A substep that leaves an inf or NaN
             # leaves one in every later one: the next pttrs sweep spreads it
             # to all of v1 (0·inf is NaN too), and nothing in a substep
             # divides by state values. The arithmetic is deterministic, so
-            # replaying from the last checked state, one checked jump at a
-            # time, stops at the first jump that left a non-finite value;
-            # when every whole jump passes, the side jump failed.
+            # replaying from the last checked states, one checked jump at a
+            # time, stops at the first jump that left a non-finite value.
             if not finite(s1, s2):
                 np.copyto(u1, checked1)
                 np.copyto(u2, checked2)
-                step = start
-                while step + q <= steps[frame]:
-                    jump(u1, u2, *whole)
-                    step += q
-                    if not finite(u1, u2):
-                        raise InstabilityError(step)
+                np.copyto(short1, checked_short1)
+                np.copyto(short2, checked_short2)
+                step, at = start
+                advance(steps[frame], checked=True)
                 raise InstabilityError(steps[frame])
             rho = snapshot(frame, s1, s2)
             drift = abs(norms[frame] - norms[0]) / abs(norms[0])
@@ -407,7 +490,7 @@ class PdeRun:
         self.final = MajoranaSpinorState(
             GridFunction(spec, psi1), GridFunction(spec, psi2), t=steps[-1] * dt
         )
-        self.jump_steps = q
+        self.jump_steps = q_long, q_short
         self.solves = solves
 
 
@@ -423,15 +506,23 @@ def _energy(left: np.ndarray, right: np.ndarray, u1: np.ndarray, u2: np.ndarray)
         return float(np.sqrt((at_u2 @ at_u2 + a_u1 @ a_u1) / (u1 @ u1 + u2 @ u2)))
 
 
-def _jump_steps(theta: float, n_steps: int) -> int:
-    """The jump length q of ``PdeRun`` at the phase θ = E·dt/ħ per step:
-    ⌊``JUMP_RATIO``/√θ⌋ within [1, ``n_steps``]; one jump for θ = 0,
-    and q = 1 for a θ that is not finite."""
+def _jump_steps(theta: float, n_steps: int) -> tuple[int, int]:
+    """The jump lengths (q_L, q_S) of ``PdeRun`` at the phase θ = E·dt/ħ
+    per step: q_S = ⌊``JUMP_RATIO``/√θ⌋ within [1, ``n_steps``], and q_L
+    the largest multiple of q_S within ``n_steps`` and R₆θ^(-2/3), or q_S
+    itself when that multiple is less than 2·q_S; one jump for θ = 0,
+    and q_L = q_S = 1 for a θ that is not finite."""
     if theta == 0.0:
-        return max(1, n_steps)
+        return max(1, n_steps), max(1, n_steps)
     if not math.isfinite(theta):
-        return 1
-    return max(1, min(n_steps, math.floor(JUMP_RATIO / math.sqrt(theta))))
+        return 1, 1
+    q_short = max(1, min(n_steps, math.floor(JUMP_RATIO / math.sqrt(theta))))
+    # the leading phase error of a long jump of q_L steps is C₆(q_Lθ)⁷;
+    # per unit time at most LONG_ERROR_SHARE of the midpoint step's θ³/12
+    c6 = abs(sum(w**7 for w in LONG_WEIGHTS)) / 448.0
+    ratio = (LONG_ERROR_SHARE / (12.0 * c6)) ** (1.0 / 6.0)
+    multiple = min(math.floor(ratio * theta ** (-2.0 / 3.0) / q_short), n_steps // q_short)
+    return (multiple * q_short if multiple >= 2 else q_short), q_short
 
 
 def pde_frames(

@@ -280,7 +280,8 @@ def test_criterion_10_negative_slope_symmetry(setup):
 
 def test_criterion_11_convergence_order(setup):
     """Eigenvalue and one-period integration errors shrink by >= 3.5x
-    under grid/step halving (both discretizations are second order)."""
+    under grid/step halving: the stencils are second order, and the
+    integration's jumps keep its time error below the space error."""
     params, potential, model = setup
     eig_errors = {}
     for n_points in (1001, 2001):

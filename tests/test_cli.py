@@ -922,12 +922,17 @@ def test_evolve_pde_frames_share_the_closed_form_times(tmp_path):
     summary = json.loads((tmp_path / "out" / "evolve_summary.json").read_text())
     frames = evolution.frame_steps(summary["steps"], 7)
     assert len(closed) == len(frames)
-    # θ = 2π/2000 per step gives jumps of 15 steps, three solves each; a
-    # frame off a multiple of 15 adds one side jump
-    q = summary["pde_jump_steps"]
-    assert q == 15
-    side = sum(1 for step in frames if step % q)
-    assert summary["pde_solves"] == 3 * (summary["steps"] // q + side)
+    # θ = 2π/2000 per step gives long jumps of 60 steps, seven solves each,
+    # and short jumps of 15, three solves each. A frame takes short jumps
+    # from the last long jump, carried on to the next frame until the long
+    # jumps pass them, and a frame off a multiple of 15 adds a side jump of
+    # three solves
+    q_long, q_short = summary["pde_jump_steps"]
+    assert (q_long, q_short) == (60, 15)
+    last = {step // q_long: step for step in frames}
+    short = sum(step % q_long // q_short for step in last.values())
+    side = sum(1 for step in frames if step % q_short)
+    assert summary["pde_solves"] == 7 * (summary["steps"] // q_long) + 3 * (short + side)
 
 
 # ------------------------------------------------------------------- audit

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -514,8 +515,10 @@ def test_pde_components_stay_real(params, linear_potential, model, grid10):
 
 
 def test_pde_error_shrinks_with_joint_refinement(params, linear_potential, model):
-    # both the stencil and the midpoint step are second order, so
-    # halving h and dt together shrinks the one-period error ~4x
+    # the stencil is second order, and the jumps keep the time error below
+    # the space error (sixth-order long jumps held to 1/50 of the midpoint
+    # step's phase error per unit time), so halving h and dt together
+    # shrinks the one-period error ~4x at every halving
     T = mj.density_period(model, 1)
 
     def one_period_error(n_points, steps):
@@ -529,23 +532,28 @@ def test_pde_error_shrinks_with_joint_refinement(params, linear_potential, model
         r1, r2 = mj.spinor(model, 1, final.t, y, math.pi / 2)
         return max(sup(final.psi1.values, r1), sup(final.psi2.values, r2))
 
-    coarse = one_period_error(1001, 200)
-    fine = one_period_error(2001, 400)
-    assert coarse / fine >= 3.5
+    errors = [one_period_error(501, 100), one_period_error(1001, 200),
+              one_period_error(2001, 400), one_period_error(4001, 800)]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert min(ratios) >= 3.5, ratios
 
 
 def block_cayley_reference(initial, p, phi, t_final, dt, stride):
-    """The triple-jump integration solved on the full (2m+1)-unknown
+    """The two-level jump integration solved on the full (2m+1)-unknown
     generator G = [[0, Aᵀ], [-A, 0]] with SuperLU, where A is the
     (m+1)×m bidiagonal staggered ladder from interior nodes to
-    midpoints. A jump of q steps is three Cayley solves of w₁q·dt,
-    w₀q·dt and w₁q·dt, with q = ⌊R/√θ⌋ in [1, n_steps] at the Rayleigh
-    phase θ = ‖G u₀‖/‖u₀‖·dt/ħ. The state advances in whole jumps from
-    step 0, and a frame off a multiple of q is reached by one side jump
-    of the remainder from a copy. psi2 enters as the midpoint average of
-    the nodes and leaves as the node average of the midpoints; norms are
-    sampled on the same schedule as ``evolve_pde``. Returns (q, norms,
-    psi1, psi2) with psi1, psi2 on the interior nodes."""
+    midpoints. At the Rayleigh phase θ = ‖G u₀‖/‖u₀‖·dt/ħ, a short jump
+    of q_S = ⌊R₄/√θ⌋ steps is three Cayley solves of w₁q_S·dt, w₀q_S·dt
+    and w₁q_S·dt, and a long jump of q_L steps, the largest multiple of
+    q_S below R₆θ^(-2/3), is seven Cayley solves of b, a, b, c, b, a, b
+    times q_L·dt; both are capped at n_steps, and q_L = q_S when that
+    multiple is below 2·q_S. The state advances in long jumps from step
+    0; a frame is reached from the last long state by short jumps on a
+    copy and one side jump of the remainder from another copy. psi2
+    enters as the midpoint average of the nodes and leaves as the node
+    average of the midpoints; norms are sampled on the same schedule as
+    ``evolve_pde``. Returns ((q_L, q_S), norms, psi1, psi2) with psi1,
+    psi2 on the interior nodes."""
     spec = initial.spec
     w = np.asarray(mj.superpotential(p, phi, spec.points()), dtype=float)[1:-1]
     n_steps = max(1, round(t_final / dt))
@@ -559,7 +567,10 @@ def block_cayley_reference(initial, p, phi, t_final, dt, stride):
     eye = sparse.identity(2 * m + 1, format="csr")
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     w0 = 1.0 - 2.0 * w1
-    ratio = ((1.0 / 12.0) / (2.0 * abs(2.0 * w1**5 + w0**5) / 80.0)) ** 0.25
+    a, b, c = -0.8341605550808648, 0.43117553188395996, 0.9436189826258898
+    long_weights = (b, a, b, c, b, a, b)
+    ratio4 = ((1.0 / 12.0) / (2.0 * abs(2.0 * w1**5 + w0**5) / 80.0)) ** 0.25
+    ratio6 = (0.02 / (12.0 * abs(sum(x**7 for x in long_weights)) / 448.0)) ** (1.0 / 6.0)
 
     def cayley(tau):
         alpha = tau / (2.0 * p.hbar)
@@ -567,9 +578,15 @@ def block_cayley_reference(initial, p, phi, t_final, dt, stride):
         forward = (eye + alpha * gen).tocsr()
         return lambda u: solve(forward @ u)
 
-    def jump(count):
-        outer, inner = cayley(w1 * count * dt), cayley(w0 * count * dt)
-        return lambda u: outer(inner(outer(u)))
+    def jump(weights, count):
+        substeps = [cayley(x * count * dt) for x in weights]
+
+        def step(u):
+            for substep in substeps:
+                u = substep(u)
+            return u
+
+        return step
 
     psi2 = initial.psi2.values
     u = np.concatenate([initial.psi1.values[1:-1], 0.5 * (psi2[:-1] + psi2[1:])])
@@ -578,17 +595,25 @@ def block_cayley_reference(initial, p, phi, t_final, dt, stride):
         return spec.h * float(np.sum(v**2))
 
     theta = np.linalg.norm(gen @ u) / np.linalg.norm(u) * dt / p.hbar
-    q = max(1, min(n_steps, math.floor(ratio / math.sqrt(theta))))
-    whole = jump(q)
+    q_short = max(1, min(n_steps, math.floor(ratio4 / math.sqrt(theta))))
+    multiple = min(math.floor(ratio6 * theta ** (-2.0 / 3.0) / q_short), n_steps // q_short)
+    q_long = multiple * q_short if multiple >= 2 else q_short
+    short_jump = jump((w1, w0, w1), q_short)
+    long_jump = jump(long_weights if q_long > q_short else (w1, w0, w1), q_long)
     norms = [norm(u)]
     state, step = u, 0
     for target in [*range(stride, n_steps, stride), n_steps]:
-        while step + q <= target:
-            u = whole(u)
-            step += q
-        state = u if step == target else jump(target - step)(u)
+        while step + q_long <= target:
+            u = long_jump(u)
+            step += q_long
+        state, at = u, step
+        while at + q_short <= target:
+            state = short_jump(state)
+            at += q_short
+        if at < target:
+            state = jump((w1, w0, w1), target - at)(state)
         norms.append(norm(state))
-    return q, np.array(norms), state[:m], 0.5 * (state[m:-1] + state[m + 1 :])
+    return (q_long, q_short), np.array(norms), state[:m], 0.5 * (state[m:-1] + state[m + 1 :])
 
 
 @pytest.mark.parametrize("n_points", [3, 4, 2001])
@@ -602,10 +627,10 @@ def test_pde_matches_block_cayley_reference(params, linear_potential, model, n_p
     )
     T = mj.density_period(model, 1)
     run = mj.evolve_pde(initial, params, linear_potential, T, dt=T / 2000, stride=50)
-    q, norms, psi1, psi2 = block_cayley_reference(
+    jump_steps, norms, psi1, psi2 = block_cayley_reference(
         initial, params, linear_potential, T, T / 2000, stride=50
     )
-    assert run.jump_steps == q
+    assert run.jump_steps == jump_steps
     assert sup(run.final.psi1.values[1:-1], psi1) <= 1e-10
     assert sup(run.final.psi2.values[1:-1], psi2) <= 1e-10
     assert len(run.norms) == len(norms)
@@ -631,7 +656,7 @@ def test_pde_jump_is_fourth_order_on_three_points(params, linear_potential):
     def jump_error(dt):
         # steps [0, 1]: one jump of the whole dt
         run = evolution.PdeRun(initial, params, linear_potential, dt, [0, 1]).drain()
-        assert (run.jump_steps, run.solves) == (1, 3)
+        assert (run.jump_steps, run.solves) == ((1, 1), 3)
         turn = sigma * dt / params.hbar
         exact1 = u1 * math.cos(turn) + along * math.sin(turn)
         exact2 = u2 + (along * math.cos(turn) - u1 * math.sin(turn) - along) * a / sigma
@@ -645,6 +670,69 @@ def test_pde_jump_is_fourth_order_on_three_points(params, linear_potential):
     assert errors[0] > 1e-6
     assert errors[0] / errors[1] >= 12.0
     assert errors[1] / errors[2] >= 12.0
+
+
+def test_pde_long_jump_is_sixth_order_on_three_points(params, linear_potential):
+    # u2 along the one column a of A: the Rayleigh energy is σ = |a|, so
+    # θ = σ·dt/ħ, and a run of n steps turning the state by σ·n·dt/ħ is
+    # one long jump of q_L = n steps (q_S = n/2, seven solves)
+    grid = mj.GridSpec(-1.0, 1.0, 3)
+    left, right = staggered_ladder(params, linear_potential, grid)
+    a = np.array([left[0], right[0]])
+    sigma = float(np.linalg.norm(a))
+    u1, u2 = 0.8, 0.4 * a / sigma
+    initial = mj.MajoranaSpinorState(
+        mj.GridFunction(grid, np.array([0.0, u1, 0.0])),
+        mj.GridFunction(grid, np.array([0.0, 2.0 * u2[0], 2.0 * (u2[1] - u2[0])])),
+    )
+
+    def jump_error(turn, n):
+        run = evolution.PdeRun(
+            initial, params, linear_potential, turn * params.hbar / (sigma * n), [0, n]
+        ).drain()
+        assert (run.jump_steps, run.solves) == ((n, n // 2), 7)
+        exact1 = u1 * math.cos(turn) + 0.4 * math.sin(turn)
+        exact2 = (0.4 * math.cos(turn) - u1 * math.sin(turn)) * a / sigma
+        return max(
+            abs(run.final.psi1.values[1] - exact1),
+            abs(run.final.psi2.values[1] - 0.5 * (exact2[0] + exact2[1])),
+        )
+
+    # jumps of half, a quarter and an eighth of a radian
+    errors = [jump_error(0.5, 6), jump_error(0.25, 12), jump_error(0.125, 24)]
+    assert errors[0] > 1e-8
+    assert errors[0] / errors[1] >= 96.0
+    assert errors[1] / errors[2] >= 96.0
+
+
+def test_long_weights_meet_the_sixth_order_conditions():
+    weights = evolution.LONG_WEIGHTS
+    assert len(weights) == 7 and len(set(weights)) == 3
+    assert weights == weights[::-1]
+    assert abs(sum(weights) - 1.0) <= 1e-15
+    assert abs(sum(w**3 for w in weights)) <= 1e-15
+    assert abs(sum(w**5 for w in weights)) <= 1e-15
+    assert abs(sum(w**7 for w in weights)) > 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.floats(min_value=1e-9, max_value=10.0),
+    n_steps=st.integers(min_value=1, max_value=10**6),
+)
+def test_long_jump_is_a_multiple_of_the_short_jump(theta, n_steps):
+    q_long, q_short = evolution._jump_steps(theta, n_steps)
+    assert 1 <= q_short <= q_long <= n_steps
+    assert q_long % q_short == 0
+    assert q_long == q_short or q_long >= 2 * q_short
+
+
+def test_jump_lengths_at_the_default_steps_per_period():
+    # θ = 2π/2000 per step: short jumps of 15 steps, long jumps of 60
+    theta = 2.0 * math.pi / evolution.STEPS_PER_PERIOD
+    assert evolution._jump_steps(theta, 2000) == (60, 15)
+    assert evolution._jump_steps(theta, 59) == (45, 15)
+    assert evolution._jump_steps(theta, 29) == (15, 15)
 
 
 class _PoisonedLapack:
@@ -665,13 +753,17 @@ class _PoisonedLapack:
 
 @pytest.mark.parametrize(
     "first, step",
-    # q = 10 at a stride of 7, counted in solves: frame 7 is a side jump of
-    # 7 (solves 1-3); frame 14 the whole jump to 10 (4-6) and a side jump of
-    # 4 (7-9); frame 21 the whole jump to 20 (10-12) and a side jump of 1
-    # (13-15); frame 28 a side jump of 8 from 20 (16-18). The poison stays,
-    # so the replay fails at the first whole jump it retakes, if any.
-    [(1, 7), (5, 10), (11, 20), (16, 28)],
-    ids=["side_jump_first", "whole_jump", "later_whole_jump", "later_side_jump"],
+    # q_L = 30 and q_S = 10 at a stride of 7, counted in solves: frame 7 is
+    # a side jump of 7 (solves 1-3); frame 14 the short jump to 10 (4-6)
+    # and a side jump of 4 (7-9); frame 21 the short jump to 20 (10-12) and
+    # a side jump of 1 (13-15); frame 28 a side jump of 8 from 20 (16-18);
+    # frame 35 the long jump to 30 (19-25) and a side jump of 5 (26-28);
+    # frame 42 the short jump from 30 to 40 (29-31) and a side jump of 2.
+    # The poison stays, so the replay fails at the first jump it retakes,
+    # the first jump since the last frame.
+    [(1, 7), (5, 10), (11, 20), (16, 28), (19, 30), (29, 40)],
+    ids=["side_jump_first", "whole_jump", "later_whole_jump", "later_side_jump",
+         "long_jump", "short_jump_after_long_jump"],
 )
 def test_pde_replay_names_the_end_of_the_failing_jump(
     monkeypatch, params, linear_potential, model, grid10, first, step
@@ -686,8 +778,10 @@ def test_pde_replay_names_the_end_of_the_failing_jump(
 
 
 def test_pde_reports_its_jump_length_and_solves(params, linear_potential, model, grid10):
-    # θ = E·dt/ħ = √2·0.005 gives q = 10; the 100 steps take 10 whole jumps,
-    # and the 13 frames that are not multiples of 10 one side jump each
+    # θ = E·dt/ħ = √2·0.005 gives q_S = 10 and q_L = 30. The 100 steps take
+    # 3 long jumps of 7 solves; the frames take 7 short jumps of 3 solves
+    # (to 10, 20; 40, 50; 70, 80; 100), and the 13 frames that are not
+    # multiples of 10 one side jump of 3 solves each
     initial = scaled_state(model, grid10, 1.0)
     run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
     with pytest.raises(RuntimeError, match="exhausted"):
@@ -696,8 +790,9 @@ def test_pde_reports_its_jump_length_and_solves(params, linear_potential, model,
         run.solves
     run.drain()
     off_jump = [s for s in mj.frame_steps(100, 7) if s % 10]
-    assert run.jump_steps == 10
-    assert run.solves == 3 * (10 + len(off_jump))
+    assert len(off_jump) == 13
+    assert run.jump_steps == (30, 10)
+    assert run.solves == 7 * 3 + 3 * (7 + 13)
 
 
 def test_staggered_ladder_has_no_doublers(params, linear_potential, grid12):
@@ -764,3 +859,34 @@ print(all(f is getattr(_lapack.flapack(), "d" + n) for f, n in zip(funcs, names)
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_evolve_pde_leaves_scipy_optimize_unloaded(tmp_path):
+    # the long-jump weights are literals: no solver is imported to make them,
+    # which would double the command's peak resident memory
+    src = str(Path(mj.__file__).resolve().parent.parent)
+    config = {
+        "potential": {"kind": "linear", "k": 1.0},
+        "physical": {"mass": 1.0, "c": 1.0, "hbar": 1.0},
+        "grid": {"x_min": -13.0, "x_max": 11.0, "n_points": 801},
+        "evolve": {"n": 1, "stride": 500},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code = f"""
+import sys
+from majorana1d.cli import main
+
+code = main(["evolve", "--config", {str(tmp_path / "cfg.json")!r},
+             "--out", {str(tmp_path / "out")!r}, "--pde"])
+print(code, sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.split() == ["0", "[]"]
+    summary = json.loads((tmp_path / "out" / "evolve_summary.json").read_text())
+    assert summary["pde_jump_steps"] == [60, 15]
