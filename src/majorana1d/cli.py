@@ -49,6 +49,7 @@ from .errors import (
     MajoranaSolverError,
     PotentialSyntaxError,
     ReservedNameError,
+    SusyConsistencyError,
     UnboundLevelError,
 )
 from .invariants import DEFAULT_TOL
@@ -506,7 +507,7 @@ def main(argv=None) -> int:
     # a report's verdict on the run it was given names the command
     except BrokenSusyError as err:
         return _fail(args.command, err, EXIT_PHYSICS)
-    except InvalidFamilyError as err:
+    except (InvalidFamilyError, SusyConsistencyError) as err:
         return _fail(args.command, err)
     except UnboundLevelError as err:
         print(f"majorana1d: {err}", file=sys.stderr)

@@ -9,8 +9,8 @@ dynamical check. It runs on a staggered grid, psi1 on the nodes and
 psi2 on the midpoints, where the two-point ladder A has no fermion
 doublers; states are averaged between nodes and midpoints on the way in
 and out. The integration is a composition of implicit-midpoint (Cayley)
-substeps at two levels: long jumps of q_L steps, each a sixth-order
-composition of seven substeps whose weights meet the odd power-sum
+substeps at two levels: long jumps of q_L steps, each an eighth-order
+composition of eleven substeps whose weights meet the odd power-sum
 conditions of commuting substeps (McLachlan, SIAM J. Sci. Comput. 16,
 151 (1995)), carry the run, and short jumps of q_S steps, each the
 fourth-order triple jump of three substeps (Yoshida, Phys. Lett. A 150,
@@ -18,12 +18,12 @@ fourth-order triple jump of three substeps (Yoshida, Phys. Lett. A 150,
 substep is a Cayley transform of a skew-symmetric matrix, so the
 discrete L2 norm is conserved to roundoff, and its Schur complement
 I + α²AᵀA is tridiagonal, solved with LAPACK pttrs against pttrf
-factorizations made once per run, five, and two per side jump, taken
-from ``_lapack.flapack()`` when the run starts. q_S and q_L, a multiple of q_S, are the longest jumps whose
-leading phase error per unit time stays within a set share of the
-midpoint step's at the caller's step, at the state's own energy; a frame
-off a multiple of q_S is reached by a side jump from a copy, so the
-schedule and the frames are the caller's.
+factorizations taken from ``_lapack.flapack()``: six made once per run,
+and two per side jump. q_S and q_L, a multiple of q_S, are the longest
+jumps whose leading phase error per unit time stays within a set share
+of the midpoint step's at the caller's step, at the state's own energy;
+a frame off a multiple of q_S is reached by a side jump from a copy, so
+the schedule and the frames are the caller's.
 Both routes give their densities as a stream of (t, rho) frames over
 one schedule (dt, steps): ``linear.closed_form_frames`` for the closed
 form, and ``PdeRun``, one pass that yields each frame as the jump loop
@@ -83,11 +83,16 @@ W0 = 1.0 - 2.0 * W1
 # |2·W1⁵ + W0⁵|(qθ)⁵/80 per jump, at most half the midpoint step's θ³/12 per step
 JUMP_RATIO = ((1.0 / 12.0) / (2.0 * abs(2.0 * W1**5 + W0**5) / 80.0)) ** 0.25
 # A long jump: Cayley substeps of these weights times the jump. Substeps
-# of one generator commute, so Σw = 1, Σw³ = 0 and Σw⁵ = 0 make it sixth
-# order (McLachlan, SIAM J. Sci. Comput. 16, 151 (1995)); of the real
-# solutions for the pattern b, a, b, c, b, a, b this has the least |Σw⁷|
-_LONG_A, _LONG_B, _LONG_C = -0.8341605550808648, 0.43117553188395996, 0.9436189826258898
-LONG_WEIGHTS = (_LONG_B, _LONG_A, _LONG_B, _LONG_C, _LONG_B, _LONG_A, _LONG_B)
+# of one generator commute, so Σw = 1 and Σw³ = Σw⁵ = Σw⁷ = 0 make it
+# eighth order (McLachlan, SIAM J. Sci. Comput. 16, 151 (1995); Kahan &
+# Li, Math. Comp. 66, 1089 (1997)); of the real solutions for the pattern
+# a, b, b, c, b, d, b, c, b, b, a this has the least |Σw⁹|
+_LONG_A, _LONG_B = -0.599031873768085, 0.24876428760615196
+_LONG_C, _LONG_D = 0.7600292543408171, -0.8145804867823759
+LONG_WEIGHTS = (
+    _LONG_A, _LONG_B, _LONG_B, _LONG_C, _LONG_B, _LONG_D,
+    _LONG_B, _LONG_C, _LONG_B, _LONG_B, _LONG_A,
+)
 # the share of the midpoint step's phase error per unit time a long jump
 # may make: small enough that the time error stays below the space error
 # of the stencil under joint refinement of the grid and the step
@@ -199,7 +204,7 @@ class PdeRun:
     """One pass of the integration of the coupled first-order system
     over the schedule (dt, steps) of ``linear.closed_form_frames``, in
     jumps composed of implicit-midpoint (Cayley) substeps at two levels:
-    sixth-order long jumps carry the run, fourth-order short jumps carry
+    eighth-order long jumps carry the run, fourth-order short jumps carry
     it on to the frames.
 
     The ladder is the staggered A of ``staggered_ladder``: psi1 lives on
@@ -221,38 +226,39 @@ class PdeRun:
     substeps are functions of the one G, so they commute: substeps of
     weights w_i times a jump of q steps turn a mode of G of singular
     value σ by Σ 2·atan(w_i x/2) = xΣw_i - x³Σw_i³/12 + x⁵Σw_i⁵/80
-    - x⁷Σw_i⁷/448 + ..., x = σ·q·dt/ħ, so the order conditions are the
-    odd power sums alone (McLachlan, SIAM J. Sci. Comput. 16, 151
-    (1995)). Every jump is a product of Cayley transforms, so the norm
-    is conserved to roundoff.
+    - x⁷Σw_i⁷/448 + x⁹Σw_i⁹/2304 - ..., x = σ·q·dt/ħ, so the order
+    conditions are the odd power sums alone (McLachlan, SIAM J. Sci.
+    Comput. 16, 151 (1995)). Every jump is a product of Cayley
+    transforms, so the norm is conserved to roundoff.
 
-    - A long jump of q_L steps is the seven substeps ``LONG_WEIGHTS``
-      times q_L·dt, with Σw = 1 and Σw³ = Σw⁵ = 0: sixth order, seven
-      solves against three factorizations, one per distinct weight.
+    - A long jump of q_L steps is the eleven substeps ``LONG_WEIGHTS``
+      times q_L·dt, with Σw = 1 and Σw³ = Σw⁵ = Σw⁷ = 0: eighth order,
+      eleven solves against four factorizations, one per distinct
+      weight.
     - A short jump of q_S steps is the triple jump of substeps
       ``W1``·q_S·dt, ``W0``·q_S·dt, ``W1``·q_S·dt (Yoshida, Phys. Lett.
       A 150, 262 (1990)): fourth order, three solves against two
       factorizations.
 
-    The five factorizations, two when q_L = q_S, are made once per run.
+    The six factorizations, two when q_L = q_S, are made once per run.
     q_S and q_L are worked out from the run, not configured: with the
     state's own energy E = ‖G u₀‖ / ‖u₀‖ and θ = E·dt/ħ,
-    q_S = ⌊``JUMP_RATIO``/√θ⌋, the
-    longest triple jump whose leading phase error per unit time,
-    |2W1⁵ + W0⁵|(q_Sθ)⁵/80 per jump, is at most half the θ³/12 per step
-    of the midpoint step at ``dt``; and q_L = q_S·⌊R₆θ^(-2/3)/q_S⌋, with
-    C₆ = |Σw⁷|/448 and R₆ = (``LONG_ERROR_SHARE``/(12·C₆))^(1/6) ≈ 1.366,
-    the longest multiple of q_S whose leading phase error per unit time,
-    C₆(q_Lθ)⁷ per jump, is at most ``LONG_ERROR_SHARE`` of the midpoint
-    step's. Both are at least 1 and at most ``steps[-1]``. When q_L
-    would be less than 2·q_S, at fewer than about 12 steps per component
-    period, the long level is dropped: q_L = q_S and the run takes the
-    triple jump alone. At ``STEPS_PER_PERIOD`` steps per component
-    period q_S is 15 and q_L is 60, and whole long jumps cost 7 solves
-    per 60 steps where whole triple jumps cost 12. Where q_L = 2·q_S a
-    long jump costs 7 solves where two triple jumps cost 6: it buys
-    accuracy alone. Below about 107 steps per component period whole
-    jumps cost more than one solve per step, up to 3 at q_L = 1.
+    q_S = ⌊``JUMP_RATIO``/√θ⌋, the longest triple jump whose leading
+    phase error per unit time, |2W1⁵ + W0⁵|(q_Sθ)⁵/80 per jump, is at
+    most half the θ³/12 per step of the midpoint step at ``dt``; and
+    q_L = q_S·⌊R₈θ^(-3/4)/q_S⌋, with C₈ = |Σw⁹|/2304 and
+    R₈ = (``LONG_ERROR_SHARE``/(12·C₈))^(1/8) ≈ 2.15, the longest
+    multiple of q_S whose leading phase error per unit time, C₈(q_Lθ)⁹
+    per jump, is at most ``LONG_ERROR_SHARE`` of the midpoint step's.
+    Both are at least 1 and at most ``steps[-1]``. When q_L would be
+    less than 2·q_S, at fewer than about 6 steps per component period,
+    the long level is dropped: q_L = q_S and the run takes the triple
+    jump alone. At ``STEPS_PER_PERIOD`` steps per component period q_S
+    is 15 and q_L is 150, and whole long jumps cost 11 solves per 150
+    steps where whole triple jumps cost 30. Where q_L = 2·q_S a long
+    jump costs 11 solves where two triple jumps cost 6: it buys accuracy
+    alone. Below about 63 steps per component period whole jumps cost
+    more than one solve per step, up to 3 at q_L = 1.
 
     The state advances in long jumps from step 0. A frame step f is
     reached from the long state at L = q_L·⌊f/q_L⌋: a second state,
@@ -509,19 +515,28 @@ def _energy(left: np.ndarray, right: np.ndarray, u1: np.ndarray, u2: np.ndarray)
 def _jump_steps(theta: float, n_steps: int) -> tuple[int, int]:
     """The jump lengths (q_L, q_S) of ``PdeRun`` at the phase θ = E·dt/ħ
     per step: q_S = ⌊``JUMP_RATIO``/√θ⌋ within [1, ``n_steps``], and q_L
-    the largest multiple of q_S within ``n_steps`` and R₆θ^(-2/3), or q_S
-    itself when that multiple is less than 2·q_S; one jump for θ = 0,
-    and q_L = q_S = 1 for a θ that is not finite."""
+    the largest multiple of q_S within ``n_steps`` and R_p·θ^((2-p)/p),
+    p the order of ``LONG_WEIGHTS``, or q_S itself when that multiple is
+    less than 2·q_S; one jump for θ = 0, and q_L = q_S = 1 for a θ that
+    is not finite."""
     if theta == 0.0:
         return max(1, n_steps), max(1, n_steps)
     if not math.isfinite(theta):
         return 1, 1
     q_short = max(1, min(n_steps, math.floor(JUMP_RATIO / math.sqrt(theta))))
-    # the leading phase error of a long jump of q_L steps is C₆(q_Lθ)⁷;
-    # per unit time at most LONG_ERROR_SHARE of the midpoint step's θ³/12
-    c6 = abs(sum(w**7 for w in LONG_WEIGHTS)) / 448.0
-    ratio = (LONG_ERROR_SHARE / (12.0 * c6)) ** (1.0 / 6.0)
-    multiple = min(math.floor(ratio * theta ** (-2.0 / 3.0) / q_short), n_steps // q_short)
+    # the order p: Σw^(p+1) is the first odd power sum past Σw that does
+    # not vanish. The leading phase error of a long jump of q_L steps is
+    # C_p(q_Lθ)^(p+1), C_p = |Σw^(p+1)|/((p+1)·2^p), the term of
+    # 2·atan(x/2); per unit time at most LONG_ERROR_SHARE of the midpoint
+    # step's θ³/12
+    order = 2
+    while abs(leading := sum(w ** (order + 1) for w in LONG_WEIGHTS)) < 1e-12:
+        order += 2
+    c_p = abs(leading) / ((order + 1) * 2.0**order)
+    ratio = (LONG_ERROR_SHARE / (12.0 * c_p)) ** (1.0 / order)
+    multiple = min(
+        math.floor(ratio * theta ** ((2.0 - order) / order) / q_short), n_steps // q_short
+    )
     return (multiple * q_short if multiple >= 2 else q_short), q_short
 
 

@@ -207,7 +207,8 @@ def evaluate(node: Node, x, params: dict[str, float] | None = None):
         arg = evaluate(node.arg, x, params)
         if node.op == "neg":
             return -arg
-        return _FUNC_IMPL[node.op](arg)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _FUNC_IMPL[node.op](arg)
     if isinstance(node, Binary):
         left = evaluate(node.left, x, params)
         right = evaluate(node.right, x, params)

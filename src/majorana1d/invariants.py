@@ -30,11 +30,10 @@ FLAG_TOL = 0.5
 class SpectrumComparison:
     """One run of the shape-invariance chain beside the oracle, from
     ``compare_spectra``. ``family`` and ``invariance`` are None where the
-    chain stops, and ``pair`` where the oracle does not run. The energies
-    are solved when first read, so a caller that stops at a failed
-    precondition never solves."""
+    chain stops. The energies are solved when first read, so a caller
+    that stops at a failed precondition never solves."""
 
-    pair: susy.PartnerPotentials | None
+    pair: susy.PartnerPotentials
     n_max: int
     classification: susy.SusyClassification
     family: susy.ShapeInvariantFamily | None
@@ -83,12 +82,13 @@ def compare_spectra(
     algebraic: bool = True,
 ) -> SpectrumComparison:
     """Classify the zero mode of ``phi`` and, when ``algebraic`` and SUSY
-    is unbroken, measure the shape invariance of its built-in family."""
+    is unbroken, measure the shape invariance of its built-in family. A
+    zero-mode exponent or a partner pair that overflows on ``grid``
+    raises ConfigError first, before anything is solved."""
     cls = susy.zero_mode(p, phi, grid)
+    pair = susy.partner_potentials(p, phi, grid)
     family = susy.builtin_family(p, phi) if algebraic and cls.unbroken else None
     invariance = None if family is None else susy.check_shape_invariance(family, p, grid)
-    # the oracle runs beside a family, or alone when none is asked for
-    pair = susy.partner_potentials(p, phi, grid) if family is not None or not algebraic else None
     return SpectrumComparison(pair, n_max, cls, family, invariance)
 
 
@@ -195,16 +195,23 @@ def require_grid_holds(lin: linear.LinearModel, grid: model.GridSpec, n: int, de
     partly outside it, or the grid is too coarse for it, or, for a norm
     that is not finite, its closed form overflows there. A state whose
     classical turning points y = ±sqrt((2n+1)/w) are not both on the
-    grid is refused first, at once: the closed form costs O(n) grid
-    passes."""
+    grid is refused first, at once, and so is one with fewer grid points
+    between them than the state's n nodes: the closed form costs O(n)
+    grid passes."""
     reach = math.sqrt((2 * n + 1) / lin.w)
+    turning = f"x = {float(lin.x_of_y(-reach))!r} and {float(lin.x_of_y(reach))!r}"
     if not (lin.y_of_x(grid.x_min) <= -reach and reach <= lin.y_of_x(grid.x_max)):
         raise ConfigError(
             f"grid: the level-{n} state lies partly or wholly outside [x_min, x_max] = "
             f"[{grid.x_min!r}, {grid.x_max!r}]: its classical turning points "
-            f"x = {float(lin.x_of_y(-reach))!r} and {float(lin.x_of_y(reach))!r} are "
-            f"not both on the grid, so part of its norm is off it; "
+            f"{turning} are not both on the grid, so part of its norm is off it; "
             f"put the grid around x = {-lin.y_shift!r}"
+        )
+    if 2.0 * reach < n * grid.h:
+        raise ConfigError(
+            f"grid: the level-{n} state has {n} nodes between its classical turning points "
+            f"{turning}, but the grid spacing h = {grid.h!r} puts fewer than {n} grid "
+            f"points there; refine the grid"
         )
     # an overflow shows as the norm that is not finite, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -257,6 +264,20 @@ class ClosedFormRun(evolution.PdeRun):
         return None
 
 
+def linear_model(p: model.PhysicalParams, phi: model.LinearPotential) -> linear.LinearModel:
+    """The ``linear.LinearModel`` of phi = k x, k != 0; a width scale
+    w = |k|/(c ħ) that is 0 or not finite, or a centre m c²/k that is not
+    finite, raises ConfigError naming the keys that set them."""
+    lin = linear.LinearModel(phi.k, p)
+    if not (0.0 < lin.w < math.inf and math.isfinite(lin.y_shift)):
+        raise ConfigError(
+            f"potential.k, physical.c and physical.hbar give the linear states the width "
+            f"scale w = |k|/(c*hbar) = {lin.w!r} and the centre x = -m*c^2/k = "
+            f"{-lin.y_shift!r}; w must be a positive finite float and the centre finite"
+        )
+    return lin
+
+
 def evolve_run(
     p: model.PhysicalParams,
     phi: model.ScalarPotential,
@@ -280,7 +301,7 @@ def evolve_run(
             "evolve uses the closed-form linear-potential states; "
             "configure a linear potential with k != 0"
         )
-    lin = linear.LinearModel(phi.k, p)
+    lin = linear_model(p, phi)
     length = run_length(lin, grid, n, t_final, periods, dt)
     if length.fallback:
         warn(
@@ -351,7 +372,7 @@ def verify_checks(
 
     if not (isinstance(phi, model.LinearPotential) and phi.k != 0 and cls.unbroken):
         return checks
-    lin = linear.LinearModel(phi.k, p)
+    lin = linear_model(p, phi)
     y = lin.y_of_x(grid.points())
     # A maps the minus-sector host states onto their partners for k > 0;
     # for k < 0 the host is the plus sector, and A† does

@@ -89,7 +89,10 @@ class GridSpec:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        # linspace may overflow inside on a span near the largest float,
+        # where the points themselves are finite
+        with np.errstate(over="ignore"):
+            return np.linspace(self.x_min, self.x_max, self.n_points)
 
 
 class Sector(str, Enum):
@@ -125,7 +128,10 @@ class GridFunction:
 
 
 class ScalarPotential:
-    """Base class for the static scalar coupling phi(x)."""
+    """Base class for the static scalar coupling phi(x). A built-in
+    evaluates past the largest float silently: ``evaluate`` raises
+    EvaluationError on a value that is not finite, and cosh overflowing
+    to inf gives sech its limit 0."""
 
     kind = "abstract"
 
@@ -159,7 +165,8 @@ class LinearPotential(ScalarPotential):
     kind = "linear"
 
     def evaluate(self, x):
-        return self._check(x, self.k * np.asarray(x, dtype=float))
+        with np.errstate(over="ignore"):
+            return self._check(x, self.k * np.asarray(x, dtype=float))
 
     def derivative(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.k) if np.ndim(x) else self.k
@@ -174,11 +181,13 @@ class PoschlTellerPotential(ScalarPotential):
     kind = "poschl_teller"
 
     def evaluate(self, x):
-        return self._check(x, self.depth * np.tanh(self.width * np.asarray(x, dtype=float)))
+        with np.errstate(over="ignore"):
+            return self._check(x, self.depth * np.tanh(self.width * np.asarray(x, dtype=float)))
 
     def derivative(self, x):
-        z = self.width * np.asarray(x, dtype=float)
-        return self.depth * self.width / np.cosh(z) ** 2
+        with np.errstate(over="ignore"):
+            z = self.width * np.asarray(x, dtype=float)
+            return self.depth * self.width / np.cosh(z) ** 2
 
 
 @dataclass(frozen=True)
@@ -191,12 +200,14 @@ class RosenMorsePotential(ScalarPotential):
     kind = "rosen_morse"
 
     def evaluate(self, x):
-        z = self.alpha * np.asarray(x, dtype=float)
-        return self._check(x, self.a * np.tanh(z) + self.b)
+        with np.errstate(over="ignore"):
+            z = self.alpha * np.asarray(x, dtype=float)
+            return self._check(x, self.a * np.tanh(z) + self.b)
 
     def derivative(self, x):
-        z = self.alpha * np.asarray(x, dtype=float)
-        return self.a * self.alpha / np.cosh(z) ** 2
+        with np.errstate(over="ignore"):
+            z = self.alpha * np.asarray(x, dtype=float)
+            return self.a * self.alpha / np.cosh(z) ** 2
 
 
 @dataclass(frozen=True)
@@ -209,13 +220,15 @@ class ScarfPotential(ScalarPotential):
     kind = "scarf"
 
     def evaluate(self, x):
-        z = self.alpha * np.asarray(x, dtype=float)
-        return self._check(x, self.a * np.tanh(z) + self.b / np.cosh(z))
+        with np.errstate(over="ignore"):
+            z = self.alpha * np.asarray(x, dtype=float)
+            return self._check(x, self.a * np.tanh(z) + self.b / np.cosh(z))
 
     def derivative(self, x):
-        z = self.alpha * np.asarray(x, dtype=float)
-        sech = 1.0 / np.cosh(z)
-        return self.alpha * (self.a * sech**2 - self.b * sech * np.tanh(z))
+        with np.errstate(over="ignore"):
+            z = self.alpha * np.asarray(x, dtype=float)
+            sech = 1.0 / np.cosh(z)
+            return self.alpha * (self.a * sech**2 - self.b * sech * np.tanh(z))
 
 
 # The built-in kinds by name, each declared once by its dataclass fields

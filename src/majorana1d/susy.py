@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     BrokenSusyError,
+    ConfigError,
     InvalidFamilyError,
     SusyConsistencyError,
     UnboundLevelError,
@@ -69,13 +70,25 @@ class PartnerPotentials:
 def partner_potentials(
     p: PhysicalParams, phi: ScalarPotential, grid: GridSpec
 ) -> PartnerPotentials:
+    """V_∓ on ``grid``; a pair that is not finite there, where W² or c ħ
+    phi' overflows, raises ConfigError naming the keys that set them."""
     x = grid.points()
-    w = superpotential(p, phi, x)
-    dphi = np.asarray(phi.derivative(x), dtype=float)
-    shift = p.c * p.hbar * dphi
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = superpotential(p, phi, x)
+        shift = p.c * p.hbar * np.asarray(phi.derivative(x), dtype=float)
+        v_minus, v_plus = w**2 - shift, w**2 + shift
+    finite = np.isfinite(v_minus) & np.isfinite(v_plus)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise ConfigError(
+            f"potential and grid give partner potentials V = W^2 -+ c*hbar*phi' that "
+            f"overflow at x = {float(x[bad])!r}: W = {float(w[bad]):.3g} and "
+            f"c*hbar*phi' = {float(shift[bad]):.3g} there, and V must stay a finite "
+            f"float on the grid; lower the potential or narrow the grid"
+        )
     return PartnerPotentials(
-        v_minus=GridFunction(grid, w**2 - shift),
-        v_plus=GridFunction(grid, w**2 + shift),
+        v_minus=GridFunction(grid, v_minus),
+        v_plus=GridFunction(grid, v_plus),
         params=p,
     )
 
@@ -135,23 +148,36 @@ def zero_mode(p: PhysicalParams, phi: ScalarPotential, grid: GridSpec) -> SusyCl
     x_min; the exponent is shifted by its maximum before exponentiation
     so growing candidates never overflow. A candidate counts as
     normalizable when its normalized amplitude at both domain ends stays
-    below ``BOUNDARY_TOL``.
+    below ``BOUNDARY_TOL``. An exponent ∫W/cħ that is not a finite float
+    on ``grid`` raises ConfigError naming the keys that set it.
     """
     x = grid.points()
     w = np.asarray(superpotential(p, phi, x), dtype=float)
-    integral = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * grid.h)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        integral = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * grid.h)))
+        scaled = integral / (p.c * p.hbar)
+    if not np.all(np.isfinite(scaled)):
+        raise ConfigError(
+            f"physical.c and physical.hbar, potential and grid give the zero-mode exponent "
+            f"integral(W dx)/(c*hbar) a value past the largest float: c*hbar = "
+            f"{p.c * p.hbar:.3g} and |integral(W dx)| reaches "
+            f"{float(np.max(np.abs(integral))):.3g} on the grid; raise c * hbar, "
+            f"lower the potential or narrow the grid"
+        )
     candidates = {}
     edges = {}
     for sector, sign in ((Sector.MINUS, -1.0), (Sector.PLUS, +1.0)):
-        exponent = sign * integral / (p.c * p.hbar)
+        exponent = sign * scaled
         mode = normalize(GridFunction(grid, np.exp(exponent - exponent.max())))
         candidates[sector] = mode
         edges[sector] = float(max(abs(mode.values[0]), abs(mode.values[-1])))
     ok = [s for s in (Sector.MINUS, Sector.PLUS) if edges[s] <= BOUNDARY_TOL]
     if len(ok) == 2:
         raise SusyConsistencyError(
-            "both sector candidates look normalizable; inconsistent with "
-            "SUSY quantum mechanics on the line"
+            f"both sector candidates look normalizable (boundary amplitudes "
+            f"{edges[Sector.MINUS]:.3g} and {edges[Sector.PLUS]:.3g}, within BOUNDARY_TOL = "
+            f"{BOUNDARY_TOL:g}); inconsistent with SUSY quantum mechanics on the line: "
+            f"the grid truncates W or is too wide for the threshold"
         )
     if not ok:
         return SusyClassification(False, None, None, edges[Sector.MINUS], edges[Sector.PLUS])

@@ -922,17 +922,17 @@ def test_evolve_pde_frames_share_the_closed_form_times(tmp_path):
     summary = json.loads((tmp_path / "out" / "evolve_summary.json").read_text())
     frames = evolution.frame_steps(summary["steps"], 7)
     assert len(closed) == len(frames)
-    # θ = 2π/2000 per step gives long jumps of 60 steps, seven solves each,
-    # and short jumps of 15, three solves each. A frame takes short jumps
+    # θ = 2π/2000 per step gives long jumps of 150 steps, eleven solves
+    # each, and short jumps of 15, three solves each. A frame takes short jumps
     # from the last long jump, carried on to the next frame until the long
     # jumps pass them, and a frame off a multiple of 15 adds a side jump of
     # three solves
     q_long, q_short = summary["pde_jump_steps"]
-    assert (q_long, q_short) == (60, 15)
+    assert (q_long, q_short) == (150, 15)
     last = {step // q_long: step for step in frames}
     short = sum(step % q_long // q_short for step in last.values())
     side = sum(1 for step in frames if step % q_short)
-    assert summary["pde_solves"] == 7 * (summary["steps"] // q_long) + 3 * (short + side)
+    assert summary["pde_solves"] == 11 * (summary["steps"] // q_long) + 3 * (short + side)
 
 
 # ------------------------------------------------------------------- audit
@@ -1437,6 +1437,38 @@ SEPARATE_PROCESS = [
         [], 1, ["physical.c", "physical.hbar", "grid", "too large to bisect"], {},
         id="kinetic_scale_overflows",
     ),
+    # W² of a potential that is finite on the grid, or the zero-mode exponent
+    # ∫W/(c hbar), past the largest float: refused before any solve
+    pytest.param(
+        "spectrum",
+        {"potential": {"kind": "custom", "expression": "exp(x*x)"},
+         "grid": {"x_min": -19.0, "x_max": 19.0, "n_points": 2001},
+         "spectrum": {"n_max": 2, "algebraic": False}},
+        [], 1, ["potential and grid", "partner potentials"], {}, id="partner_potentials_overflow",
+    ),
+    pytest.param(
+        "verify",
+        {"potential": {"kind": "scarf", "a": 1e200, "b": 0.0},
+         "grid": {"x_min": -4.0, "x_max": 5.0, "n_points": 401}},
+        [], 1, ["potential and grid", "partner potentials"], {},
+        id="partner_potentials_overflow_verify",
+    ),
+    pytest.param(
+        "classify", {**README_LINEAR, "physical": {"mass": 1.0, "c": 5e-324}}, [], 1,
+        ["physical.c and physical.hbar", "zero-mode exponent"], {},
+        id="zero_mode_exponent_overflows",
+    ),
+    pytest.param(
+        "spectrum",
+        {**README_LINEAR, "physical": {"mass": 1.0, "c": 5e-324}, "spectrum": {"n_max": 2}},
+        [], 1, ["physical.c and physical.hbar", "zero-mode exponent"], {},
+        id="zero_mode_exponent_overflows_spectrum",
+    ),
+    pytest.param(
+        "verify", {**README_LINEAR, "physical": {"mass": 1.0, "c": 5e-324}}, [], 1,
+        ["physical.c and physical.hbar", "zero-mode exponent"], {},
+        id="zero_mode_exponent_overflows_verify",
+    ),
 ]
 
 
@@ -1457,6 +1489,7 @@ def test_exit_code_from_a_separate_process(
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     if code == 1:
         assert proc.stderr.startswith("majorana1d: config error: ")
     assert all(part in proc.stderr for part in err_parts)

@@ -516,7 +516,7 @@ def test_pde_components_stay_real(params, linear_potential, model, grid10):
 
 def test_pde_error_shrinks_with_joint_refinement(params, linear_potential, model):
     # the stencil is second order, and the jumps keep the time error below
-    # the space error (sixth-order long jumps held to 1/50 of the midpoint
+    # the space error (eighth-order long jumps held to 1/50 of the midpoint
     # step's phase error per unit time), so halving h and dt together
     # shrinks the one-period error ~4x at every halving
     T = mj.density_period(model, 1)
@@ -545,15 +545,15 @@ def block_cayley_reference(initial, p, phi, t_final, dt, stride):
     midpoints. At the Rayleigh phase θ = ‖G u₀‖/‖u₀‖·dt/ħ, a short jump
     of q_S = ⌊R₄/√θ⌋ steps is three Cayley solves of w₁q_S·dt, w₀q_S·dt
     and w₁q_S·dt, and a long jump of q_L steps, the largest multiple of
-    q_S below R₆θ^(-2/3), is seven Cayley solves of b, a, b, c, b, a, b
-    times q_L·dt; both are capped at n_steps, and q_L = q_S when that
-    multiple is below 2·q_S. The state advances in long jumps from step
-    0; a frame is reached from the last long state by short jumps on a
-    copy and one side jump of the remainder from another copy. psi2
-    enters as the midpoint average of the nodes and leaves as the node
-    average of the midpoints; norms are sampled on the same schedule as
-    ``evolve_pde``. Returns ((q_L, q_S), norms, psi1, psi2) with psi1,
-    psi2 on the interior nodes."""
+    q_S below R₈θ^(-3/4), is eleven Cayley solves of a, b, b, c, b, d, b,
+    c, b, b, a times q_L·dt; both are capped at n_steps, and q_L = q_S
+    when that multiple is below 2·q_S. The state advances in long jumps
+    from step 0; a frame is reached from the last long state by short
+    jumps on a copy and one side jump of the remainder from another
+    copy. psi2 enters as the midpoint average of the nodes and leaves as
+    the node average of the midpoints; norms are sampled on the same
+    schedule as ``evolve_pde``. Returns ((q_L, q_S), norms, psi1, psi2)
+    with psi1, psi2 on the interior nodes."""
     spec = initial.spec
     w = np.asarray(mj.superpotential(p, phi, spec.points()), dtype=float)[1:-1]
     n_steps = max(1, round(t_final / dt))
@@ -567,10 +567,11 @@ def block_cayley_reference(initial, p, phi, t_final, dt, stride):
     eye = sparse.identity(2 * m + 1, format="csr")
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     w0 = 1.0 - 2.0 * w1
-    a, b, c = -0.8341605550808648, 0.43117553188395996, 0.9436189826258898
-    long_weights = (b, a, b, c, b, a, b)
+    a, b = -0.599031873768085, 0.24876428760615196
+    c, d = 0.7600292543408171, -0.8145804867823759
+    long_weights = (a, b, b, c, b, d, b, c, b, b, a)
     ratio4 = ((1.0 / 12.0) / (2.0 * abs(2.0 * w1**5 + w0**5) / 80.0)) ** 0.25
-    ratio6 = (0.02 / (12.0 * abs(sum(x**7 for x in long_weights)) / 448.0)) ** (1.0 / 6.0)
+    ratio8 = (0.02 / (12.0 * abs(sum(x**9 for x in long_weights)) / 2304.0)) ** (1.0 / 8.0)
 
     def cayley(tau):
         alpha = tau / (2.0 * p.hbar)
@@ -596,7 +597,7 @@ def block_cayley_reference(initial, p, phi, t_final, dt, stride):
 
     theta = np.linalg.norm(gen @ u) / np.linalg.norm(u) * dt / p.hbar
     q_short = max(1, min(n_steps, math.floor(ratio4 / math.sqrt(theta))))
-    multiple = min(math.floor(ratio6 * theta ** (-2.0 / 3.0) / q_short), n_steps // q_short)
+    multiple = min(math.floor(ratio8 * theta ** (-3.0 / 4.0) / q_short), n_steps // q_short)
     q_long = multiple * q_short if multiple >= 2 else q_short
     short_jump = jump((w1, w0, w1), q_short)
     long_jump = jump(long_weights if q_long > q_short else (w1, w0, w1), q_long)
@@ -672,10 +673,10 @@ def test_pde_jump_is_fourth_order_on_three_points(params, linear_potential):
     assert errors[1] / errors[2] >= 12.0
 
 
-def test_pde_long_jump_is_sixth_order_on_three_points(params, linear_potential):
+def test_pde_long_jump_is_eighth_order_on_three_points(params, linear_potential):
     # u2 along the one column a of A: the Rayleigh energy is σ = |a|, so
     # θ = σ·dt/ħ, and a run of n steps turning the state by σ·n·dt/ħ is
-    # one long jump of q_L = n steps (q_S = n/2, seven solves)
+    # one long jump of q_L = n steps (eleven solves)
     grid = mj.GridSpec(-1.0, 1.0, 3)
     left, right = staggered_ladder(params, linear_potential, grid)
     a = np.array([left[0], right[0]])
@@ -690,7 +691,7 @@ def test_pde_long_jump_is_sixth_order_on_three_points(params, linear_potential):
         run = evolution.PdeRun(
             initial, params, linear_potential, turn * params.hbar / (sigma * n), [0, n]
         ).drain()
-        assert (run.jump_steps, run.solves) == ((n, n // 2), 7)
+        assert (run.jump_steps[0], run.solves) == (n, 11)
         exact1 = u1 * math.cos(turn) + 0.4 * math.sin(turn)
         exact2 = (0.4 * math.cos(turn) - u1 * math.sin(turn)) * a / sigma
         return max(
@@ -698,21 +699,24 @@ def test_pde_long_jump_is_sixth_order_on_three_points(params, linear_potential):
             abs(run.final.psi2.values[1] - 0.5 * (exact2[0] + exact2[1])),
         )
 
-    # jumps of half, a quarter and an eighth of a radian
-    errors = [jump_error(0.5, 6), jump_error(0.25, 12), jump_error(0.125, 24)]
-    assert errors[0] > 1e-8
-    assert errors[0] / errors[1] >= 96.0
-    assert errors[1] / errors[2] >= 96.0
+    # jumps of one, a half and a quarter of a radian; the phase error
+    # Σ 2·atan(w·x/2) - x shrinks 404× and then 481× over these halvings,
+    # 2⁹ in the limit, and stays far above roundoff (1.4e-11 at the last)
+    errors = [jump_error(1.0, 8), jump_error(0.5, 20), jump_error(0.25, 48)]
+    assert errors[0] > 1e-7
+    assert errors[0] / errors[1] >= 384.0
+    assert errors[1] / errors[2] >= 384.0
 
 
-def test_long_weights_meet_the_sixth_order_conditions():
+def test_long_weights_meet_the_eighth_order_conditions():
     weights = evolution.LONG_WEIGHTS
-    assert len(weights) == 7 and len(set(weights)) == 3
+    assert len(weights) == 11 and len(set(weights)) == 4
     assert weights == weights[::-1]
     assert abs(sum(weights) - 1.0) <= 1e-15
     assert abs(sum(w**3 for w in weights)) <= 1e-15
     assert abs(sum(w**5 for w in weights)) <= 1e-15
-    assert abs(sum(w**7 for w in weights)) > 0.1
+    assert abs(sum(w**7 for w in weights)) <= 1e-15
+    assert abs(sum(w**9 for w in weights)) > 1e-3
 
 
 @settings(max_examples=200, deadline=None)
@@ -728,7 +732,18 @@ def test_long_jump_is_a_multiple_of_the_short_jump(theta, n_steps):
 
 
 def test_jump_lengths_at_the_default_steps_per_period():
-    # θ = 2π/2000 per step: short jumps of 15 steps, long jumps of 60
+    # θ = 2π/2000 per step: short jumps of 15 steps, long jumps of 150
+    theta = 2.0 * math.pi / evolution.STEPS_PER_PERIOD
+    assert evolution._jump_steps(theta, 2000) == (150, 15)
+    assert evolution._jump_steps(theta, 149) == (135, 15)
+    assert evolution._jump_steps(theta, 29) == (15, 15)
+
+
+def test_jump_lengths_follow_the_order_of_the_weights(monkeypatch):
+    # the same rule on a sixth-order composition of 7 substeps,
+    # b, a, b, c, b, a, b with Σw⁷ ≠ 0, gives long jumps of 60 steps
+    a, b, c = -0.8341605550808648, 0.43117553188395996, 0.9436189826258898
+    monkeypatch.setattr(evolution, "LONG_WEIGHTS", (b, a, b, c, b, a, b))
     theta = 2.0 * math.pi / evolution.STEPS_PER_PERIOD
     assert evolution._jump_steps(theta, 2000) == (60, 15)
     assert evolution._jump_steps(theta, 59) == (45, 15)
@@ -753,17 +768,18 @@ class _PoisonedLapack:
 
 @pytest.mark.parametrize(
     "first, step",
-    # q_L = 30 and q_S = 10 at a stride of 7, counted in solves: frame 7 is
+    # q_L = 80 and q_S = 10 at a stride of 7, counted in solves: frame 7 is
     # a side jump of 7 (solves 1-3); frame 14 the short jump to 10 (4-6)
     # and a side jump of 4 (7-9); frame 21 the short jump to 20 (10-12) and
     # a side jump of 1 (13-15); frame 28 a side jump of 8 from 20 (16-18);
-    # frame 35 the long jump to 30 (19-25) and a side jump of 5 (26-28);
-    # frame 42 the short jump from 30 to 40 (29-31) and a side jump of 2.
-    # The poison stays, so the replay fails at the first jump it retakes,
-    # the first jump since the last frame.
-    [(1, 7), (5, 10), (11, 20), (16, 28), (19, 30), (29, 40)],
+    # frame 35 the short jump to 30 (19-21) and a side jump of 5; frames
+    # 42-77 take solves 25-51; frame 84 the long jump to 80 (52-62) and a
+    # side jump of 4 (63-65); frame 91 the short jump from 80 to 90
+    # (66-68) and a side jump of 1. The poison stays, so the replay fails
+    # at the first jump it retakes, the first jump since the last frame.
+    [(1, 7), (5, 10), (11, 20), (16, 28), (19, 30), (52, 80), (66, 90)],
     ids=["side_jump_first", "whole_jump", "later_whole_jump", "later_side_jump",
-         "long_jump", "short_jump_after_long_jump"],
+         "short_jump_after_side_jump", "long_jump", "short_jump_after_long_jump"],
 )
 def test_pde_replay_names_the_end_of_the_failing_jump(
     monkeypatch, params, linear_potential, model, grid10, first, step
@@ -778,9 +794,9 @@ def test_pde_replay_names_the_end_of_the_failing_jump(
 
 
 def test_pde_reports_its_jump_length_and_solves(params, linear_potential, model, grid10):
-    # θ = E·dt/ħ = √2·0.005 gives q_S = 10 and q_L = 30. The 100 steps take
-    # 3 long jumps of 7 solves; the frames take 7 short jumps of 3 solves
-    # (to 10, 20; 40, 50; 70, 80; 100), and the 13 frames that are not
+    # θ = E·dt/ħ = √2·0.005 gives q_S = 10 and q_L = 80. The 100 steps take
+    # 1 long jump of 11 solves; the frames take 9 short jumps of 3 solves
+    # (to 10, 20, ..., 70; 90, 100), and the 13 frames that are not
     # multiples of 10 one side jump of 3 solves each
     initial = scaled_state(model, grid10, 1.0)
     run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
@@ -791,8 +807,8 @@ def test_pde_reports_its_jump_length_and_solves(params, linear_potential, model,
     run.drain()
     off_jump = [s for s in mj.frame_steps(100, 7) if s % 10]
     assert len(off_jump) == 13
-    assert run.jump_steps == (30, 10)
-    assert run.solves == 7 * 3 + 3 * (7 + 13)
+    assert run.jump_steps == (80, 10)
+    assert run.solves == 11 * 1 + 3 * (9 + 13)
 
 
 def test_staggered_ladder_has_no_doublers(params, linear_potential, grid12):
@@ -889,4 +905,4 @@ print(code, sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
     )
     assert out.stdout.split() == ["0", "[]"]
     summary = json.loads((tmp_path / "out" / "evolve_summary.json").read_text())
-    assert summary["pde_jump_steps"] == [60, 15]
+    assert summary["pde_jump_steps"] == [150, 15]
