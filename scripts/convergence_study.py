@@ -5,13 +5,14 @@ Tabulates finite-difference eigenvalue errors against the closed-form
 spectrum E_n^2 = 2 c hbar k n under grid halving, and the one-period
 integration error under joint grid/step halving. Both should shrink by
 ~4x per level. The stencils are second order. The integration's time
-error comes from its jumps: eighth-order long jumps of eleven substeps,
-held to 1/50 of the midpoint step's phase error per unit time, and
-fourth-order triple jumps towards the frames. That keeps the time part
-of the error below the second-order space part, so the ratio stays near
-4 at every halving. Each PDE row also gives the long and short jump lengths q_L
-and q_S the run worked out from its step, and its count of tridiagonal
-solves.
+error comes from its jumps: sixth-order long jumps of one real substep
+and a complex-conjugate pair, held to 1/50 of the midpoint step's phase
+error per unit time, and fourth-order triple jumps towards the frames.
+That keeps the time part of the error below the second-order space
+part, so the ratio stays near 4 at every halving. Each PDE row also
+gives the long and short jump lengths q_L and q_S the run worked out
+from its step, and its count of tridiagonal solves, a complex solve
+counted as one.
 """
 
 import math

@@ -3,11 +3,12 @@
 ``import scipy.linalg`` runs the whole package ``__init__``, which pulls
 in hundreds of modules the solvers never call (``numpy.f2py``,
 ``unittest``, ``email``, ...). The oracle (``dstebz``) and the PDE
-stepper (``dpttrf``/``dpttrs``) need only the f2py extension
-``scipy.linalg._flapack``, so ``flapack`` loads that one file from
-SciPy's directory and registers it under its canonical name: later
-calls, and a later ``import scipy.linalg``, reuse the same module, and
-``get_lapack_funcs`` then returns the very routines called here.
+stepper (``dpttrf``/``dpttrs`` and the complex ``zgttrf``/``zgttrs``)
+need only the f2py extension ``scipy.linalg._flapack``, so ``flapack``
+loads that one file from SciPy's directory and registers it under its
+canonical name: later calls, and a later ``import scipy.linalg``, reuse
+the same module, and ``get_lapack_funcs`` then returns the very
+routines called here.
 """
 
 from __future__ import annotations

@@ -9,21 +9,26 @@ dynamical check. It runs on a staggered grid, psi1 on the nodes and
 psi2 on the midpoints, where the two-point ladder A has no fermion
 doublers; states are averaged between nodes and midpoints on the way in
 and out. The integration is a composition of implicit-midpoint (Cayley)
-substeps at two levels: long jumps of q_L steps, each an eighth-order
-composition of eleven substeps whose weights meet the odd power-sum
+substeps at two levels: long jumps of q_L steps, each a sixth-order
+composition of one real substep and a complex-conjugate pair whose
+weights are the roots of the cubic of the (3,3) Padé approximant of exp
+(Ehle, SIAM J. Math. Anal. 4, 671 (1973)) and meet the odd power-sum
 conditions of commuting substeps (McLachlan, SIAM J. Sci. Comput. 16,
 151 (1995)), carry the run, and short jumps of q_S steps, each the
 fourth-order triple jump of three substeps (Yoshida, Phys. Lett. A 150,
-262 (1990)), carry it from the last long jump towards a frame. Each
-substep is a Cayley transform of a skew-symmetric matrix, so the
-discrete L2 norm is conserved to roundoff, and its Schur complement
-I + α²AᵀA is tridiagonal, solved with LAPACK pttrs against pttrf
-factorizations taken from ``_lapack.flapack()``: six made once per run,
-and two per side jump. q_S and q_L, a multiple of q_S, are the longest
-jumps whose leading phase error per unit time stays within a set share
-of the midpoint step's at the caller's step, at the state's own energy;
-a frame off a multiple of q_S is reached by a side jump from a copy, so
-the schedule and the frames are the caller's.
+262 (1990)), carry it from the last long jump towards a frame. A real
+substep is the Cayley transform of a skew-symmetric matrix and the
+pair's product is orthogonal too, so the discrete L2 norm is conserved
+to roundoff. A real substep's Schur complement I + α²AᵀA is tridiagonal,
+solved with LAPACK pttrs against a pttrf factorization; the pair takes
+one complex solve of its own Schur complement, gttrs against a gttrf
+factorization. All come from ``_lapack.flapack()``: four factorizations
+made once per run, and two per side jump. q_S and q_L, a multiple of
+q_S, are the longest jumps whose leading phase error per unit time
+stays within a set share of the midpoint step's at the caller's step,
+at the state's own energy; a frame off a multiple of q_S is reached by
+a side jump from a copy, so the schedule and the frames are the
+caller's.
 Both routes give their densities as a stream of (t, rho) frames over
 one schedule (dt, steps): ``linear.closed_form_frames`` for the closed
 form, and ``PdeRun``, one pass that yields each frame as the jump loop
@@ -82,17 +87,13 @@ W0 = 1.0 - 2.0 * W1
 # q·sqrt(θ) at most this makes a jump's leading phase error per unit time,
 # |2·W1⁵ + W0⁵|(qθ)⁵/80 per jump, at most half the midpoint step's θ³/12 per step
 JUMP_RATIO = ((1.0 / 12.0) / (2.0 * abs(2.0 * W1**5 + W0**5) / 80.0)) ** 0.25
-# A long jump: Cayley substeps of these weights times the jump. Substeps
-# of one generator commute, so Σw = 1 and Σw³ = Σw⁵ = Σw⁷ = 0 make it
-# eighth order (McLachlan, SIAM J. Sci. Comput. 16, 151 (1995); Kahan &
-# Li, Math. Comp. 66, 1089 (1997)); of the real solutions for the pattern
-# a, b, b, c, b, d, b, c, b, b, a this has the least |Σw⁹|
-_LONG_A, _LONG_B = -0.599031873768085, 0.24876428760615196
-_LONG_C, _LONG_D = 0.7600292543408171, -0.8145804867823759
-LONG_WEIGHTS = (
-    _LONG_A, _LONG_B, _LONG_B, _LONG_C, _LONG_B, _LONG_D,
-    _LONG_B, _LONG_C, _LONG_B, _LONG_B, _LONG_A,
-)
+# A long jump: Cayley substeps of these weights times the jump, a complex
+# weight standing for itself and its conjugate. Substeps of one generator
+# commute, so Σw = 1 and Σw³ = Σw⁵ = 0 make it sixth order (McLachlan,
+# SIAM J. Sci. Comput. 16, 151 (1995)); these are the three roots of
+# w³ - w² + (2/5)w - 1/15, whose Cayley factors make the diagonal (3,3)
+# Padé approximant of exp (Ehle, SIAM J. Math. Anal. 4, 671 (1973))
+LONG_WEIGHTS = (0.43062884623222436, 0.28468557688388785 + 0.27159985141630794j)
 # the share of the midpoint step's phase error per unit time a long jump
 # may make: small enough that the time error stays below the space error
 # of the stencil under joint refinement of the grid and the step
@@ -204,7 +205,7 @@ class PdeRun:
     """One pass of the integration of the coupled first-order system
     over the schedule (dt, steps) of ``linear.closed_form_frames``, in
     jumps composed of implicit-midpoint (Cayley) substeps at two levels:
-    eighth-order long jumps carry the run, fourth-order short jumps carry
+    sixth-order long jumps carry the run, fourth-order short jumps carry
     it on to the frames.
 
     The ladder is the staggered A of ``staggered_ladder``: psi1 lives on
@@ -220,45 +221,62 @@ class PdeRun:
         S v1 = u1 + αAᵀu2,   v2 = u2 - αA v1.
 
     S has diagonal 1 + α²(left_j² + right_j²) and off-diagonal
-    α²·right_j·left_{j+1}; it is factored with LAPACK ``pttrf`` (LDLᵀ)
-    and solved with ``pttrs``, and a run keeps only α and the factors of
-    each distinct substep, applying A through the shared bands. All
-    substeps are functions of the one G, so they commute: substeps of
-    weights w_i times a jump of q steps turn a mode of G of singular
-    value σ by Σ 2·atan(w_i x/2) = xΣw_i - x³Σw_i³/12 + x⁵Σw_i⁵/80
-    - x⁷Σw_i⁷/448 + x⁹Σw_i⁹/2304 - ..., x = σ·q·dt/ħ, so the order
+    α²·right_j·left_{j+1}; for a real α it is factored with LAPACK
+    ``pttrf`` (LDLᵀ) and solved with ``pttrs``, and a run keeps only α
+    and the factors of each distinct substep, applying A through the
+    shared bands. All substeps are functions of the one G, so they
+    commute: substeps of weights w_i times a jump of q steps turn a mode
+    of G of singular value σ by Σ 2·atan(w_i x/2) = xΣw_i - x³Σw_i³/12
+    + x⁵Σw_i⁵/80 - x⁷Σw_i⁷/448 + ..., x = σ·q·dt/ħ, so the order
     conditions are the odd power sums alone (McLachlan, SIAM J. Sci.
-    Comput. 16, 151 (1995)). Every jump is a product of Cayley
-    transforms, so the norm is conserved to roundoff.
+    Comput. 16, 151 (1995)).
 
-    - A long jump of q_L steps is the eleven substeps ``LONG_WEIGHTS``
-      times q_L·dt, with Σw = 1 and Σw³ = Σw⁵ = Σw⁷ = 0: eighth order,
-      eleven solves against four factorizations, one per distinct
-      weight.
+    A complex weight w makes a conjugate pair of substeps, α and ᾱ, and
+    the pair is one complex solve: C(α)C(ᾱ) is 1 + a/(1 - αz) + ā/(1 - ᾱz)
+    in partial fractions of z = G, with a = 2(1 + ᾱ/α)/(1 - ᾱ/α) =
+    -2i·Re α/Im α purely imaginary, so on a real state
+
+        C(α)C(ᾱ)u = u + 2·Re[a·(I - αG)⁻¹u],
+
+    s1 ← s1 - 2β·Im v1 and s2 ← s2 + 2β·A Im(α·v1) with a = iβ and v1
+    from the same Schur complement, now complex symmetric: factored with
+    ``gttrf`` (LU with partial pivoting) and solved with ``gttrs``. Its
+    factors and its right-hand side are made once per run; the wrapper
+    wants 3 unknowns or more, so S is padded with identity rows for
+    m = 1 and 2. A complex solve costs about three real ones. Every
+    real substep and every pair is orthogonal in exact arithmetic, so
+    the norm is conserved to roundoff: over ``evolve_long``'s four
+    periods at 8001 points it drifts 1e-13 to 4e-13.
+
+    - A long jump of q_L steps is the substeps ``LONG_WEIGHTS`` times
+      q_L·dt: the real root of w³ - w² + (2/5)w - 1/15 and the pair of
+      its complex roots, with Σw = 1 and Σw³ = Σw⁵ = 0 (Σw⁷ = 1/225):
+      sixth order, the diagonal (3,3) Padé approximant of exp(q_L·dt·G/ħ),
+      one real and one complex solve against one factorization each.
     - A short jump of q_S steps is the triple jump of substeps
       ``W1``·q_S·dt, ``W0``·q_S·dt, ``W1``·q_S·dt (Yoshida, Phys. Lett.
       A 150, 262 (1990)): fourth order, three solves against two
       factorizations.
 
-    The six factorizations, two when q_L = q_S, are made once per run.
+    The four factorizations, two when q_L = q_S, are made once per run.
     q_S and q_L are worked out from the run, not configured: with the
     state's own energy E = ‖G u₀‖ / ‖u₀‖ and θ = E·dt/ħ,
     q_S = ⌊``JUMP_RATIO``/√θ⌋, the longest triple jump whose leading
     phase error per unit time, |2W1⁵ + W0⁵|(q_Sθ)⁵/80 per jump, is at
     most half the θ³/12 per step of the midpoint step at ``dt``; and
-    q_L = q_S·⌊R₈θ^(-3/4)/q_S⌋, with C₈ = |Σw⁹|/2304 and
-    R₈ = (``LONG_ERROR_SHARE``/(12·C₈))^(1/8) ≈ 2.15, the longest
-    multiple of q_S whose leading phase error per unit time, C₈(q_Lθ)⁹
+    q_L = q_S·⌊R₆θ^(-2/3)/q_S⌋, with C₆ = |Σw⁷|/448 and
+    R₆ = (``LONG_ERROR_SHARE``/(12·C₆))^(1/6) ≈ 2.35, the longest
+    multiple of q_S whose leading phase error per unit time, C₆(q_Lθ)⁷
     per jump, is at most ``LONG_ERROR_SHARE`` of the midpoint step's.
     Both are at least 1 and at most ``steps[-1]``. When q_L would be
-    less than 2·q_S, at fewer than about 6 steps per component period,
-    the long level is dropped: q_L = q_S and the run takes the triple
-    jump alone. At ``STEPS_PER_PERIOD`` steps per component period q_S
-    is 15 and q_L is 150, and whole long jumps cost 11 solves per 150
-    steps where whole triple jumps cost 30. Where q_L = 2·q_S a long
-    jump costs 11 solves where two triple jumps cost 6: it buys accuracy
-    alone. Below about 63 steps per component period whole jumps cost
-    more than one solve per step, up to 3 at q_L = 1.
+    less than 2·q_S, at fewer than 5 steps per component period, the
+    long level is dropped: q_L = q_S and the run takes the triple jump
+    alone. At ``STEPS_PER_PERIOD`` steps per component period q_S is 15
+    and q_L is 105, and whole long jumps cost 2 solves per 105 steps,
+    one of them complex, where whole triple jumps cost 21. Even where
+    q_L = 2·q_S a long jump's two solves cost less than the six of two
+    triple jumps. Whole jumps cost 3 solves per step at 4 steps per
+    component period or fewer, and one per step at 5 to 9.
 
     The state advances in long jumps from step 0. A frame step f is
     reached from the long state at L = q_L·⌊f/q_L⌋: a second state,
@@ -282,8 +300,9 @@ class PdeRun:
     drift, ``final`` the final state, back on the nodes (interior psi2
     averages its two adjacent midpoints, and both components are zero
     on the boundary nodes), ``jump_steps`` the pair (q_L, q_S) and
-    ``solves`` the number of ``pttrs`` solves; reading any of the five
-    earlier raises RuntimeError.
+    ``solves`` the number of tridiagonal solves, ``pttrs`` and ``gttrs``,
+    a complex solve counted as one; reading any of the five earlier
+    raises RuntimeError.
 
     A ``dt`` that is not finite and positive, or ``steps`` that do not
     start at 0 and strictly increase, raise ValueError. An initial state
@@ -330,6 +349,7 @@ class PdeRun:
         left, right = staggered_ladder(p, phi, spec)
         m = spec.n_points - 2
         dpttrf, dpttrs = lapack.dpttrf, lapack.dpttrs
+        zgttrf, zgttrs = lapack.zgttrf, lapack.zgttrs
 
         # the bands of AᵀA; S = I + α²AᵀA for every substep. The LAPACK
         # wrapper wants an off-diagonal of length >= 1, also for m = 1
@@ -339,21 +359,43 @@ class PdeRun:
 
         def substeps(weights, count: int):
             """α and the factored S of each substep of weight·count·dt,
-            factored once per distinct weight."""
+            factored once per distinct weight; a complex weight makes the
+            one substep of its conjugate pair."""
             factors = {}
             for weight in set(weights):
                 alpha = weight * count * dt / (2.0 * p.hbar)
-                diag = np.multiply(ata_diag, alpha * alpha)
-                diag += 1.0
-                diag, off, info = dpttrf(
-                    diag, ata_off * (alpha * alpha), overwrite_d=True, overwrite_e=True
-                )
-                if info != 0:
-                    raise np.linalg.LinAlgError(
-                        f"pttrf failed on the Schur complement (info={info})"
-                    )
-                factors[weight] = alpha, diag, off
+                factors[weight] = alpha, (pair if isinstance(alpha, complex) else real)(alpha)
             return tuple(factors[weight] for weight in weights)
+
+        def real(alpha):
+            diag = np.multiply(ata_diag, alpha * alpha)
+            diag += 1.0
+            diag, off, info = dpttrf(
+                diag, ata_off * (alpha * alpha), overwrite_d=True, overwrite_e=True
+            )
+            if info != 0:
+                raise np.linalg.LinAlgError(f"pttrf failed on the Schur complement (info={info})")
+            return diag, off
+
+        def pair(alpha):
+            # The complex S, factored by LU with pivoting, and the complex
+            # right-hand side, both made here once. The wrapper refuses
+            # fewer than 3 unknowns, so S is padded to 3 by identity rows
+            # that no off-diagonal couples; a jump zeroes their right-hand
+            # side before each solve, where 0·NaN could have left a NaN
+            size = max(m, 3)
+            lower = np.zeros(size - 1, dtype=complex)
+            np.multiply(ata_off[: m - 1], alpha * alpha, out=lower[: m - 1])
+            diag = np.ones(size, dtype=complex)
+            np.multiply(ata_diag, alpha * alpha, out=diag[:m])
+            diag[:m] += 1.0
+            *lu, info = zgttrf(
+                lower, diag, lower.copy(), overwrite_dl=True, overwrite_d=True, overwrite_du=True
+            )
+            if info != 0:
+                raise np.linalg.LinAlgError(f"gttrf failed on the Schur complement (info={info})")
+            # and β, a = iβ: a = 2(1 + ᾱ/α)/(1 - ᾱ/α) = -2i·Re α/Im α
+            return lu, np.zeros(size, dtype=complex), -2.0 * alpha.real / alpha.imag
 
         u1 = initial.psi1.values[1:-1].copy()
         u2 = 0.5 * (initial.psi2.values[:-1] + initial.psi2.values[1:])
@@ -376,20 +418,41 @@ class PdeRun:
             nonlocal solves
             multiply, add, subtract = np.multiply, np.add, np.subtract
             s2_lo, s2_hi = s2[:-1], s2[1:]
-            for alpha, diag, off in factors:
-                # S v1 = s1 + αAᵀs2; then s1 ← 2v1 - s1 and s2 ← 2v2 - s2 = s2 - 2αA v1
+            for alpha, factor in factors:
+                # rhs = Aᵀs2
                 multiply(left, s2_lo, out=rhs)
                 multiply(right, s2_hi, out=tmp)
                 add(rhs, tmp, out=rhs)
-                multiply(rhs, alpha, out=rhs)
-                add(rhs, s1, out=rhs)
-                v1, _ = dpttrs(diag, off, rhs, overwrite_b=True)
-                multiply(v1, 2.0, out=v1)
-                subtract(v1, s1, out=s1)
-                multiply(v1, alpha, out=v1)
-                multiply(left, v1, out=a_v1_lo)
+                if isinstance(alpha, complex):
+                    # S v1 = s1 + αAᵀs2 in complex arithmetic; with a = iβ,
+                    # s1 ← s1 + 2Re(a·v1) = s1 - 2β·Im v1 and
+                    # s2 ← s2 + 2Re(a·v2) = s2 - A x, x = -2β·Im(α·v1)
+                    lu, b, beta = factor
+                    b_re, b_im = b.real[:m], b.imag[:m]
+                    b[m:] = 0.0
+                    multiply(rhs, alpha.imag, out=b_im)
+                    multiply(rhs, alpha.real, out=b_re)
+                    add(b_re, s1, out=b_re)
+                    v1, _ = zgttrs(*lu, b, overwrite_b=True)
+                    v1_re, v1_im = v1.real[:m], v1.imag[:m]
+                    multiply(v1_im, 2.0 * beta, out=tmp)
+                    subtract(s1, tmp, out=s1)
+                    x = rhs
+                    multiply(v1_im, -2.0 * beta * alpha.real, out=x)
+                    multiply(v1_re, -2.0 * beta * alpha.imag, out=tmp)
+                    add(x, tmp, out=x)
+                else:
+                    # S v1 = s1 + αAᵀs2; then s1 ← 2v1 - s1 and
+                    # s2 ← 2v2 - s2 = s2 - A x, x = 2α·v1
+                    multiply(rhs, alpha, out=rhs)
+                    add(rhs, s1, out=rhs)
+                    x, _ = dpttrs(*factor, rhs, overwrite_b=True)
+                    multiply(x, 2.0, out=x)
+                    subtract(x, s1, out=s1)
+                    multiply(x, alpha, out=x)
+                multiply(left, x, out=a_v1_lo)
                 a_v1[-1] = 0.0
-                multiply(right, v1, out=tmp)
+                multiply(right, x, out=tmp)
                 add(a_v1_hi, tmp, out=a_v1_hi)
                 subtract(s2, a_v1, out=s2)
             solves += len(factors)
@@ -465,11 +528,12 @@ class PdeRun:
             with np.errstate(over="ignore", invalid="ignore"):
                 s1, s2 = advance(steps[frame], checked=False)
             # Checked at frames only. A substep that leaves an inf or NaN
-            # leaves one in every later one: the next pttrs sweep spreads it
-            # to all of v1 (0·inf is NaN too), and nothing in a substep
-            # divides by state values. The arithmetic is deterministic, so
-            # replaying from the last checked states, one checked jump at a
-            # time, stops at the first jump that left a non-finite value.
+            # leaves one in every later one: the next pttrs or gttrs sweep
+            # spreads it to all of v1 (0·inf is NaN too), and nothing in a
+            # substep divides by state values. The arithmetic is
+            # deterministic, so replaying from the last checked states, one
+            # checked jump at a time, stops at the first jump that left a
+            # non-finite value.
             if not finite(s1, s2):
                 np.copyto(u1, checked1)
                 np.copyto(u2, checked2)
@@ -524,13 +588,15 @@ def _jump_steps(theta: float, n_steps: int) -> tuple[int, int]:
     if not math.isfinite(theta):
         return 1, 1
     q_short = max(1, min(n_steps, math.floor(JUMP_RATIO / math.sqrt(theta))))
-    # the order p: Σw^(p+1) is the first odd power sum past Σw that does
-    # not vanish. The leading phase error of a long jump of q_L steps is
+    # the order p: Σw^(p+1), a complex weight standing for itself and its
+    # conjugate, is the first odd power sum past Σw that does not vanish.
+    # The leading phase error of a long jump of q_L steps is
     # C_p(q_Lθ)^(p+1), C_p = |Σw^(p+1)|/((p+1)·2^p), the term of
     # 2·atan(x/2); per unit time at most LONG_ERROR_SHARE of the midpoint
     # step's θ³/12
+    weights = [*LONG_WEIGHTS, *(w.conjugate() for w in LONG_WEIGHTS if isinstance(w, complex))]
     order = 2
-    while abs(leading := sum(w ** (order + 1) for w in LONG_WEIGHTS)) < 1e-12:
+    while abs(leading := sum(w ** (order + 1) for w in weights)) < 1e-12:
         order += 2
     c_p = abs(leading) / ((order + 1) * 2.0**order)
     ratio = (LONG_ERROR_SHARE / (12.0 * c_p)) ** (1.0 / order)

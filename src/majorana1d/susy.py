@@ -148,9 +148,19 @@ def zero_mode(p: PhysicalParams, phi: ScalarPotential, grid: GridSpec) -> SusyCl
     x_min; the exponent is shifted by its maximum before exponentiation
     so growing candidates never overflow. A candidate counts as
     normalizable when its normalized amplitude at both domain ends stays
-    below ``BOUNDARY_TOL``. An exponent ∫W/cħ that is not a finite float
-    on ``grid`` raises ConfigError naming the keys that set it.
+    below ``BOUNDARY_TOL``. A normalized candidate's end amplitude is at
+    most sqrt(2/h), so a spacing h of 2/``BOUNDARY_TOL``² or more, where
+    every candidate would pass, raises ConfigError naming ``grid``, and so
+    does an exponent ∫W/cħ that is not a finite float on ``grid``, which
+    names the other keys that set it too.
     """
+    if not grid.h * BOUNDARY_TOL**2 < 2.0:
+        raise ConfigError(
+            f"grid spacing h = {grid.h:.3g} is too wide for the zero-mode test: a normalized "
+            f"candidate's end amplitude is at most sqrt(2/h) = {math.sqrt(2.0 / grid.h):.3g}, "
+            f"within BOUNDARY_TOL = {BOUNDARY_TOL:g}, so every candidate would look "
+            f"normalizable; narrow the grid or add points"
+        )
     x = grid.points()
     w = np.asarray(superpotential(p, phi, x), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -516,7 +516,7 @@ def test_pde_components_stay_real(params, linear_potential, model, grid10):
 
 def test_pde_error_shrinks_with_joint_refinement(params, linear_potential, model):
     # the stencil is second order, and the jumps keep the time error below
-    # the space error (eighth-order long jumps held to 1/50 of the midpoint
+    # the space error (sixth-order long jumps held to 1/50 of the midpoint
     # step's phase error per unit time), so halving h and dt together
     # shrinks the one-period error ~4x at every halving
     T = mj.density_period(model, 1)
@@ -540,13 +540,14 @@ def test_pde_error_shrinks_with_joint_refinement(params, linear_potential, model
 
 def block_cayley_reference(initial, p, phi, t_final, dt, stride):
     """The two-level jump integration solved on the full (2m+1)-unknown
-    generator G = [[0, Aᵀ], [-A, 0]] with SuperLU, where A is the
+    generator G = [[0, Aᵀ], [-A, 0]] with complex SuperLU, where A is the
     (m+1)×m bidiagonal staggered ladder from interior nodes to
     midpoints. At the Rayleigh phase θ = ‖G u₀‖/‖u₀‖·dt/ħ, a short jump
     of q_S = ⌊R₄/√θ⌋ steps is three Cayley solves of w₁q_S·dt, w₀q_S·dt
     and w₁q_S·dt, and a long jump of q_L steps, the largest multiple of
-    q_S below R₈θ^(-3/4), is eleven Cayley solves of a, b, b, c, b, d, b,
-    c, b, b, a times q_L·dt; both are capped at n_steps, and q_L = q_S
+    q_S below R₆θ^(-2/3), is three Cayley solves of the three roots of
+    w³ - w² + (2/5)w - 1/15 times q_L·dt, the complex pair as two
+    sequential complex solves; both are capped at n_steps, and q_L = q_S
     when that multiple is below 2·q_S. The state advances in long jumps
     from step 0; a frame is reached from the last long state by short
     jumps on a copy and one side jump of the remainder from another
@@ -563,15 +564,14 @@ def block_cayley_reference(initial, p, phi, t_final, dt, stride):
     a_mat = sparse.diags(
         [coef + 0.5 * w, -coef + 0.5 * w], offsets=[0, -1], shape=(m + 1, m), format="csr"
     )
-    gen = sparse.bmat([[None, a_mat.T], [-a_mat, None]], format="csr")
-    eye = sparse.identity(2 * m + 1, format="csr")
+    gen = sparse.bmat([[None, a_mat.T], [-a_mat, None]], format="csr").astype(complex)
+    eye = sparse.identity(2 * m + 1, dtype=complex, format="csr")
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     w0 = 1.0 - 2.0 * w1
-    a, b = -0.599031873768085, 0.24876428760615196
-    c, d = 0.7600292543408171, -0.8145804867823759
-    long_weights = (a, b, b, c, b, d, b, c, b, b, a)
+    long_weights = np.roots([1.0, -1.0, 2.0 / 5.0, -1.0 / 15.0])
     ratio4 = ((1.0 / 12.0) / (2.0 * abs(2.0 * w1**5 + w0**5) / 80.0)) ** 0.25
-    ratio8 = (0.02 / (12.0 * abs(sum(x**9 for x in long_weights)) / 2304.0)) ** (1.0 / 8.0)
+    c6 = abs(np.sum(long_weights**7)) / (7.0 * 2.0**6)
+    ratio6 = (0.02 / (12.0 * c6)) ** (1.0 / 6.0)
 
     def cayley(tau):
         alpha = tau / (2.0 * p.hbar)
@@ -583,9 +583,10 @@ def block_cayley_reference(initial, p, phi, t_final, dt, stride):
         substeps = [cayley(x * count * dt) for x in weights]
 
         def step(u):
+            u = u.astype(complex)
             for substep in substeps:
                 u = substep(u)
-            return u
+            return u.real
 
         return step
 
@@ -597,7 +598,7 @@ def block_cayley_reference(initial, p, phi, t_final, dt, stride):
 
     theta = np.linalg.norm(gen @ u) / np.linalg.norm(u) * dt / p.hbar
     q_short = max(1, min(n_steps, math.floor(ratio4 / math.sqrt(theta))))
-    multiple = min(math.floor(ratio8 * theta ** (-3.0 / 4.0) / q_short), n_steps // q_short)
+    multiple = min(math.floor(ratio6 * theta ** (-2.0 / 3.0) / q_short), n_steps // q_short)
     q_long = multiple * q_short if multiple >= 2 else q_short
     short_jump = jump((w1, w0, w1), q_short)
     long_jump = jump(long_weights if q_long > q_short else (w1, w0, w1), q_long)
@@ -673,10 +674,10 @@ def test_pde_jump_is_fourth_order_on_three_points(params, linear_potential):
     assert errors[1] / errors[2] >= 12.0
 
 
-def test_pde_long_jump_is_eighth_order_on_three_points(params, linear_potential):
+def test_pde_long_jump_is_sixth_order_on_three_points(params, linear_potential):
     # u2 along the one column a of A: the Rayleigh energy is σ = |a|, so
-    # θ = σ·dt/ħ, and a run of n steps turning the state by σ·n·dt/ħ is
-    # one long jump of q_L = n steps (eleven solves)
+    # θ = σ·dt/ħ, and a run of 24 steps turning the state by σ·24·dt/ħ is
+    # one long jump of q_L = 24 steps (one real and one complex solve)
     grid = mj.GridSpec(-1.0, 1.0, 3)
     left, right = staggered_ladder(params, linear_potential, grid)
     a = np.array([left[0], right[0]])
@@ -687,11 +688,11 @@ def test_pde_long_jump_is_eighth_order_on_three_points(params, linear_potential)
         mj.GridFunction(grid, np.array([0.0, 2.0 * u2[0], 2.0 * (u2[1] - u2[0])])),
     )
 
-    def jump_error(turn, n):
+    def jump_error(turn, n=24):
         run = evolution.PdeRun(
             initial, params, linear_potential, turn * params.hbar / (sigma * n), [0, n]
         ).drain()
-        assert (run.jump_steps[0], run.solves) == (n, 11)
+        assert (run.jump_steps[0], run.solves) == (n, 2)
         exact1 = u1 * math.cos(turn) + 0.4 * math.sin(turn)
         exact2 = (0.4 * math.cos(turn) - u1 * math.sin(turn)) * a / sigma
         return max(
@@ -699,24 +700,32 @@ def test_pde_long_jump_is_eighth_order_on_three_points(params, linear_potential)
             abs(run.final.psi2.values[1] - 0.5 * (exact2[0] + exact2[1])),
         )
 
-    # jumps of one, a half and a quarter of a radian; the phase error
-    # Σ 2·atan(w·x/2) - x shrinks 404× and then 481× over these halvings,
-    # 2⁹ in the limit, and stays far above roundoff (1.4e-11 at the last)
-    errors = [jump_error(1.0, 8), jump_error(0.5, 20), jump_error(0.25, 48)]
-    assert errors[0] > 1e-7
-    assert errors[0] / errors[1] >= 384.0
-    assert errors[1] / errors[2] >= 384.0
+    # jumps of a half, a quarter and an eighth of a radian; the phase error
+    # Σ 2·atan(w·x/2) - x of the (3,3) Padé approximant, 2⁷ in the limit,
+    # moves the components 130× and then 119× less over these halvings, and
+    # stays far above roundoff (1.4e-12 at the last)
+    errors = [jump_error(0.5), jump_error(0.25), jump_error(0.125)]
+    assert errors[-1] > 1e-13
+    assert errors[0] / errors[1] >= 0.75 * 2**7
+    assert errors[1] / errors[2] >= 0.75 * 2**7
 
 
-def test_long_weights_meet_the_eighth_order_conditions():
-    weights = evolution.LONG_WEIGHTS
-    assert len(weights) == 11 and len(set(weights)) == 4
-    assert weights == weights[::-1]
+def test_long_weights_meet_the_sixth_order_conditions():
+    real, pair = evolution.LONG_WEIGHTS
+    assert isinstance(real, float) and isinstance(pair, complex) and pair.imag != 0
+    weights = [real, pair, pair.conjugate()]
     assert abs(sum(weights) - 1.0) <= 1e-15
     assert abs(sum(w**3 for w in weights)) <= 1e-15
     assert abs(sum(w**5 for w in weights)) <= 1e-15
-    assert abs(sum(w**7 for w in weights)) <= 1e-15
-    assert abs(sum(w**9 for w in weights)) > 1e-3
+    assert abs(sum(w**7 for w in weights)) > 1e-3
+    # the three roots of the cubic whose Cayley factors make the (3,3) Padé
+    # approximant of exp
+    for w in weights:
+        assert abs(w**3 - w**2 + 0.4 * w - 1.0 / 15.0) <= 1e-15
+    # C(α)C(ᾱ)u = u + 2·Re[a·(I - αG)⁻¹u] with a purely imaginary
+    ratio = pair.conjugate() / pair
+    a = 2.0 * (1.0 + ratio) / (1.0 - ratio)
+    assert abs(a.real) <= 1e-15 * abs(a)
 
 
 @settings(max_examples=200, deadline=None)
@@ -732,10 +741,10 @@ def test_long_jump_is_a_multiple_of_the_short_jump(theta, n_steps):
 
 
 def test_jump_lengths_at_the_default_steps_per_period():
-    # θ = 2π/2000 per step: short jumps of 15 steps, long jumps of 150
+    # θ = 2π/2000 per step: short jumps of 15 steps, long jumps of 105
     theta = 2.0 * math.pi / evolution.STEPS_PER_PERIOD
-    assert evolution._jump_steps(theta, 2000) == (150, 15)
-    assert evolution._jump_steps(theta, 149) == (135, 15)
+    assert evolution._jump_steps(theta, 2000) == (105, 15)
+    assert evolution._jump_steps(theta, 104) == (90, 15)
     assert evolution._jump_steps(theta, 29) == (15, 15)
 
 
@@ -751,40 +760,57 @@ def test_jump_lengths_follow_the_order_of_the_weights(monkeypatch):
 
 
 class _PoisonedLapack:
-    """``_lapack.flapack()`` whose ``dpttrs`` returns NaN from call ``first`` on."""
+    """``_lapack.flapack()`` whose tridiagonal solves, counted across
+    ``dpttrs`` and ``zgttrs``, return NaN from solve ``first`` to solve
+    ``last`` where they are made by one of ``routines``."""
 
-    def __init__(self, first):
-        self.first = first
+    def __init__(self, first, routines, last=math.inf):
+        self.first, self.last = first, last
+        self.routines = routines
         self.calls = 0
-        self.dpttrf = mj._lapack.flapack().dpttrf
+        lapack = mj._lapack.flapack()
+        self.dpttrf, self.zgttrf = lapack.dpttrf, lapack.zgttrf
 
-    def dpttrs(self, diag, off, rhs, overwrite_b=False):
+    def _solve(self, routine, *args, **kwargs):
         self.calls += 1
-        x, info = mj._lapack.flapack().dpttrs(diag, off, rhs, overwrite_b=overwrite_b)
-        if self.calls >= self.first:
+        x, info = getattr(mj._lapack.flapack(), routine)(*args, **kwargs)
+        if self.first <= self.calls <= self.last and routine in self.routines:
             x[:] = math.nan
         return x, info
 
+    def dpttrs(self, *args, **kwargs):
+        return self._solve("dpttrs", *args, **kwargs)
+
+    def zgttrs(self, *args, **kwargs):
+        return self._solve("zgttrs", *args, **kwargs)
+
+
+BOTH = ("dpttrs", "zgttrs")
+
 
 @pytest.mark.parametrize(
-    "first, step",
-    # q_L = 80 and q_S = 10 at a stride of 7, counted in solves: frame 7 is
+    "first, routines, step",
+    # q_L = 60 and q_S = 10 at a stride of 7, counted in solves: frame 7 is
     # a side jump of 7 (solves 1-3); frame 14 the short jump to 10 (4-6)
     # and a side jump of 4 (7-9); frame 21 the short jump to 20 (10-12) and
     # a side jump of 1 (13-15); frame 28 a side jump of 8 from 20 (16-18);
     # frame 35 the short jump to 30 (19-21) and a side jump of 5; frames
-    # 42-77 take solves 25-51; frame 84 the long jump to 80 (52-62) and a
-    # side jump of 4 (63-65); frame 91 the short jump from 80 to 90
-    # (66-68) and a side jump of 1. The poison stays, so the replay fails
-    # at the first jump it retakes, the first jump since the last frame.
-    [(1, 7), (5, 10), (11, 20), (16, 28), (19, 30), (52, 80), (66, 90)],
+    # 42-56 take solves 25-39; frame 63 the long jump to 60, its real
+    # solve 40 and its complex solve 41, and a side jump of 3 (42-44);
+    # frame 70 the short jump from 60 to 70 (45-47). The poison stays, so
+    # the replay fails at the first jump it retakes that makes a poisoned
+    # solve: the first jump since the last frame, or with zgttrs alone
+    # poisoned, the long jump.
+    [(1, BOTH, 7), (5, BOTH, 10), (11, BOTH, 20), (16, BOTH, 28), (19, BOTH, 30),
+     (40, BOTH, 60), (1, ("zgttrs",), 60), (45, BOTH, 70)],
     ids=["side_jump_first", "whole_jump", "later_whole_jump", "later_side_jump",
-         "short_jump_after_side_jump", "long_jump", "short_jump_after_long_jump"],
+         "short_jump_after_side_jump", "long_jump", "long_jump_complex_solve",
+         "short_jump_after_long_jump"],
 )
 def test_pde_replay_names_the_end_of_the_failing_jump(
-    monkeypatch, params, linear_potential, model, grid10, first, step
+    monkeypatch, params, linear_potential, model, grid10, first, routines, step
 ):
-    poisoned = _PoisonedLapack(first)
+    poisoned = _PoisonedLapack(first, routines)
     monkeypatch.setattr(evolution, "flapack", lambda: poisoned)
     initial = scaled_state(model, grid10, 1.0)
     run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
@@ -793,11 +819,37 @@ def test_pde_replay_names_the_end_of_the_failing_jump(
     assert err.value.step == step
 
 
+def test_pde_replay_starts_the_padded_pair_solve_afresh(
+    monkeypatch, params, linear_potential, model
+):
+    # On 3 points the pair's complex solve is padded to 3 unknowns. q_L =
+    # 500 and q_S = 50 over 2000 steps: four long jumps, one real and one
+    # complex solve each, before the one frame. A NaN from the second
+    # long jump's complex solve alone (solve 4) also lands in the padding;
+    # the replay must not carry it into its first long jump, so the
+    # retaken jumps all pass and the frame's step is named
+    grid = mj.default_grid(model, 3)
+    x = grid.points()
+    initial = mj.MajoranaSpinorState(
+        mj.GridFunction(grid, np.exp(-0.5 * (x + 2.0) ** 2)),
+        mj.GridFunction(grid, 0.5 * np.exp(-0.4 * (x - 1.0) ** 2)),
+    )
+    dt = mj.density_period(model, 1) / 2000
+    run = evolution.PdeRun(initial, params, linear_potential, dt, [0, 2000]).drain()
+    assert (run.jump_steps, run.solves) == ((500, 50), 8)
+    poisoned = _PoisonedLapack(4, ("zgttrs",), last=4)
+    monkeypatch.setattr(evolution, "flapack", lambda: poisoned)
+    run = evolution.PdeRun(initial, params, linear_potential, dt, [0, 2000])
+    with pytest.raises(mj.InstabilityError) as err:
+        run.drain()
+    assert err.value.step == 2000
+
+
 def test_pde_reports_its_jump_length_and_solves(params, linear_potential, model, grid10):
-    # θ = E·dt/ħ = √2·0.005 gives q_S = 10 and q_L = 80. The 100 steps take
-    # 1 long jump of 11 solves; the frames take 9 short jumps of 3 solves
-    # (to 10, 20, ..., 70; 90, 100), and the 13 frames that are not
-    # multiples of 10 one side jump of 3 solves each
+    # θ = E·dt/ħ = √2·0.005 gives q_S = 10 and q_L = 60. The 100 steps take
+    # 1 long jump of 2 solves, one real and one complex; the frames take 9
+    # short jumps of 3 solves (to 10, 20, ..., 50; 70, ..., 100), and the 13
+    # frames that are not multiples of 10 one side jump of 3 solves each
     initial = scaled_state(model, grid10, 1.0)
     run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
     with pytest.raises(RuntimeError, match="exhausted"):
@@ -807,8 +859,8 @@ def test_pde_reports_its_jump_length_and_solves(params, linear_potential, model,
     run.drain()
     off_jump = [s for s in mj.frame_steps(100, 7) if s % 10]
     assert len(off_jump) == 13
-    assert run.jump_steps == (80, 10)
-    assert run.solves == 11 * 1 + 3 * (9 + 13)
+    assert run.jump_steps == (60, 10)
+    assert run.solves == 2 * 1 + 3 * (9 + 13)
 
 
 def test_staggered_ladder_has_no_doublers(params, linear_potential, grid12):
@@ -865,7 +917,11 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 names = ("stebz", "pttrf", "pttrs")
 funcs = get_lapack_funcs(names, (np.zeros(1),))
-print(all(f is getattr(_lapack.flapack(), "d" + n) for f, n in zip(funcs, names)))
+complex_names = ("gttrf", "gttrs")
+complex_funcs = get_lapack_funcs(complex_names, (np.zeros(1, dtype=complex),))
+print(all(f is getattr(_lapack.flapack(), "d" + n) for f, n in zip(funcs, names))
+      and all(f is getattr(_lapack.flapack(), "z" + n)
+              for f, n in zip(complex_funcs, complex_names)))
 """
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -879,7 +935,10 @@ print(all(f is getattr(_lapack.flapack(), "d" + n) for f, n in zip(funcs, names)
 
 def test_evolve_pde_leaves_scipy_optimize_unloaded(tmp_path):
     # the long-jump weights are literals: no solver is imported to make them,
-    # which would double the command's peak resident memory
+    # which would double the command's peak resident memory. And the
+    # stepper takes its real and complex tridiagonal routines from the one
+    # LAPACK extension: the command loads no extension module that the
+    # closed-form command does not load beside that one
     src = str(Path(mj.__file__).resolve().parent.parent)
     config = {
         "potential": {"kind": "linear", "k": 1.0},
@@ -888,21 +947,38 @@ def test_evolve_pde_leaves_scipy_optimize_unloaded(tmp_path):
         "evolve": {"n": 1, "stride": 500},
     }
     (tmp_path / "cfg.json").write_text(json.dumps(config))
-    code = f"""
-import sys
+
+    def evolve(out, flags, before=""):
+        code = f"""
+import importlib.machinery, sys
+{before}
 from majorana1d.cli import main
 
 code = main(["evolve", "--config", {str(tmp_path / "cfg.json")!r},
-             "--out", {str(tmp_path / "out")!r}, "--pde"])
+             "--out", {str(tmp_path / out)!r}, *{flags!r}])
+suffixes = tuple(importlib.machinery.EXTENSION_SUFFIXES)
 print(code, sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+print(*sorted(name for name, module in list(sys.modules.items())
+              if (getattr(getattr(module, "__spec__", None), "origin", None) or "")
+              .endswith(suffixes)))
 """
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert out.stdout.split() == ["0", "[]"]
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        status, extensions = out.stdout.splitlines()
+        return status.split(), set(extensions.split())
+
+    status, pde_extensions = evolve("out", ["--pde"])
+    assert status == ["0", "[]"]
     summary = json.loads((tmp_path / "out" / "evolve_summary.json").read_text())
-    assert summary["pde_jump_steps"] == [150, 15]
+    assert summary["pde_jump_steps"] == [105, 15]
+    status, closed_form_extensions = evolve(
+        "closed", [], before="from majorana1d import _lapack; _lapack.flapack()"
+    )
+    assert status[0] == "0"
+    assert "scipy.linalg._flapack" in pde_extensions
+    assert pde_extensions <= closed_form_extensions, pde_extensions - closed_form_extensions
