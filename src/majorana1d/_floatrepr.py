@@ -257,16 +257,6 @@ def _float64(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64).ravel()
 
 
-def format_lines(values) -> bytes:
-    """``repr(float(v)) + "\\n"`` for each value, joined."""
-    values = _float64(values)
-    out = []
-    for i in range(0, len(values), BLOCK):
-        cells = _cells(values[i : i + BLOCK], b"\n")
-        out.append(cells[cells != 0].tobytes())
-    return b"".join(out)
-
-
 class DensityRows:
     """The ``t,x,rho`` CSV rows of density frames on the points ``x``."""
 

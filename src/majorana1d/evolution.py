@@ -35,10 +35,9 @@ form, and ``PdeRun``, one pass that yields each frame as the jump loop
 reaches it, so a consumer that writes frames out holds one at a time,
 and then holds the norms, the final state, the jump lengths and the
 solve count. ``stationarity_metric`` and ``measure_period`` reduce any
-such stream in one pass. The run tests the state for inf and NaN only
-at those frames; on a failed test it replays the jumps since the last
-frame, each one tested, to name the step where the first failing jump
-ends. An initial state of zero or non-finite norm, and a sampled norm
+such stream in one pass. The run tests the state for inf and NaN as
+each jump ends, and the first jump that fails names the step it ends
+on. An initial state of zero or non-finite norm, and a sampled norm
 drift that is NaN or too large, raise.
 """
 
@@ -309,15 +308,12 @@ class PdeRun:
     of zero norm, one the grid does not hold, or of non-finite norm (inf
     or NaN, say from an amplitude whose square overflows) raises
     DegenerateFunctionError before the first frame.
-    The states are checked for finite values only at the frame steps;
-    the jumps between them run the step arithmetic alone. When a check
-    fails, the long and the short state are restored to those that
-    passed at the last frame, and the long, short and side jumps since
-    are retaken one at a time, each one checked; the first that leaves
-    a non-finite value raises InstabilityError(step) with the step that
-    jump ends on: step 1 whenever q_L = 1, the same step a check after
-    every step would name. A sampled norm whose drift is not within 100
-    ``NORM_DRIFT_TOL``, NaN included, raises DivergenceError.
+    Each long, short and side jump checks its state for finite values
+    as it ends; the first that leaves an inf or NaN raises
+    InstabilityError(step) with the step that jump ends on: step 1
+    whenever q_L = 1, the same step a check after every step would name.
+    A sampled norm whose drift is not within 100 ``NORM_DRIFT_TOL``, NaN
+    included, raises DivergenceError.
     """
 
     def __init__(self, initial, p, phi, dt, steps):
@@ -381,8 +377,8 @@ class PdeRun:
             # The complex S, factored by LU with pivoting, and the complex
             # right-hand side, both made here once. The wrapper refuses
             # fewer than 3 unknowns, so S is padded to 3 by identity rows
-            # that no off-diagonal couples; a jump zeroes their right-hand
-            # side before each solve, where 0·NaN could have left a NaN
+            # that no off-diagonal couples, whose right-hand side stays
+            # zero while the state is finite
             size = max(m, 3)
             lower = np.zeros(size - 1, dtype=complex)
             np.multiply(ata_off[: m - 1], alpha * alpha, out=lower[: m - 1])
@@ -403,18 +399,18 @@ class PdeRun:
         tmp = np.empty(m)
         a_v1 = np.empty(m + 1)
         a_v1_lo, a_v1_hi = a_v1[:-1], a_v1[1:]
-        # the short state, the copy a side jump takes, and the long and
-        # short states at the last frame that passed its check, to replay from
+        # the short state and the copy a side jump takes
         short1, short2 = np.empty(m), np.empty(m + 1)
         side1, side2 = np.empty(m), np.empty(m + 1)
-        checked1, checked2 = np.empty(m), np.empty(m + 1)
-        checked_short1, checked_short2 = np.empty(m), np.empty(m + 1)
         norms = np.empty(len(steps))
         solves = 0
 
-        def jump(s1, s2, factors):
-            """Take the substeps ``factors`` of one jump on the state
-            (s1, s2) in place, without checking it."""
+        def jump(s1, s2, factors, end: int):
+            """Take the substeps ``factors`` of the jump to step ``end`` on
+            the state (s1, s2) in place; an inf or NaN it leaves raises
+            InstabilityError(end). A substep that leaves one leaves one in
+            every later one: the next sweep spreads it to all of v1 (0·inf
+            is NaN too), and nothing in a substep divides by state values."""
             nonlocal solves
             multiply, add, subtract = np.multiply, np.add, np.subtract
             s2_lo, s2_hi = s2[:-1], s2[1:]
@@ -429,7 +425,6 @@ class PdeRun:
                     # s2 ← s2 + 2Re(a·v2) = s2 - A x, x = -2β·Im(α·v1)
                     lu, b, beta = factor
                     b_re, b_im = b.real[:m], b.imag[:m]
-                    b[m:] = 0.0
                     multiply(rhs, alpha.imag, out=b_im)
                     multiply(rhs, alpha.real, out=b_re)
                     add(b_re, s1, out=b_re)
@@ -456,9 +451,8 @@ class PdeRun:
                 add(a_v1_hi, tmp, out=a_v1_hi)
                 subtract(s2, a_v1, out=s2)
             solves += len(factors)
-
-        def finite(s1, s2) -> bool:
-            return bool(np.all(np.isfinite(s1)) and np.all(np.isfinite(s2)))
+            if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
+                raise InstabilityError(end)
 
         def snapshot(frame: int, s1, s2) -> np.ndarray:
             sq2 = s2**2
@@ -485,20 +479,12 @@ class PdeRun:
         # the steps the long state u1, u2 and the short state short1, short2
         # have reached; the short state is the long one's only while at >= step
         step, at = 0, -1
-
-        def advance(target: int, checked: bool):
-            """Take the long, short and side jumps to ``target`` and return
-            the state there; with ``checked``, the first jump that leaves a
-            non-finite value raises InstabilityError at the step it ends on."""
-            nonlocal step, at
-
-            def take(s1, s2, factors, end):
-                jump(s1, s2, factors)
-                if checked and not finite(s1, s2):
-                    raise InstabilityError(end)
-
+        s1, s2 = u1, u2
+        for frame in range(1, len(steps)):
+            # the long, short and side jumps to the frame's step
+            target = steps[frame]
             while step + q_long <= target:
-                take(u1, u2, long_factors, step + q_long)
+                jump(u1, u2, long_factors, step + q_long)
                 step += q_long
             s1, s2, reached = u1, u2, step
             if target - step >= q_short:
@@ -507,41 +493,14 @@ class PdeRun:
                     np.copyto(short2, u2)
                     at = step
                 while at + q_short <= target:
-                    take(short1, short2, short_factors, at + q_short)
+                    jump(short1, short2, short_factors, at + q_short)
                     at += q_short
                 s1, s2, reached = short1, short2, at
             if reached < target:
                 np.copyto(side1, s1)
                 np.copyto(side2, s2)
-                take(side1, side2, substeps(triple, target - reached), target)
+                jump(side1, side2, substeps(triple, target - reached), target)
                 s1, s2 = side1, side2
-            return s1, s2
-
-        s1, s2 = u1, u2
-        for frame in range(1, len(steps)):
-            np.copyto(checked1, u1)
-            np.copyto(checked2, u2)
-            np.copyto(checked_short1, short1)
-            np.copyto(checked_short2, short2)
-            start = step, at
-            # silent here: the replay below warns for the failing jump alone
-            with np.errstate(over="ignore", invalid="ignore"):
-                s1, s2 = advance(steps[frame], checked=False)
-            # Checked at frames only. A substep that leaves an inf or NaN
-            # leaves one in every later one: the next pttrs or gttrs sweep
-            # spreads it to all of v1 (0·inf is NaN too), and nothing in a
-            # substep divides by state values. The arithmetic is
-            # deterministic, so replaying from the last checked states, one
-            # checked jump at a time, stops at the first jump that left a
-            # non-finite value.
-            if not finite(s1, s2):
-                np.copyto(u1, checked1)
-                np.copyto(u2, checked2)
-                np.copyto(short1, checked_short1)
-                np.copyto(short2, checked_short2)
-                step, at = start
-                advance(steps[frame], checked=True)
-                raise InstabilityError(steps[frame])
             rho = snapshot(frame, s1, s2)
             drift = abs(norms[frame] - norms[0]) / abs(norms[0])
             if not drift <= 100.0 * NORM_DRIFT_TOL:

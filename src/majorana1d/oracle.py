@@ -41,12 +41,6 @@ class TridiagonalOperator:
     def dim(self) -> int:
         return self.diagonal.shape[0]
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        out[:-1] += self.off_diagonal * v[1:]
-        out[1:] += self.off_diagonal * v[:-1]
-        return out
-
 
 def discretize(p: PhysicalParams, v: GridFunction) -> TridiagonalOperator:
     """3-point discretization of -(c ħ)² d²/dx² + V with Dirichlet-zero

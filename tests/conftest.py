@@ -67,3 +67,11 @@ def l2(grid: mj.GridSpec, values: np.ndarray) -> float:
 
 def sup(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
+
+
+def tridiagonal_product(op: mj.TridiagonalOperator, v: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix of ``op`` times ``v``."""
+    out = op.diagonal * v
+    out[:-1] += op.off_diagonal * v[1:]
+    out[1:] += op.off_diagonal * v[:-1]
+    return out

@@ -1410,6 +1410,16 @@ SEPARATE_PROCESS = [
         "evolve", NAN_NORM, ["--pde"], 1, ["the level-200 state has norm nan"], {},
         id="nan_norm_pde",
     ),
+    # α·cħ/h ≈ 5e155: the first jump leaves NaN and names its step; the
+    # closed-form route's CSV is still written
+    pytest.param(
+        "evolve",
+        {"potential": {"kind": "linear", "k": 1.0}, "physical": {"mass": 1.0},
+         "grid": {**GRID_20, "x_min": -11.0, "x_max": 9.0},
+         "evolve": {"n": 1, "delta": 0.3, "t_final": 3e156, "dt": 1e155, "stride": 7}},
+        ["--pde"], 2, ["non-finite state at step 1"], {"density.csv": []},
+        id="pde_instability",
+    ),
     # a rest energy m c² that overflows, or is past the largest float, names physical
     pytest.param(
         "classify", {**README_LINEAR, "physical": {"mass": 1.0, "c": 1e200}}, [], 1,

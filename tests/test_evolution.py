@@ -797,17 +797,16 @@ BOTH = ("dpttrs", "zgttrs")
     # frame 35 the short jump to 30 (19-21) and a side jump of 5; frames
     # 42-56 take solves 25-39; frame 63 the long jump to 60, its real
     # solve 40 and its complex solve 41, and a side jump of 3 (42-44);
-    # frame 70 the short jump from 60 to 70 (45-47). The poison stays, so
-    # the replay fails at the first jump it retakes that makes a poisoned
-    # solve: the first jump since the last frame, or with zgttrs alone
-    # poisoned, the long jump.
+    # frame 70 the short jump from 60 to 70 (45-47). Each jump is tested
+    # as it ends, so the run stops at the end of the first jump that makes
+    # a poisoned solve: with zgttrs alone poisoned, the long jump.
     [(1, BOTH, 7), (5, BOTH, 10), (11, BOTH, 20), (16, BOTH, 28), (19, BOTH, 30),
      (40, BOTH, 60), (1, ("zgttrs",), 60), (45, BOTH, 70)],
     ids=["side_jump_first", "whole_jump", "later_whole_jump", "later_side_jump",
          "short_jump_after_side_jump", "long_jump", "long_jump_complex_solve",
          "short_jump_after_long_jump"],
 )
-def test_pde_replay_names_the_end_of_the_failing_jump(
+def test_pde_names_the_end_of_the_failing_jump(
     monkeypatch, params, linear_potential, model, grid10, first, routines, step
 ):
     poisoned = _PoisonedLapack(first, routines)
@@ -819,15 +818,35 @@ def test_pde_replay_names_the_end_of_the_failing_jump(
     assert err.value.step == step
 
 
-def test_pde_replay_starts_the_padded_pair_solve_afresh(
+@pytest.mark.parametrize(
+    "solve, step",
+    # the schedule above: solve 2 is in the side jump to 7, solve 5 in the
+    # short jump to 10, which the frame at 14 goes on from by a side jump
+    [(2, 7), (5, 10)],
+    ids=["side_jump", "short_jump"],
+)
+def test_pde_names_the_jump_a_one_call_fault_fails(
+    monkeypatch, params, linear_potential, model, grid10, solve, step
+):
+    # one poisoned solve: the jump that makes it ends the run, before any
+    # later jump or frame can leave the state finite again
+    poisoned = _PoisonedLapack(solve, BOTH, last=solve)
+    monkeypatch.setattr(evolution, "flapack", lambda: poisoned)
+    initial = scaled_state(model, grid10, 1.0)
+    run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    with pytest.raises(mj.InstabilityError) as err:
+        run.drain()
+    assert err.value.step == step
+
+
+def test_pde_names_the_long_jump_whose_padded_pair_solve_fails_once(
     monkeypatch, params, linear_potential, model
 ):
     # On 3 points the pair's complex solve is padded to 3 unknowns. q_L =
     # 500 and q_S = 50 over 2000 steps: four long jumps, one real and one
     # complex solve each, before the one frame. A NaN from the second
-    # long jump's complex solve alone (solve 4) also lands in the padding;
-    # the replay must not carry it into its first long jump, so the
-    # retaken jumps all pass and the frame's step is named
+    # long jump's complex solve alone (solve 4) ends the run at the end
+    # of that jump, step 1000, not at the frame
     grid = mj.default_grid(model, 3)
     x = grid.points()
     initial = mj.MajoranaSpinorState(
@@ -842,7 +861,7 @@ def test_pde_replay_starts_the_padded_pair_solve_afresh(
     run = evolution.PdeRun(initial, params, linear_potential, dt, [0, 2000])
     with pytest.raises(mj.InstabilityError) as err:
         run.drain()
-    assert err.value.step == 2000
+    assert err.value.step == 1000
 
 
 def test_pde_reports_its_jump_length_and_solves(params, linear_potential, model, grid10):

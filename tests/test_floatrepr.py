@@ -11,11 +11,20 @@ from hypothesis import strategies as st
 
 import majorana1d
 from majorana1d import _floatrepr
-from majorana1d._floatrepr import BLOCK, format_lines
+from majorana1d._floatrepr import BLOCK, DensityRows
 
 
-def repr_lines(values) -> bytes:
-    return "".join(repr(v) + "\n" for v in np.asarray(values, dtype=np.float64).tolist()).encode()
+def kernel_rows(values, t=0.25) -> bytes:
+    """The frame of ``values`` at ``t`` on the points ``values`` reversed,
+    so that the kernel formats each value as a point and as a density."""
+    values = np.asarray(values, dtype=np.float64)
+    return DensityRows(values[::-1]).frame(t, values)
+
+
+def repr_rows(values, t=0.25) -> bytes:
+    """``kernel_rows`` built with ``repr``."""
+    values = np.asarray(values, dtype=np.float64).tolist()
+    return "".join(f"{t!r},{x!r},{v!r}\n" for x, v in zip(values[::-1], values)).encode()
 
 
 def neighbours(value: float, count: int = 8) -> list[float]:
@@ -31,14 +40,14 @@ def neighbours(value: float, count: int = 8) -> list[float]:
 def test_matches_repr_on_random_bit_patterns():
     bits = np.random.default_rng(20261018).integers(0, 2**64, 10**6, dtype=np.uint64)
     values = bits.view(np.float64)
-    assert format_lines(values) == repr_lines(values)
+    assert kernel_rows(values) == repr_rows(values)
 
 
 def test_matches_repr_on_powers_of_two():
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     assert len(powers) == 2098
     values = np.concatenate([powers, -powers])
-    assert format_lines(values) == repr_lines(values)
+    assert kernel_rows(values) == repr_rows(values)
 
 
 def test_matches_repr_on_edge_values():
@@ -57,21 +66,25 @@ def test_matches_repr_on_edge_values():
     decades = 10.0 ** np.arange(-323, 309)
     values = np.concatenate([subnormal_bits.view(np.float64), special, near, decades])
     values = np.concatenate([values, -values])
-    assert format_lines(values) == repr_lines(values)
+    assert kernel_rows(values) == repr_rows(values)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=64))
 def test_matches_repr_on_any_floats(values):
-    assert format_lines(values) == repr_lines(values)
+    assert kernel_rows(values) == repr_rows(values)
 
 
 def test_blocks_do_not_change_the_text():
     rng = np.random.default_rng(3)
     values = rng.standard_normal(2 * BLOCK + 5) * 10.0 ** rng.integers(-30, 30, 2 * BLOCK + 5)
-    text = format_lines(values)
-    assert text == b"".join(format_lines(values[i : i + 100]) for i in range(0, len(values), 100))
-    assert text == repr_lines(values)
+    points = values[::-1]
+    text = DensityRows(points).frame(0.25, values)
+    assert text == b"".join(
+        DensityRows(points[i : i + 100]).frame(0.25, values[i : i + 100])
+        for i in range(0, len(values), 100)
+    )
+    assert text == repr_rows(values)
 
 
 def test_density_rows_put_t_and_x_before_each_value():
