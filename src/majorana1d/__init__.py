@@ -32,7 +32,6 @@ from .evolution import (
     evolve_pde,
     frame_steps,
     measure_period,
-    pde_frames,
     stationarity_metric,
 )
 from .invariants import ClosedFormRun, compare_spectra, run_length, verify_checks

@@ -208,9 +208,16 @@ def load_config(path: str) -> RunConfig:
 def write_atomic(path: Path, chunks):
     """Write the bytes of ``chunks`` to a temp file beside ``path``, then
     rename it over ``path``; on any failure the temp file is removed and
-    ``path`` is left untouched."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    ``path`` is left untouched. A directory that cannot be made or written
+    in, such as an ``--out`` that is a file or lies under one, raises
+    ConfigError naming it and the file."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as err:
+        raise ConfigError(
+            f"--out: cannot write {path.name!r} in the directory {str(path.parent)!r}: {err}"
+        ) from err
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
@@ -298,10 +305,9 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path, use_pde: bool) -> int:
         int, section.get("stride", evolution.DEFAULT_STRIDE), "evolve.stride", "positive"
     )
 
+    # checked whether or not it is used: a set t_final wins
     t_final = _positive(section.get("t_final"), "evolve.t_final")
-    periods = None
-    if t_final is None:
-        periods = _convert(float, section.get("periods", 1.0), "evolve.periods", "positive")
+    periods = _convert(float, section.get("periods", 1.0), "evolve.periods", "positive")
     dt = _positive(section.get("dt"), "evolve.dt")
 
     run, frames, integrate = invariants.evolve_run(

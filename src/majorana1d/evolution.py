@@ -97,6 +97,13 @@ LONG_WEIGHTS = (0.43062884623222436, 0.28468557688388785 + 0.27159985141630794j)
 # may make: small enough that the time error stays below the space error
 # of the stencil under joint refinement of the grid and the step
 LONG_ERROR_SHARE = 0.02
+# q_L·θ^(2/3) at most this makes a long jump's leading phase error per unit
+# time, C₆(q_Lθ)⁷ per jump with C₆ = |Σw⁷|/448 over all three weights, at
+# most LONG_ERROR_SHARE of the midpoint step's θ³/12 per step
+LONG_RATIO = (
+    LONG_ERROR_SHARE
+    / (12.0 * (abs(sum(w**7 for w in (*LONG_WEIGHTS, LONG_WEIGHTS[1].conjugate()))) / 448.0))
+) ** (1.0 / 6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +121,6 @@ class MajoranaSpinorState:
     @property
     def spec(self):
         return self.psi1.spec
-
-
-def _relative_drift(norms: np.ndarray) -> float:
-    """Largest distance of ``norms`` from the first, relative to it."""
-    return float(np.max(np.abs(norms - norms[0])) / abs(norms[0]))
 
 
 def _excursions(frames) -> tuple[np.ndarray, np.ndarray]:
@@ -263,12 +265,12 @@ class PdeRun:
     q_S = ⌊``JUMP_RATIO``/√θ⌋, the longest triple jump whose leading
     phase error per unit time, |2W1⁵ + W0⁵|(q_Sθ)⁵/80 per jump, is at
     most half the θ³/12 per step of the midpoint step at ``dt``; and
-    q_L = q_S·⌊R₆θ^(-2/3)/q_S⌋, with C₆ = |Σw⁷|/448 and
-    R₆ = (``LONG_ERROR_SHARE``/(12·C₆))^(1/6) ≈ 2.35, the longest
-    multiple of q_S whose leading phase error per unit time, C₆(q_Lθ)⁷
-    per jump, is at most ``LONG_ERROR_SHARE`` of the midpoint step's.
-    Both are at least 1 and at most ``steps[-1]``. When q_L would be
-    less than 2·q_S, at fewer than 5 steps per component period, the
+    q_L = q_S·⌊``LONG_RATIO``·θ^(-2/3)/q_S⌋, with C₆ = |Σw⁷|/448 and
+    ``LONG_RATIO`` = (``LONG_ERROR_SHARE``/(12·C₆))^(1/6) ≈ 2.35, the
+    longest multiple of q_S whose leading phase error per unit time,
+    C₆(q_Lθ)⁷ per jump, is at most ``LONG_ERROR_SHARE`` of the midpoint
+    step's. Both are at least 1 and at most ``steps[-1]``. When q_L would
+    be less than 2·q_S, at fewer than 5 steps per component period, the
     long level is dropped: q_L = q_S and the run takes the triple jump
     alone. At ``STEPS_PER_PERIOD`` steps per component period q_S is 15
     and q_L is 105, and whole long jumps cost 2 solves per 105 steps,
@@ -480,6 +482,7 @@ class PdeRun:
         # have reached; the short state is the long one's only while at >= step
         step, at = 0, -1
         s1, s2 = u1, u2
+        norm_drift = 0.0
         for frame in range(1, len(steps)):
             # the long, short and side jumps to the frame's step
             target = steps[frame]
@@ -508,6 +511,7 @@ class PdeRun:
                     f"norm drift {drift:.3e} at step {steps[frame]} "
                     f"exceeds {100.0 * NORM_DRIFT_TOL:.1e}"
                 )
+            norm_drift = max(norm_drift, drift)
             yield steps[frame] * dt, rho
 
         psi1 = np.zeros(spec.n_points)
@@ -515,7 +519,7 @@ class PdeRun:
         psi1[1:-1] = s1
         psi2[1:-1] = 0.5 * (s2[:-1] + s2[1:])
         self.norms = norms
-        self.norm_drift = _relative_drift(norms)
+        self.norm_drift = float(norm_drift)
         self.final = MajoranaSpinorState(
             GridFunction(spec, psi1), GridFunction(spec, psi2), t=steps[-1] * dt
         )
@@ -538,47 +542,17 @@ def _energy(left: np.ndarray, right: np.ndarray, u1: np.ndarray, u2: np.ndarray)
 def _jump_steps(theta: float, n_steps: int) -> tuple[int, int]:
     """The jump lengths (q_L, q_S) of ``PdeRun`` at the phase θ = E·dt/ħ
     per step: q_S = ⌊``JUMP_RATIO``/√θ⌋ within [1, ``n_steps``], and q_L
-    the largest multiple of q_S within ``n_steps`` and R_p·θ^((2-p)/p),
-    p the order of ``LONG_WEIGHTS``, or q_S itself when that multiple is
-    less than 2·q_S; one jump for θ = 0, and q_L = q_S = 1 for a θ that
-    is not finite."""
+    the largest multiple of q_S within ``n_steps`` and
+    ``LONG_RATIO``·θ^(-2/3), or q_S itself when that multiple is less than
+    2·q_S; one jump for θ = 0, and q_L = q_S = 1 for a θ that is not
+    finite."""
     if theta == 0.0:
         return max(1, n_steps), max(1, n_steps)
     if not math.isfinite(theta):
         return 1, 1
     q_short = max(1, min(n_steps, math.floor(JUMP_RATIO / math.sqrt(theta))))
-    # the order p: Σw^(p+1), a complex weight standing for itself and its
-    # conjugate, is the first odd power sum past Σw that does not vanish.
-    # The leading phase error of a long jump of q_L steps is
-    # C_p(q_Lθ)^(p+1), C_p = |Σw^(p+1)|/((p+1)·2^p), the term of
-    # 2·atan(x/2); per unit time at most LONG_ERROR_SHARE of the midpoint
-    # step's θ³/12
-    weights = [*LONG_WEIGHTS, *(w.conjugate() for w in LONG_WEIGHTS if isinstance(w, complex))]
-    order = 2
-    while abs(leading := sum(w ** (order + 1) for w in weights)) < 1e-12:
-        order += 2
-    c_p = abs(leading) / ((order + 1) * 2.0**order)
-    ratio = (LONG_ERROR_SHARE / (12.0 * c_p)) ** (1.0 / order)
-    multiple = min(
-        math.floor(ratio * theta ** ((2.0 - order) / order) / q_short), n_steps // q_short
-    )
+    multiple = min(math.floor(LONG_RATIO * theta ** ((2.0 - 6) / 6) / q_short), n_steps // q_short)
     return (multiple * q_short if multiple >= 2 else q_short), q_short
-
-
-def pde_frames(
-    initial: MajoranaSpinorState,
-    p: PhysicalParams,
-    phi: ScalarPotential,
-    t_final: float,
-    dt: float | None = None,
-    stride: int = DEFAULT_STRIDE,
-) -> PdeRun:
-    """The ``PdeRun`` of ``initial`` to ``t_final``: ``dt`` (or
-    ``default_time_step``) rounded by ``time_grid``, at every ``stride``-th step."""
-    if dt is None:
-        dt = default_time_step(p, phi, initial.spec)
-    dt, n_steps = time_grid(t_final, dt)
-    return PdeRun(initial, p, phi, dt, frame_steps(n_steps, stride))
 
 
 def evolve_pde(
@@ -589,8 +563,12 @@ def evolve_pde(
     dt: float | None = None,
     stride: int = DEFAULT_STRIDE,
 ) -> PdeRun:
-    """``pde_frames(...).drain()``: the exhausted run, which holds
-    ``norms``, ``norm_drift`` and ``final`` and keeps no frame; it raises
-    what ``pde_frames`` raises. The benchmark tracer,
-    ``perfbench/tracer.py``, times the PDE under this name."""
-    return pde_frames(initial, p, phi, t_final, dt, stride).drain()
+    """The exhausted ``PdeRun`` of ``initial`` to ``t_final``, at ``dt``
+    (or ``default_time_step``) rounded by ``time_grid`` and sampled at
+    every ``stride``-th step by ``frame_steps``: it holds ``norms``,
+    ``norm_drift`` and ``final`` and keeps no frame. The benchmark
+    tracer, ``perfbench/tracer.py``, times the PDE under this name."""
+    if dt is None:
+        dt = default_time_step(p, phi, initial.spec)
+    dt, n_steps = time_grid(t_final, dt)
+    return PdeRun(initial, p, phi, dt, frame_steps(n_steps, stride)).drain()

@@ -287,6 +287,12 @@ MALFORMED_VALUES = [
     ("evolve.n", "evolve", {"evolve": {"n": "one"}}),
     ("evolve.stride", "evolve", {"evolve": {"n": 1, "stride": "abc"}}),
     ("evolve.periods", "evolve", {"evolve": {"n": 1, "periods": "nan"}}),
+    # checked also where a set t_final wins over it
+    (
+        "evolve.periods must be a number, got 'abc'",
+        "evolve",
+        {"evolve": {"n": 1, "t_final": 1.0, "periods": "abc"}},
+    ),
     ("evolve.t_final", "evolve", {"evolve": {"n": 1, "t_final": "abc"}}),
     ("spectrum.n_max", "spectrum", {"spectrum": {"n_max": "x"}}),
     ("verify.n_max", "verify", {"verify": {"n_max": -1}}),
@@ -912,7 +918,7 @@ def test_evolve_pde_mismatch_exits_2_and_writes_every_artifact(tmp_path, capsys)
     assert summary["max_component_error"] > 1e-12
 
 
-def test_evolve_pde_frames_share_the_closed_form_times(tmp_path):
+def test_evolve_pde_shares_the_closed_form_frame_times(tmp_path):
     # a stride of 7 does not divide the 2000 steps of one period
     cfg = evolve_config(tmp_path, stride=7)
     assert run("evolve", "--config", cfg, "--out", tmp_path / "out", "--pde") == 0
@@ -1405,6 +1411,16 @@ SEPARATE_PROCESS = [
     ),
     pytest.param(
         "evolve", NAN_NORM, [], 1, ["the level-200 state has norm nan"], {}, id="nan_norm"
+    ),
+    # a second --out overrides the first: one that is a file, and one under
+    # a file, are config errors; density.csv's error wins over density_pde.csv's
+    pytest.param(
+        "spectrum", {**README_LINEAR, "spectrum": {"n_max": 2}}, ["--out", os.devnull], 1,
+        ["--out", "'spectrum.json'", repr(os.devnull)], {}, id="out_is_a_file",
+    ),
+    pytest.param(
+        "evolve", {**LINEAR_401, "evolve": {"n": 1}}, ["--pde", "--out", f"{os.devnull}/run"],
+        1, ["--out", "'density.csv'", repr(f"{os.devnull}/run")], {}, id="out_under_a_file_pde",
     ),
     pytest.param(
         "evolve", NAN_NORM, ["--pde"], 1, ["the level-200 state has norm nan"], {},

@@ -141,9 +141,10 @@ def test_stream_reducers_keep_the_stacked_array_bits(params, linear_potential, m
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
+    dt, n_steps = evolution.time_grid(0.6 * T, T / 1987.3)
     for frames in (
         lambda: linear_frames(model, grid10, 2, 0.7 * T, samples=97),
-        lambda: mj.pde_frames(initial, params, linear_potential, 0.6 * T, dt=T / 1987.3, stride=7),
+        lambda: evolution.PdeRun(initial, params, linear_potential, dt, mj.frame_steps(n_steps, 7)),
     ):
         times, rows = zip(*frames())
         stacked = np.array(rows)
@@ -223,7 +224,9 @@ def test_pde_ground_state_density_constant(params, linear_potential, model):
         mj.GridFunction(grid, psi1), mj.GridFunction(grid, psi2)
     )
     T = mj.density_period(model, 1)
-    frames = mj.pde_frames(initial, params, linear_potential, 2.0, dt=T / 2000)
+    dt, n_steps = evolution.time_grid(2.0, T / 2000)
+    steps = mj.frame_steps(n_steps, evolution.DEFAULT_STRIDE)
+    frames = evolution.PdeRun(initial, params, linear_potential, dt, steps)
     assert mj.stationarity_metric(frames) <= 1e-6
 
 
@@ -235,7 +238,9 @@ def test_pde_ground_state_density_nearly_constant_at_default_grid(
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
-    frames = mj.pde_frames(initial, params, linear_potential, 2.0, dt=0.002)
+    dt, n_steps = evolution.time_grid(2.0, 0.002)
+    steps = mj.frame_steps(n_steps, evolution.DEFAULT_STRIDE)
+    frames = evolution.PdeRun(initial, params, linear_potential, dt, steps)
     assert mj.stationarity_metric(frames) <= 1e-4
 
 
@@ -318,9 +323,10 @@ def test_pde_names_the_failing_step_between_frames(params, linear_potential, mod
 
 def test_pde_stride_does_not_change_the_bits(params, linear_potential, model, grid10):
     initial = scaled_state(model, grid10, 1.0)
-    every = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=1)
+    dt, n_steps = evolution.time_grid(0.5, 0.005)
+    every = evolution.PdeRun(initial, params, linear_potential, dt, mj.frame_steps(n_steps, 1))
     every_rows = np.array([rho for _, rho in every])
-    sampled = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    sampled = evolution.PdeRun(initial, params, linear_potential, dt, mj.frame_steps(n_steps, 7))
     sampled_rows = np.array([rho for _, rho in sampled])
     shared = mj.frame_steps(100, 7)
     assert every_rows[shared].tobytes() == sampled_rows.tobytes()
@@ -348,8 +354,8 @@ def test_pde_samples_the_frame_steps(params, linear_potential, model, grid10):
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
-    dt = 0.5 / 100
-    frames = mj.pde_frames(initial, params, linear_potential, 0.5, dt=dt, stride=7)
+    dt, n_steps = evolution.time_grid(0.5, 0.5 / 100)
+    frames = evolution.PdeRun(initial, params, linear_potential, dt, mj.frame_steps(n_steps, 7))
     steps = mj.frame_steps(100, 7)
     assert steps[-2:] == [98, 100]
     assert [t for t, _ in frames] == [dt * step for step in steps]
@@ -361,7 +367,8 @@ def test_pde_norms_are_the_frame_trapezoid_sums(params, linear_potential, model,
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
-    run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    dt, n_steps = evolution.time_grid(0.5, 0.005)
+    run = evolution.PdeRun(initial, params, linear_potential, dt, mj.frame_steps(n_steps, 7))
     rows = [rho for _, rho in run]
     assert len(rows) == len(run.norms) == len(mj.frame_steps(100, 7))
     for rho, norm in zip(rows, run.norms):
@@ -370,7 +377,7 @@ def test_pde_norms_are_the_frame_trapezoid_sums(params, linear_potential, model,
         assert trapezoid(rho, grid10.h) == norm
 
 
-def test_pde_frames_are_fresh_and_evolve_pde_drains_them(
+def test_pde_run_frames_are_fresh_and_evolve_pde_drains_them(
     params, linear_potential, model, grid10
 ):
     y = model.y_of_x(grid10.points())
@@ -378,7 +385,8 @@ def test_pde_frames_are_fresh_and_evolve_pde_drains_them(
     initial = mj.MajoranaSpinorState(
         mj.GridFunction(grid10, psi1), mj.GridFunction(grid10, psi2)
     )
-    run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    dt, n_steps = evolution.time_grid(0.5, 0.005)
+    run = evolution.PdeRun(initial, params, linear_potential, dt, mj.frame_steps(n_steps, 7))
     listed = list(run)
     norms, final = run.norms, run.final
     rows = [rho for _, rho in listed]
@@ -748,17 +756,6 @@ def test_jump_lengths_at_the_default_steps_per_period():
     assert evolution._jump_steps(theta, 29) == (15, 15)
 
 
-def test_jump_lengths_follow_the_order_of_the_weights(monkeypatch):
-    # the same rule on a sixth-order composition of 7 substeps,
-    # b, a, b, c, b, a, b with Σw⁷ ≠ 0, gives long jumps of 60 steps
-    a, b, c = -0.8341605550808648, 0.43117553188395996, 0.9436189826258898
-    monkeypatch.setattr(evolution, "LONG_WEIGHTS", (b, a, b, c, b, a, b))
-    theta = 2.0 * math.pi / evolution.STEPS_PER_PERIOD
-    assert evolution._jump_steps(theta, 2000) == (60, 15)
-    assert evolution._jump_steps(theta, 59) == (45, 15)
-    assert evolution._jump_steps(theta, 29) == (15, 15)
-
-
 class _PoisonedLapack:
     """``_lapack.flapack()`` whose tridiagonal solves, counted across
     ``dpttrs`` and ``zgttrs``, return NaN from solve ``first`` to solve
@@ -812,7 +809,8 @@ def test_pde_names_the_end_of_the_failing_jump(
     poisoned = _PoisonedLapack(first, routines)
     monkeypatch.setattr(evolution, "flapack", lambda: poisoned)
     initial = scaled_state(model, grid10, 1.0)
-    run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    dt, n_steps = evolution.time_grid(0.5, 0.005)
+    run = evolution.PdeRun(initial, params, linear_potential, dt, mj.frame_steps(n_steps, 7))
     with pytest.raises(mj.InstabilityError) as err:
         run.drain()
     assert err.value.step == step
@@ -833,7 +831,8 @@ def test_pde_names_the_jump_a_one_call_fault_fails(
     poisoned = _PoisonedLapack(solve, BOTH, last=solve)
     monkeypatch.setattr(evolution, "flapack", lambda: poisoned)
     initial = scaled_state(model, grid10, 1.0)
-    run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    dt, n_steps = evolution.time_grid(0.5, 0.005)
+    run = evolution.PdeRun(initial, params, linear_potential, dt, mj.frame_steps(n_steps, 7))
     with pytest.raises(mj.InstabilityError) as err:
         run.drain()
     assert err.value.step == step
@@ -870,7 +869,8 @@ def test_pde_reports_its_jump_length_and_solves(params, linear_potential, model,
     # short jumps of 3 solves (to 10, 20, ..., 50; 70, ..., 100), and the 13
     # frames that are not multiples of 10 one side jump of 3 solves each
     initial = scaled_state(model, grid10, 1.0)
-    run = mj.pde_frames(initial, params, linear_potential, 0.5, dt=0.005, stride=7)
+    dt, n_steps = evolution.time_grid(0.5, 0.005)
+    run = evolution.PdeRun(initial, params, linear_potential, dt, mj.frame_steps(n_steps, 7))
     with pytest.raises(RuntimeError, match="exhausted"):
         run.jump_steps
     with pytest.raises(RuntimeError, match="exhausted"):
