@@ -67,13 +67,12 @@ from .model import (
     zero_potential,
 )
 from .oracle import (
-    IsospectralReport,
     TridiagonalOperator,
     discretize,
     eigensolve,
     energy_from_lambda,
+    isospectral_differences,
     oracle_eigenvalues,
-    verify_isospectral,
 )
 from .susy import (
     PartnerPotentials,

@@ -205,23 +205,31 @@ def load_config(path: str) -> RunConfig:
 # ------------------------------------------------------------- artifacts
 
 
+def _unwritable(path: Path, reason) -> ConfigError:
+    return ConfigError(
+        f"--out: cannot write {path.name!r} in the directory {str(path.parent)!r}: {reason}"
+    )
+
+
 def write_atomic(path: Path, chunks):
     """Write the bytes of ``chunks`` to a temp file beside ``path``, then
     rename it over ``path``; on any failure the temp file is removed and
     ``path`` is left untouched. A directory that cannot be made or written
-    in, such as an ``--out`` that is a file or lies under one, raises
-    ConfigError naming it and the file."""
+    in, such as an ``--out`` that is a file or lies under one, or a
+    ``path`` that cannot be replaced, such as a directory, raises
+    ConfigError naming the directory and the file."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     except OSError as err:
-        raise ConfigError(
-            f"--out: cannot write {path.name!r} in the directory {str(path.parent)!r}: {err}"
-        ) from err
+        raise _unwritable(path, err) from err
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:  # its text names the random temp file
+            raise _unwritable(path, err.strerror) from err
     except BaseException:
         try:
             os.unlink(tmp)

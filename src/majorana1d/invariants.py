@@ -315,8 +315,9 @@ def evolve_run(
     return length, frames, functools.partial(ClosedFormRun, *schedule)
 
 
-def _check(name: str, residual, tol: float, passed=None) -> dict:
-    passed = residual <= tol if passed is None else passed
+def _check(name: str, residual, tol: float) -> dict:
+    """One ``verify`` row; it passes iff ``residual <= tol``."""
+    passed = residual <= tol
     return {"name": name, "residual": float(residual), "tol": float(tol), "passed": bool(passed)}
 
 
@@ -332,23 +333,27 @@ def verify_checks(
     pde: bool,
 ) -> list[dict]:
     """The checks of ``verify`` in order, each a ``name``, ``residual``,
-    ``tol`` and ``passed``: the reality audit of ``couplings``; unbroken
-    SUSY and its zero mode; with a built-in family, shape invariance and
-    the spectra of ``compare_spectra`` (``n_max`` must then fit on
-    ``grid`` and name only bound levels of the family), the host sector
-    before the partner's, which a child bisects at the same time where
-    ``_fork.start`` forks; for phi = k x of either sign, the closed-form
-    host and partner states of ``linear`` (each of levels
-    1..``ladder_levels`` must pass ``require_grid_holds`` on ``grid``, or
-    ConfigError names ``verify.ladder_levels``) and, with ``pde``, one
-    period of the integration."""
+    ``tol`` and ``passed``, which ``_check`` sets to ``residual <= tol``
+    and nothing else (a yes/no check records 0 or 1 against
+    ``FLAG_TOL``): the worst f1/f3/f4 amplitude of ``couplings`` against
+    ``audit_tol``; unbroken SUSY and its zero mode; with a built-in
+    family, shape invariance and the spectra of ``compare_spectra``
+    (``n_max`` must then fit on ``grid`` and name only bound levels of
+    the family), the host sector before the partner's, which a child
+    bisects at the same time where ``_fork.start`` forks, and the largest
+    of their ``oracle.isospectral_differences`` at the clamp ``tol``; for
+    phi = k x of either sign, the closed-form host and partner states of
+    ``linear`` (each of levels 1..``ladder_levels`` must pass
+    ``require_grid_holds`` on ``grid``, or ConfigError names
+    ``verify.ladder_levels``) and, with ``pde``, one period of the
+    integration."""
     audit = model.majorana_compatible(couplings, grid, audit_tol)
     worst_coupling = max((v for k, v in audit.max_abs.items() if k != "f2"), default=0.0)
-    checks = [_check("coupling_reality_audit", worst_coupling, audit_tol, audit.compatible)]
+    checks = [_check("coupling_reality_audit", worst_coupling, audit_tol)]
 
     comparison = compare_spectra(p, phi, grid, n_max)
     cls = comparison.classification
-    checks.append(_check("unbroken_susy", 0.0 if cls.unbroken else 1.0, FLAG_TOL, cls.unbroken))
+    checks.append(_check("unbroken_susy", 0.0 if cls.unbroken else 1.0, FLAG_TOL))
     if cls.unbroken:
         residual = cls.annihilation_residual(p, phi)
         checks.append(_check("zero_mode_annihilation", residual, susy.ANNIHILATION_TOL))
@@ -367,8 +372,8 @@ def verify_checks(
             worst_energy = max(abs(energies[n] ** 2 - host[n]) for n in range(n_max + 1))
             checks.append(_check("algebraic_vs_oracle_energy_sq", worst_energy, tol))
             partner = child.join()
-        iso = oracle.verify_isospectral(host, partner, oracle.ISOSPECTRAL_TOL, tol)
-        checks.append(_check("partner_isospectrality", iso.max_diff, iso.tol, iso.passed))
+        worst_iso = max(oracle.isospectral_differences(host, partner, tol), default=0.0)
+        checks.append(_check("partner_isospectrality", worst_iso, oracle.ISOSPECTRAL_TOL))
 
     if not (isinstance(phi, model.LinearPotential) and phi.k != 0 and cls.unbroken):
         return checks

@@ -5,8 +5,10 @@ with the 3-point Laplacian on the interior points of a uniform grid
 (Dirichlet-zero truncation), and ``eigensolve`` bisects the symmetric
 tridiagonal matrix for its lowest energies² (LAPACK ?stebz; Barth,
 Martin & Wilkinson, Numer. Math. 9, 386 (1967)); ``oracle_eigenvalues``
-does both for one sector of a partner pair. ``invariants`` checks what
-the algebraic machinery produces against these numbers.
+does both for one sector of a partner pair, and
+``isospectral_differences`` sets two partner spectra side by side.
+``invariants`` checks what the algebraic machinery produces against
+these numbers.
 
 The LAPACK routine comes from ``_lapack.flapack()`` when it is first
 called, so importing this module, and every command that never solves,
@@ -112,7 +114,7 @@ def oracle_eigenvalues(pair, sector: Sector, k: int) -> np.ndarray:
     return eigensolve(discretize(pair.params, v), k)
 
 
-def energy_from_lambda(lam: float, tol: float = 1e-9) -> float:
+def energy_from_lambda(lam: float, tol: float) -> float:
     """E = sqrt(λ) with a clamp for slightly negative eigenvalues.
 
     H_∓ are squares of first-order operators, so a λ below -tol means
@@ -125,31 +127,13 @@ def energy_from_lambda(lam: float, tol: float = 1e-9) -> float:
     return math.sqrt(max(lam, 0.0))
 
 
-@dataclass(frozen=True)
-class IsospectralReport:
-    """|E+_n - E-_(n+1)| for each compared level n, against ``tol``."""
-
-    diffs: tuple[float, ...]
-    tol: float
-    passed: bool
-
-    @property
-    def max_diff(self) -> float:
-        return max(self.diffs, default=0.0)
-
-
-def verify_isospectral(
-    minus: Sequence[float],
-    plus: Sequence[float],
-    tol: float,
-    clamp_tol: float = 1e-3,
-) -> IsospectralReport:
-    """Check the partner-spectrum interlacing E+_n = E-_{n+1} for all
-    comparable levels of two ascending energy² sequences, such as the
-    output of ``eigensolve``; energies are taken with
-    ``energy_from_lambda`` at ``clamp_tol``."""
-    diffs = tuple(
+def isospectral_differences(
+    minus: Sequence[float], plus: Sequence[float], clamp_tol: float
+) -> tuple[float, ...]:
+    """|E+_n - E-_(n+1)| for all comparable levels n of two ascending
+    energy² sequences, such as the output of ``eigensolve``; energies are
+    taken with ``energy_from_lambda`` at ``clamp_tol``."""
+    return tuple(
         abs(energy_from_lambda(plus[n], clamp_tol) - energy_from_lambda(minus[n + 1], clamp_tol))
         for n in range(min(len(plus), len(minus) - 1))
     )
-    return IsospectralReport(diffs, tol, all(d <= tol for d in diffs))

@@ -45,6 +45,16 @@ from .model import (
 # Normalized zero-mode amplitude allowed at the domain ends; separates
 # exponential decay from growth at desk-scale domains.
 BOUNDARY_TOL = 1e-6
+# A candidate above BOUNDARY_TOL at an end but decaying outward at both is
+# cut off by the grid, not broken, when its tails fit a grid at most
+# TRUNCATION_WIDTH_RATIO times as wide at the edge rate |W|/cħ; where
+# W -> 0 outward, as for x/(1 + x²), a candidate decays without being
+# normalizable and asks for more. The edge rate stands for a tail only
+# below TAIL_RATE_RATIO times the candidate's mean rate of fall from its
+# peak to that end: a W growing linearly along the tail (a Gaussian)
+# gives 2, one steepening at the end (a pole just past it) more.
+TRUNCATION_WIDTH_RATIO = 10.0
+TAIL_RATE_RATIO = 3.0
 # Largest spread of V_+(a1, x) - V_-(f(a1), x) on the grid that counts as constant
 SHAPE_INVARIANCE_TOL = 1e-8
 # Largest |mean of that difference - R(a1)|
@@ -152,7 +162,11 @@ def zero_mode(p: PhysicalParams, phi: ScalarPotential, grid: GridSpec) -> SusyCl
     most sqrt(2/h), so a spacing h of 2/``BOUNDARY_TOL``² or more, where
     every candidate would pass, raises ConfigError naming ``grid``, and so
     does an exponent ∫W/cħ that is not a finite float on ``grid``, which
-    names the other keys that set it too.
+    names the other keys that set it too. When neither candidate passes
+    but one decays outward at both ends (W(x_min) < 0 < W(x_max) for the
+    minus one, the signs flipped for the plus one), ``_require_untruncated``
+    raises ConfigError naming ``grid`` where the grid only cuts off its
+    tails, with the extra width ln(amp/``BOUNDARY_TOL``)·cħ/|W| each end needs.
     """
     if not grid.h * BOUNDARY_TOL**2 < 2.0:
         raise ConfigError(
@@ -190,10 +204,51 @@ def zero_mode(p: PhysicalParams, phi: ScalarPotential, grid: GridSpec) -> SusyCl
             f"the grid truncates W or is too wide for the threshold"
         )
     if not ok:
+        for sector, sign in ((Sector.MINUS, -1.0), (Sector.PLUS, +1.0)):
+            if sign * w[0] > 0.0 > sign * w[-1]:  # exp(sign ∫W/cħ) decays outward at both ends
+                _require_untruncated(p, grid, sector, w, candidates[sector])
         return SusyClassification(False, None, None, edges[Sector.MINUS], edges[Sector.PLUS])
     sector = ok[0]
     return SusyClassification(
         True, sector, candidates[sector], edges[Sector.MINUS], edges[Sector.PLUS]
+    )
+
+
+def _require_untruncated(
+    p: PhysicalParams, grid: GridSpec, sector: Sector, w: np.ndarray, mode: GridFunction
+):
+    """ConfigError naming ``grid`` when ``mode``, the ``sector`` candidate,
+    which decays outward at both ends, is above ``BOUNDARY_TOL`` at an end
+    only because the grid cuts off its tail: at each such end the edge
+    rate |W|/cħ stands for the tail, and a grid at most
+    ``TRUNCATION_WIDTH_RATIO`` times as wide would take the candidate
+    below ``BOUNDARY_TOL`` at that rate."""
+    x, values = grid.points(), mode.values
+    peak = int(np.argmax(values))
+    amps = [abs(float(values[0])), abs(float(values[-1]))]
+    extra = [0.0, 0.0]
+    for side, end in enumerate((0, -1)):
+        amp = amps[side]
+        if amp <= BOUNDARY_TOL:
+            continue
+        # the decay length cħ/|W| at the end, against the distance over which
+        # the candidate falls ln(peak/amp) e-folds from its peak to the end
+        length = p.c * p.hbar / abs(float(w[end]))
+        distance = abs(float(x[end] - x[peak]))
+        if not distance < TAIL_RATE_RATIO * math.log(float(values[peak]) / amp) * length:
+            return
+        extra[side] = math.log(amp / BOUNDARY_TOL) * length
+    width = grid.x_max - grid.x_min
+    if not width + sum(extra) <= TRUNCATION_WIDTH_RATIO * width:
+        return
+    raise ConfigError(
+        f"grid: the {sector.value}-sector zero-mode candidate decays outward at both ends "
+        f"(W = {float(w[0]):.3g} at x_min, {float(w[-1]):.3g} at x_max) but its normalized "
+        f"amplitude is {amps[0]:.3g} at x_min and {amps[1]:.3g} at x_max, above "
+        f"BOUNDARY_TOL = {BOUNDARY_TOL:g}: the grid truncates it, so SUSY cannot be "
+        f"classified. At the edge decay rate |W|/(c*hbar) it needs about {extra[0]:.3g} "
+        f"more width below x_min and {extra[1]:.3g} above x_max; widen the grid to about "
+        f"[{grid.x_min - extra[0]:.3g}, {grid.x_max + extra[1]:.3g}]"
     )
 
 

@@ -1331,6 +1331,12 @@ POLE_PAST_X_MAX = {
     "grid": GRID_20,
     "spectrum": {"n_max": 2, "algebraic": False},
 }
+# massless Pöschl–Teller: the minus candidate sech x is 6.4e-5 at the ends
+POSCHL_TELLER_CUT_OFF = {
+    "potential": {"kind": "poschl_teller", "depth": 1.0, "width": 1.0},
+    "physical": {"mass": 0.0},
+    "grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 2001},
+}
 # the level-200 closed form of k = 10 overflows on this grid: its norm is NaN
 NAN_NORM = {
     **LINEAR_401,
@@ -1506,24 +1512,47 @@ SEPARATE_PROCESS = [
         [], 1, ["grid spacing", "too wide for the zero-mode test"], {},
         id="grid_too_wide_for_the_zero_mode_test",
     ),
+    # a zero mode the grid cuts off is not broken SUSY: each command that
+    # classifies names grid and the wider grid that would hold its tails
+    pytest.param(
+        "classify", POSCHL_TELLER_CUT_OFF, [], 1, ["grid:", "6.42e-05", "[-14.2, 14.2]"], {},
+        id="zero_mode_cut_off_by_the_grid",
+    ),
+    pytest.param(
+        "verify", POSCHL_TELLER_CUT_OFF, [], 1, ["grid:", "[-14.2, 14.2]"], {},
+        id="zero_mode_cut_off_by_the_grid_verify",
+    ),
+    # W = x/(1 + x^2) -> 0 outward: tails that ask for over ten grids stay broken
+    pytest.param(
+        "classify",
+        {**POSCHL_TELLER_CUT_OFF, "potential": {"kind": "custom", "expression": "x/(1+x^2)"}},
+        [], 0, [], {"classify.json": ['"status": "broken"']}, id="slow_tails_stay_broken",
+    ),
 ]
 
 
-@pytest.mark.parametrize("command, config, flags, code, err_parts, written", SEPARATE_PROCESS)
-def test_exit_code_from_a_separate_process(
-    tmp_path, command, config, flags, code, err_parts, written
-):
+def separate_process(tmp_path, command, config, flags):
+    """``python -m majorana1d command`` on ``config`` (a JSON value, or raw
+    bytes) with ``--out tmp_path/out`` and then ``flags``."""
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     out = tmp_path / "out"
     src = str(Path(cli.__file__).resolve().parent.parent)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "majorana1d", command, "--config", cfg, "--out", out, *flags],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         timeout=30,
     )
+
+
+@pytest.mark.parametrize("command, config, flags, code, err_parts, written", SEPARATE_PROCESS)
+def test_exit_code_from_a_separate_process(
+    tmp_path, command, config, flags, code, err_parts, written
+):
+    proc = separate_process(tmp_path, command, config, flags)
+    out = tmp_path / "out"
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
@@ -1534,3 +1563,51 @@ def test_exit_code_from_a_separate_process(
     for name, parts in written.items():
         text = (out / name).read_text()
         assert all(part in text for part in parts)
+
+
+def test_out_onto_a_directory_exits_1_from_a_separate_process(tmp_path):
+    # os.replace cannot put spectrum.json over a directory of that name
+    target = tmp_path / "out" / "spectrum.json"
+    target.mkdir(parents=True)
+    proc = separate_process(tmp_path, "spectrum", {**LINEAR_401, "spectrum": {"n_max": 2}}, [])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("majorana1d: config error: --out: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "'spectrum.json'" in proc.stderr and repr(str(tmp_path / "out")) in proc.stderr
+    # the temp file is removed and the directory left as it was
+    assert os.listdir(tmp_path / "out") == ["spectrum.json"] and os.listdir(target) == []
+
+
+# ------------------------------------------------------- one verdict rule
+
+VERDICT_CASES = [
+    pytest.param(README_LINEAR, set(), id="readme"),
+    pytest.param(
+        {**README_LINEAR, "audit": {"f3": {"kind": "custom", "expression": "0.1*sin(x)"}},
+         "verify": {"pde": False}},
+        {"coupling_reality_audit"}, id="pseudoscalar_coupling",
+    ),
+    # W = m c^2 + 0.5 tanh x > 0 everywhere: no zero mode, SUSY broken
+    pytest.param(
+        {"potential": {"kind": "poschl_teller", "depth": 0.5, "width": 1.0},
+         "physical": {"mass": 1.0}, "grid": {"x_min": -20.0, "x_max": 20.0, "n_points": 2001}},
+        {"unbroken_susy"}, id="massive_poschl_teller",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, failing", VERDICT_CASES)
+def test_verify_row_passes_iff_its_residual_is_within_its_tol(tmp_path, capsys, config, failing):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = run("verify", "--config", cfg, "--out", tmp_path / "out")
+    data = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert all(c["passed"] == (c["residual"] <= c["tol"]) for c in data["checks"])
+    failed = [c["name"] for c in data["checks"] if not c["passed"]]
+    assert set(failed) == failing
+    assert data["passed"] is not bool(failed)
+    err = capsys.readouterr().err
+    if failed:
+        assert (code, err) == (2, f"verify: failed checks: {', '.join(failed)}\n")
+    else:
+        assert (code, err) == (0, "")

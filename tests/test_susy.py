@@ -160,6 +160,37 @@ def test_zero_mode_flat_superpotential_is_inconsistent():
         mj.zero_mode(p, mj.LinearPotential(0.0), grid)
 
 
+def test_zero_mode_cut_off_by_the_grid_names_grid():
+    # sech x is 6.4e-5 at the ends of [-10, 10], above BOUNDARY_TOL; at the
+    # edge rate |W| = 1 it needs about 4.2 more on each side
+    p = mj.PhysicalParams(mass=0.0)
+    potential = mj.PoschlTellerPotential(1.0, 1.0)
+    message = r"^grid: the minus-sector .* 6\.42e-05 at x_min .* \[-14\.2, 14\.2\]$"
+    with pytest.raises(mj.ConfigError, match=message):
+        mj.zero_mode(p, potential, mj.GridSpec(-10.0, 10.0, 2001))
+    assert mj.zero_mode(p, potential, mj.GridSpec(-14.2, 14.2, 2001)).unbroken
+
+
+def test_zero_mode_whose_tails_ask_for_over_ten_grids_stays_broken():
+    # W = x/(1 + x^2) -> 0 outward: 1/sqrt(1 + x^2) decays without being
+    # normalizable, and its edge rate asks for about 110 more on each side
+    p = mj.PhysicalParams(mass=0.0)
+    grid = mj.GridSpec(-10.0, 10.0, 2001)
+    cls = mj.zero_mode(p, mj.CustomPotential("x/(1+x^2)", {}), grid)
+    assert not cls.unbroken
+    assert cls.boundary_minus == pytest.approx(0.058, abs=5e-4)
+
+
+def test_zero_mode_whose_edge_rate_is_no_tail_stays_broken():
+    # W = 1 + 1/(x - 10.1) steepens from 0 at x = 9.1 to -9 at x_max: the
+    # plus candidate falls outward there, but the grid shows no tail
+    p = mj.PhysicalParams(mass=1.0)
+    grid = mj.GridSpec(-10.0, 10.0, 201)
+    cls = mj.zero_mode(p, mj.CustomPotential("1/(x-10.1)", {}), grid)
+    assert not cls.unbroken
+    assert cls.boundary_plus == pytest.approx(0.168, abs=5e-4)
+
+
 # --------------------------------------------------------- shape invariance
 
 
@@ -237,8 +268,8 @@ def test_oracle_eigenvalues_solves_the_sector_potential(params, linear_potential
 
 
 def test_isospectral_partner_levels(minus_levels12, plus_levels12):
-    report = mj.verify_isospectral(minus_levels12, plus_levels12, tol=5e-3)
-    assert report.passed
+    diffs = mj.isospectral_differences(minus_levels12, plus_levels12, clamp_tol=1e-3)
+    assert all(diff <= 5e-3 for diff in diffs)
 
 
 # ---------------------------------------------------- poschl-teller family
